@@ -1,7 +1,7 @@
 """Attack algorithms: point-functional, full-distribution, baselines, gray-box."""
 
 from .baselines import fgsm_like
-from .feasible import FeasibleSet, project, project_l1_ball
+from .feasible import FeasibleSet, project_l1_ball
 from .functionals import Functional, covariate_functional, onehot_functional, response_functional
 from .graybox import (
     EnsembleMember,
@@ -29,7 +29,6 @@ from .ppd import (
     CategoricalAppd,
     MlmcConfig,
     NormalAppd,
-    StudentTAppd,
     delta_level,
     expected_samples_per_iter,
     level_weights,
@@ -52,7 +51,6 @@ __all__ = [
     "ModelEnsemble",
     "NormalAppd",
     "PointAttackProblem",
-    "StudentTAppd",
     "TaggedBatch",
     "bma_ppd_draw",
     "covariate_functional",
@@ -70,7 +68,6 @@ __all__ = [
     "level_weights",
     "mlmc_grad",
     "onehot_functional",
-    "project",
     "project_l1_ball",
     "ratio_grad",
     "reparam_grad_mu",

@@ -78,7 +78,3 @@ class FeasibleSet:
             return self.center + np.clip(d, -self.epsilon, self.epsilon)
         return self.center + project_l1_ball(d, self.epsilon)
 
-
-def project(feasible: FeasibleSet, x):
-    """Project ``x`` onto the feasible set."""
-    return feasible.project(x)

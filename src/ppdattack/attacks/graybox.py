@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bayes.draws import DrawBatch, ParamDraw
 from .point import PointAttackProblem, run_point_attack
 from .ppd import run_ppd_attack
 
@@ -71,17 +70,10 @@ class TaggedBatch:
         return np.nonzero(self.member_ids == k)[0]
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            ids = self.member_ids[i]
-            offset = range(*i.indices(len(self)))
-            subs = {}
-            for k in np.unique(ids):
-                rows = [self._row_in_sub[j] for j in offset if self.member_ids[j] == k]
-                b = self.sub[k]
-                subs[k] = DrawBatch(b.beta[rows], b.phi[rows])
-            return TaggedBatch(ids, subs)
-        k = self.member_ids[i]
-        return k, self.sub[k][self._row_in_sub[i]]
+        """The rows selected by a slice, as a new tagged batch in draw order."""
+        ids = self.member_ids[i]
+        row_in_sub = self._row_in_sub[i]
+        return TaggedBatch(ids, {k: self.sub[k][row_in_sub[ids == k]] for k in np.unique(ids)})
 
     def halves(self):
         m = len(self)
@@ -141,15 +133,15 @@ class MixtureLikelihood:
 def bma_ppd_draw(ensemble: ModelEnsemble, x, rng):
     """One draw from the model-averaged predictive at ``x``.
 
-    Returns ``(member_index, ParamDraw, y)``: the member sampled from the
-    ensemble weights, the parameter draw from its posterior, and the outcome
-    from its likelihood.
+    Returns ``(member_index, draw, y)``: the member sampled from the ensemble
+    weights, its one-row :class:`~ppdattack.bayes.draws.DrawBatch` parameter
+    draw, and the outcome from its likelihood.
     """
     k = int(rng.choice(len(ensemble), p=ensemble.weights))
     member = ensemble.members[k]
-    draw = member.backend.draw(1, rng)[0]
+    draw = member.backend.draw(1, rng)
     y = member.likelihood.sample_y(np.asarray(x, dtype=float), draw, rng)
-    return k, ParamDraw(beta=draw.beta, phi=draw.phi), float(np.asarray(y).reshape(-1)[0])
+    return k, draw, float(y[0])
 
 
 def graybox_views(ensemble: ModelEnsemble, dim):

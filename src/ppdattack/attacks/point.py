@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import NonFiniteGradientError
-from ..bayes.backends import draw_params
 from ..bayes.likelihoods import require_gaussian_linear
 from .feasible import FeasibleSet
 from .functionals import Functional
@@ -75,7 +74,7 @@ class PointAttackProblem:
 
 
 def _joint_sample(prob, x, backend, rng, count):
-    draws = draw_params(backend, count, rng)
+    draws = backend.draw(count, rng)
     ys = prob.model.sample_y(x, draws, rng)
     return draws, ys
 
@@ -115,7 +114,7 @@ def reparam_grad_mu(prob, x, backend, rng):
     each draw contributes ``grad_x g + grad_y g * beta``.
     """
     require_gaussian_linear(prob.model)
-    draws = draw_params(backend, prob.M, rng)
+    draws = backend.draw(prob.M, rng)
     zeta = rng.standard_normal(len(draws))
     ys = draws.beta @ np.asarray(x, dtype=float) + np.sqrt(draws.phi) * zeta
     gy = prob.g.grad_y(x, ys)  # (m, q)
@@ -138,7 +137,7 @@ def gradient_samples(prob, x, backend, rng, kind="score"):
         term = vals[:, :, None] * scores[:, None, :]
     elif kind == "reparam":
         require_gaussian_linear(prob.model)
-        draws = draw_params(backend, prob.M, rng)
+        draws = backend.draw(prob.M, rng)
         zeta = rng.standard_normal(len(draws))
         ys = draws.beta @ np.asarray(x, dtype=float) + np.sqrt(draws.phi) * zeta
         gy = prob.g.grad_y(x, ys)

@@ -20,14 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
 from ..exceptions import DegenerateLikelihoodError, NonFiniteGradientError
-from ..bayes.backends import draw_params
 from .feasible import FeasibleSet
 from .trace import AttackTrace
-
-_DENOM_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -69,37 +66,6 @@ class CategoricalAppd:
         y = np.asarray(y).astype(int)
         with np.errstate(divide="ignore"):
             return np.log(self.probs)[y]
-
-
-@dataclass(frozen=True)
-class StudentTAppd:
-    """Student-t adversarial predictive target.
-
-    ``scale`` is the squared scale, matching
-    :class:`~ppdattack.bayes.conjugate.TPredictive`.
-    """
-
-    df: float
-    loc: float
-    scale: float
-
-    def __post_init__(self):
-        if self.df <= 0 or self.scale <= 0:
-            raise ValueError("df and scale must be positive")
-
-    def sample(self, size, rng):
-        return self.loc + np.sqrt(self.scale) * rng.standard_t(self.df, size=size)
-
-    def logpdf(self, y):
-        y = np.asarray(y, dtype=float)
-        z2 = (y - self.loc) ** 2 / self.scale
-        v = self.df
-        return (
-            gammaln((v + 1.0) / 2.0)
-            - gammaln(v / 2.0)
-            - 0.5 * np.log(v * np.pi * self.scale)
-            - 0.5 * (v + 1.0) * np.log1p(z2 / v)
-        )
 
 
 @dataclass
@@ -171,23 +137,20 @@ def ratio_grad(model, x, y, gammas):
 
         - sum_m pi(y | x, gamma_m) * score_x_m / sum_m pi(y | x, gamma_m)
 
-    computed with the likelihoods factored by their common maximum log scale,
-    so the denominator cannot underflow unless every likelihood is zero.
+    computed with the likelihoods factored by their common maximum log scale:
+    the largest weight is then exactly 1, so the denominator is at least 1.
     Independent of batch size in expectation only up to O(1/M) bias; the
     multilevel combination removes that bias.
     """
-    ll = np.atleast_1d(model.loglik(x, y, gammas))
-    scores = np.atleast_2d(model.score_x(x, y, gammas))
+    ll = model.loglik(x, y, gammas)
+    scores = model.score_x(x, y, gammas)
     lmax = ll.max()
     if not np.isfinite(lmax):
         raise DegenerateLikelihoodError(
             "all likelihood values are zero (or non-finite) for this outcome"
         )
     w = np.exp(ll - lmax)
-    denom = w.sum()
-    if denom < _DENOM_FLOOR:
-        raise DegenerateLikelihoodError("likelihood weights underflowed to zero")
-    return -(w @ scores) / denom
+    return -(w @ scores) / w.sum()
 
 
 def delta_level(model, x, y, level, config, backend, rng):
@@ -201,7 +164,7 @@ def delta_level(model, x, y, level, config, backend, rng):
     if level < 0:
         raise ValueError("level must be nonnegative")
     m = config.M0 * (1 << level)
-    draws = draw_params(backend, m, rng)
+    draws = backend.draw(m, rng)
     full = ratio_grad(model, x, y, draws)
     if level == 0:
         return full
@@ -269,11 +232,10 @@ def simulate_sample_cost(config: MlmcConfig, iters, rng):
 
 def _objective_estimate(model, x, ys, config, backend, rng):
     # Diagnostic plug-in cross entropy: -mean_y log( mean_m pi(y | x, gamma_m) ).
-    draws = draw_params(backend, config.obj_draws, rng)
+    draws = backend.draw(config.obj_draws, rng)
     vals = np.empty(len(ys))
     for i, y in enumerate(ys):
-        ll = np.atleast_1d(model.loglik(x, y, draws))
-        vals[i] = logsumexp(ll) - np.log(len(draws))
+        vals[i] = logsumexp(model.loglik(x, y, draws)) - np.log(len(draws))
     return -float(vals.mean())
 
 

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _fmt(v):
-    # repr of a Python float round-trips exactly, keeping CSV bit-identical
-    # across reruns with the same seed.
+def format_float(v):
+    """A CSV cell for a number: the repr of a Python float round-trips exactly,
+    keeping CSV output bit-identical across reruns with the same seed."""
     return repr(float(v))
 
 
@@ -54,8 +54,8 @@ class AttackTrace:
             w = csv.writer(fh)
             w.writerow(header)
             for t in range(self.iterates.shape[0]):
-                obj = "" if t == 0 else _fmt(self.objectives[t - 1])
-                row = [t, obj] + [_fmt(v) for v in self.iterates[t]]
+                obj = "" if t == 0 else format_float(self.objectives[t - 1])
+                row = [t, obj] + [format_float(v) for v in self.iterates[t]]
                 if mlmc:
                     if t == 0:
                         row += ["", ""]

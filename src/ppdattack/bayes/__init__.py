@@ -1,6 +1,6 @@
 """Bayesian core: conjugate posteriors, likelihood families, draw backends."""
 
-from .backends import ExactConjugate, McmcChain, SampleBank, adaptive_rwm, draw_params
+from .backends import ExactConjugate, McmcChain, SampleBank, adaptive_rwm
 from .conjugate import (
     GaussianPosterior,
     NigPosterior,
@@ -14,17 +14,13 @@ from .conjugate import (
     spd_solve,
 )
 from .data import Dataset
-from .draws import DrawBatch, ParamDraw, as_batch
+from .draws import DrawBatch
 from .likelihoods import (
     BernoulliLogit,
     CategoricalSoftmax,
     FeatureSubsetModel,
     GaussianLinear,
     SmallBnn,
-    loglik,
-    pdf_grad_x,
-    sample_predictive,
-    score_x,
 )
 
 __all__ = [
@@ -39,21 +35,14 @@ __all__ = [
     "McmcChain",
     "NigPosterior",
     "NigPrior",
-    "ParamDraw",
     "SampleBank",
     "SmallBnn",
     "TPredictive",
     "adaptive_rwm",
-    "as_batch",
-    "draw_params",
     "gaussian_update",
-    "loglik",
     "nig_update",
-    "pdf_grad_x",
     "ppd_normal_params",
     "ppd_t_params",
-    "sample_predictive",
-    "score_x",
     "spd_inverse",
     "spd_solve",
 ]

@@ -164,7 +164,3 @@ class McmcChain:
         """Run the chain once and freeze the states into a SampleBank."""
         return SampleBank(self.draw(count, rng))
 
-
-def draw_params(backend, count, rng) -> DrawBatch:
-    """Draw ``count`` posterior parameter draws from any backend."""
-    return backend.draw(count, rng)

@@ -124,11 +124,15 @@ class GaussianPosterior:
 class TPredictive:
     """Student-t predictive: ``df`` degrees of freedom, location ``loc``, and
     squared scale ``scale`` (so the density is that of loc + sqrt(scale) * T
-    with T standard t)."""
+    with T standard t).  Also serves as a Student-t adversarial target."""
 
     df: float
     loc: float
     scale: float
+
+    def __post_init__(self):
+        if self.df <= 0 or self.scale <= 0:
+            raise ValueError("df and scale must be positive")
 
     def sample(self, size, rng):
         return self.loc + np.sqrt(self.scale) * rng.standard_t(self.df, size=size)

@@ -1,25 +1,15 @@
-"""Containers for posterior parameter draws.
+"""Container for posterior parameter draws.
 
-A single draw pairs a coefficient vector ``beta`` with a positive noise scale
+Draws only ever travel in batches: a :class:`DrawBatch` holds one row per
+draw, pairing a coefficient vector ``beta`` with a positive noise scale
 ``phi`` (the noise variance for Gaussian likelihoods; fixed to 1 for
-classification families whose likelihood has no free scale).  Batches are
-stored column-wise so estimators can run vectorised, while still behaving as
-sequences of :class:`ParamDraw`.
+classification families whose likelihood has no free scale).  A single draw
+is a batch with one row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ParamDraw:
-    """One posterior draw: coefficients ``beta`` and noise variance ``phi``."""
-
-    beta: np.ndarray
-    phi: float = 1.0
 
 
 class DrawBatch:
@@ -46,14 +36,9 @@ class DrawBatch:
     def __len__(self):
         return self.beta.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return DrawBatch(self.beta[i], self.phi[i])
-        return ParamDraw(beta=self.beta[i], phi=float(self.phi[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
+    def __getitem__(self, rows):
+        """The draws selected by a slice or an index array, as a new batch."""
+        return DrawBatch(self.beta[rows], self.phi[rows])
 
     def halves(self):
         """Split into (first half, second half) -- the antithetic coupling split."""
@@ -61,20 +46,3 @@ class DrawBatch:
         if m % 2 != 0:
             raise ValueError("cannot halve a batch of odd size %d" % m)
         return self[: m // 2], self[m // 2 :]
-
-    @classmethod
-    def from_draws(cls, draws):
-        """Stack an iterable of ParamDraw into one batch."""
-        draws = list(draws)
-        if not draws:
-            raise ValueError("empty draw sequence")
-        return cls(np.stack([d.beta for d in draws]), np.array([d.phi for d in draws]))
-
-
-def as_batch(gamma):
-    """Coerce a ParamDraw, DrawBatch, or iterable of draws into a DrawBatch."""
-    if isinstance(gamma, DrawBatch):
-        return gamma
-    if isinstance(gamma, ParamDraw):
-        return DrawBatch(gamma.beta[None, :], np.array([gamma.phi]))
-    return DrawBatch.from_draws(gamma)

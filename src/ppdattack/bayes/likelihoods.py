@@ -1,17 +1,16 @@
 """Likelihood families with closed-form covariate gradients.
 
 Every family implements, for a covariate vector ``x``, outcome(s) ``y`` and a
-draw (or batch of draws) of parameters ``gamma = (beta, phi)``:
+batch of posterior draws ``gamma`` (a :class:`~ppdattack.bayes.draws.DrawBatch`
+of ``(beta, phi)`` rows):
 
-* ``loglik``   -- log density/mass ``log pi(y | x, gamma)``
-* ``score_x``  -- gradient of ``loglik`` with respect to ``x``
-* ``pdf_grad_x`` -- gradient of the density itself, ``pi * score_x``
-* ``sample_y`` -- forward sampling of the outcome
+* ``loglik``   -- log density/mass ``log pi(y | x, gamma_m)``, shape (m,)
+* ``score_x``  -- gradient of ``loglik`` with respect to ``x``, shape (m, dim)
+* ``sample_y`` -- one forward-sampled outcome per draw, shape (m,)
 
-Batched calls take a :class:`~ppdattack.bayes.draws.DrawBatch` and return one
-row per draw; single :class:`~ppdattack.bayes.draws.ParamDraw` inputs return
-unbatched arrays/scalars.  ``y`` may be a scalar (evaluated under every draw)
-or one value per draw.
+Every method takes a ``DrawBatch`` and returns one row per draw; a single draw
+is a one-row batch.  ``y`` may be a scalar (evaluated under every draw) or
+one value per draw.
 """
 
 from __future__ import annotations
@@ -20,16 +19,6 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from ..exceptions import UnsupportedModelError
-from .draws import DrawBatch, ParamDraw, as_batch
-
-
-def _prep(gamma):
-    single = isinstance(gamma, ParamDraw)
-    return as_batch(gamma), single
-
-
-def _out(arr, single):
-    return arr[0] if single else arr
 
 
 def _check_x(x, dim):
@@ -62,30 +51,25 @@ class GaussianLinear:
         self.dim = int(dim)
 
     def loglik(self, x, y, gamma):
-        batch, single = _prep(gamma)
         x = _check_x(x, self.dim)
-        mean = batch.beta @ x
+        mean = gamma.beta @ x
         # The quadratic term may overflow to inf for tiny phi; -inf is the
         # correct log likelihood there, so silence the overflow warning.
         with np.errstate(over="ignore"):
-            ll = -0.5 * np.log(2.0 * np.pi * batch.phi) - (np.asarray(y) - mean) ** 2 / (
-                2.0 * batch.phi
+            return -0.5 * np.log(2.0 * np.pi * gamma.phi) - (np.asarray(y) - mean) ** 2 / (
+                2.0 * gamma.phi
             )
-        return _out(ll, single)
 
     def score_x(self, x, y, gamma):
-        batch, single = _prep(gamma)
         x = _check_x(x, self.dim)
-        mean = batch.beta @ x
+        mean = gamma.beta @ x
         with np.errstate(over="ignore"):
-            w = (np.asarray(y) - mean) / batch.phi
-        return _out(w[:, None] * batch.beta, single)
+            w = (np.asarray(y) - mean) / gamma.phi
+        return w[:, None] * gamma.beta
 
     def sample_y(self, x, gamma, rng):
-        batch, single = _prep(gamma)
         x = _check_x(x, self.dim)
-        ys = batch.beta @ x + np.sqrt(batch.phi) * rng.standard_normal(len(batch))
-        return _out(ys, single)
+        return gamma.beta @ x + np.sqrt(gamma.phi) * rng.standard_normal(len(gamma))
 
 
 class BernoulliLogit:
@@ -101,24 +85,21 @@ class BernoulliLogit:
         return y
 
     def loglik(self, x, y, gamma):
-        batch, single = _prep(gamma)
         x = _check_x(x, self.dim)
-        s = batch.beta @ x
-        y = self._check_y(y, len(batch))
-        return _out(y * s - np.logaddexp(0.0, s), single)
+        s = gamma.beta @ x
+        y = self._check_y(y, len(gamma))
+        return y * s - np.logaddexp(0.0, s)
 
     def score_x(self, x, y, gamma):
-        batch, single = _prep(gamma)
         x = _check_x(x, self.dim)
-        s = batch.beta @ x
-        y = self._check_y(y, len(batch))
-        return _out((y - expit(s))[:, None] * batch.beta, single)
+        s = gamma.beta @ x
+        y = self._check_y(y, len(gamma))
+        return (y - expit(s))[:, None] * gamma.beta
 
     def sample_y(self, x, gamma, rng):
-        batch, single = _prep(gamma)
         x = _check_x(x, self.dim)
-        p = expit(batch.beta @ x)
-        return _out((rng.random(len(batch)) < p).astype(float), single)
+        p = expit(gamma.beta @ x)
+        return (rng.random(len(gamma)) < p).astype(float)
 
 
 class CategoricalSoftmax:
@@ -148,34 +129,26 @@ class CategoricalSoftmax:
 
     def class_probs(self, x, gamma):
         """Per-draw softmax class probabilities at ``x``."""
-        batch, single = _prep(gamma)
         x = _check_x(x, self.dim)
-        logits = self._weights(batch) @ x
-        probs = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
-        return _out(probs, single)
+        logits = self._weights(gamma) @ x
+        return np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
 
     def loglik(self, x, y, gamma):
-        batch, single = _prep(gamma)
         x = _check_x(x, self.dim)
-        logits = self._weights(batch) @ x
-        y = _labels(y, len(batch), self.n_classes)
-        ll = logits[np.arange(len(batch)), y] - logsumexp(logits, axis=1)
-        return _out(ll, single)
+        logits = self._weights(gamma) @ x
+        y = _labels(y, len(gamma), self.n_classes)
+        return logits[np.arange(len(gamma)), y] - logsumexp(logits, axis=1)
 
     def score_x(self, x, y, gamma):
-        batch, single = _prep(gamma)
         x = _check_x(x, self.dim)
-        W = self._weights(batch)
+        W = self._weights(gamma)
         logits = W @ x
         probs = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
-        y = _labels(y, len(batch), self.n_classes)
-        s = W[np.arange(len(batch)), y, :] - np.einsum("mk,mkp->mp", probs, W)
-        return _out(s, single)
+        y = _labels(y, len(gamma), self.n_classes)
+        return W[np.arange(len(gamma)), y, :] - np.einsum("mk,mkp->mp", probs, W)
 
     def sample_y(self, x, gamma, rng):
-        batch, single = _prep(gamma)
-        probs = np.atleast_2d(self.class_probs(x, batch))
-        return _out(_sample_categorical(probs, rng).astype(float), single)
+        return _sample_categorical(self.class_probs(x, gamma), rng).astype(float)
 
 
 class SmallBnn:
@@ -236,45 +209,42 @@ class SmallBnn:
         return np.einsum("moh,mhp->mop", gate, W1)
 
     def loglik(self, x, y, gamma):
-        batch, single = _prep(gamma)
         x = _check_x(x, self.dim)
-        out, _, _, _ = self._forward(x, batch)
+        out, _, _, _ = self._forward(x, gamma)
         if self.likelihood == "gaussian":
             f = out[:, 0]
-            ll = -0.5 * np.log(2.0 * np.pi * batch.phi) - (np.asarray(y) - f) ** 2 / (
-                2.0 * batch.phi
+            ll = -0.5 * np.log(2.0 * np.pi * gamma.phi) - (np.asarray(y) - f) ** 2 / (
+                2.0 * gamma.phi
             )
         else:
-            y = _labels(y, len(batch), self.n_out)
-            ll = out[np.arange(len(batch)), y] - logsumexp(out, axis=1)
-        return _out(ll, single)
+            y = _labels(y, len(gamma), self.n_out)
+            ll = out[np.arange(len(gamma)), y] - logsumexp(out, axis=1)
+        return ll
 
     def score_x(self, x, y, gamma):
-        batch, single = _prep(gamma)
         x = _check_x(x, self.dim)
-        out, hvals, W1, W2 = self._forward(x, batch)
+        out, hvals, W1, W2 = self._forward(x, gamma)
         dout = self._grad_out_x(hvals, W1, W2)  # (m, o, p)
         if self.likelihood == "gaussian":
-            w = (np.asarray(y) - out[:, 0]) / batch.phi
+            w = (np.asarray(y) - out[:, 0]) / gamma.phi
             s = w[:, None] * dout[:, 0, :]
         else:
-            y = _labels(y, len(batch), self.n_out)
+            y = _labels(y, len(gamma), self.n_out)
             probs = np.exp(out - logsumexp(out, axis=1, keepdims=True))
             resid = -probs
-            resid[np.arange(len(batch)), y] += 1.0
+            resid[np.arange(len(gamma)), y] += 1.0
             s = np.einsum("mo,mop->mp", resid, dout)
-        return _out(s, single)
+        return s
 
     def sample_y(self, x, gamma, rng):
-        batch, single = _prep(gamma)
         x = _check_x(x, self.dim)
-        out, _, _, _ = self._forward(x, batch)
+        out, _, _, _ = self._forward(x, gamma)
         if self.likelihood == "gaussian":
-            ys = out[:, 0] + np.sqrt(batch.phi) * rng.standard_normal(len(batch))
+            ys = out[:, 0] + np.sqrt(gamma.phi) * rng.standard_normal(len(gamma))
         else:
             probs = np.exp(out - logsumexp(out, axis=1, keepdims=True))
             ys = _sample_categorical(probs, rng).astype(float)
-        return _out(ys, single)
+        return ys
 
     def random_init(self, rng, scale=0.5):
         """A flat parameter vector for starting an MCMC chain."""
@@ -305,37 +275,13 @@ class FeatureSubsetModel:
     def score_x(self, x, y, gamma):
         x = _check_x(x, self.dim)
         inner = self.inner.score_x(x[self.indices], y, gamma)
-        inner2 = np.atleast_2d(inner)
-        full = np.zeros((inner2.shape[0], self.dim))
-        full[:, self.indices] = inner2
-        return full[0] if inner.ndim == 1 else full
+        full = np.zeros((inner.shape[0], self.dim))
+        full[:, self.indices] = inner
+        return full
 
     def sample_y(self, x, gamma, rng):
         x = _check_x(x, self.dim)
         return self.inner.sample_y(x[self.indices], gamma, rng)
-
-
-def loglik(model, x, y, gamma):
-    """Log likelihood ``log pi(y | x, gamma)`` under ``model``."""
-    return model.loglik(x, y, gamma)
-
-
-def score_x(model, x, y, gamma):
-    """Covariate gradient of the log likelihood."""
-    return model.score_x(x, y, gamma)
-
-
-def pdf_grad_x(model, x, y, gamma):
-    """Covariate gradient of the likelihood density: pi * score_x."""
-    ll = np.atleast_1d(model.loglik(x, y, gamma))
-    s = np.atleast_2d(model.score_x(x, y, gamma))
-    g = np.exp(ll)[:, None] * s
-    return g[0] if isinstance(gamma, ParamDraw) else g
-
-
-def sample_predictive(model, x, gamma, rng):
-    """Draw outcomes from the likelihood at ``x`` under the given draw(s)."""
-    return model.sample_y(x, gamma, rng)
 
 
 def require_gaussian_linear(model):

@@ -43,9 +43,9 @@ from .data import gen_synthetic, write_dataset_csv
 from .entropy import entropy_experiment
 from .gradcheck import run_gradcheck
 from .sep import (
-    _mlmc_config,
-    _point_problem,
     aggregate,
+    mlmc_config,
+    point_problem,
     prepare_experiment,
     run_sep,
     write_sep_csv,
@@ -81,12 +81,12 @@ def cmd_attack(args):
 
     if cfg.attack.type == "point":
         g_star = targets[0]
-        prob = _point_problem(cfg, defender, feasible, g_star)
+        prob = point_problem(cfg, defender, feasible, g_star)
         trace = run_point_attack(prob, defender.backend, rng)
         headline = "final |E[y] - target| = %.6g" % trace.final_residual
     else:
         appd, _ = targets[0]
-        cfg_m = _mlmc_config(cfg, feasible, record_objective=True)
+        cfg_m = mlmc_config(cfg, feasible, record_objective=True)
         trace = run_ppd_attack(defender.likelihood, appd, cfg_m, defender.backend, rng)
         headline = "final cross-entropy estimate = %.6g" % trace.final_residual
 

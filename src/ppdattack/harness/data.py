@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..attacks.trace import format_float
 from ..bayes.data import Dataset
 
 
@@ -42,7 +43,7 @@ def write_dataset_csv(dataset: Dataset, path, column_names=None, response_name="
         w = csv.writer(fh)
         w.writerow(names + [response_name])
         for i in range(dataset.n):
-            w.writerow([repr(float(v)) for v in dataset.X[i]] + [repr(float(dataset.y[i]))])
+            w.writerow([format_float(v) for v in dataset.X[i]] + [format_float(dataset.y[i])])
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from ..attacks.point import (
     reparam_grad_mu,
 )
 from ..attacks.ppd import MlmcConfig, NormalAppd, mlmc_grad
+from ..attacks.trace import format_float
 from ..bayes.backends import ExactConjugate
 from ..bayes.conjugate import gaussian_update, ppd_normal_params
 from ..bayes.likelihoods import GaussianLinear
@@ -42,10 +43,6 @@ from .data import gen_synthetic
 
 POSITIVE_ESTIMATORS = ("score", "reparam", "mlmc")
 CONTROL_ESTIMATOR = "score-shared-batch"
-
-
-def _fmt(v):
-    return repr(float(v))
 
 
 @dataclass(frozen=True)
@@ -191,8 +188,9 @@ def write_gradcheck_csv(report: GradCheckReport, path):
         w.writerow(["estimator", "role", "coordinate", "replicates", "mean",
                     "analytic", "se", "z", "within_threshold"])
         for c in report.checks:
-            w.writerow([c.estimator, c.role, c.coordinate, c.replicates, _fmt(c.mean),
-                        _fmt(c.analytic), _fmt(c.se), _fmt(c.z), int(c.within_threshold)])
+            w.writerow([c.estimator, c.role, c.coordinate, c.replicates]
+                       + [format_float(v) for v in (c.mean, c.analytic, c.se, c.z)]
+                       + [int(c.within_threshold)])
 
 
 def write_gradcheck_samples_csv(report: GradCheckReport, path):
@@ -208,7 +206,7 @@ def write_gradcheck_samples_csv(report: GradCheckReport, path):
             oracle = report.oracles[name]
             for r in range(arr.shape[0]):
                 for j in range(arr.shape[1]):
-                    w.writerow([name, r, j, _fmt(arr[r, j]), _fmt(oracle[j])])
+                    w.writerow([name, r, j, format_float(arr[r, j]), format_float(oracle[j])])
 
 
 def run_gradcheck(spec: GradCheckSpec, write_samples=True):

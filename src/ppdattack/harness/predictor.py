@@ -58,8 +58,7 @@ class BayesPredictor:
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         out = np.empty(ys.size)
         for i, y in enumerate(ys):
-            ll = np.atleast_1d(self.likelihood.loglik(x, y, draws))
-            out[i] = logsumexp(ll) - np.log(len(draws))
+            out[i] = logsumexp(self.likelihood.loglik(x, y, draws)) - np.log(len(draws))
         return out
 
 

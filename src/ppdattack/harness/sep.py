@@ -30,14 +30,11 @@ from ..attacks.feasible import FeasibleSet
 from ..attacks.functionals import response_functional
 from ..attacks.point import PointAttackProblem, grad_J, run_point_attack
 from ..attacks.ppd import MlmcConfig, NormalAppd, mlmc_grad, run_ppd_attack
+from ..attacks.trace import format_float
 from ..bayes.conjugate import GaussianPosterior, NigPosterior
 from .config import ExperimentConfig
 from .data import gen_synthetic, load_dataset
 from .predictor import BayesPredictor, fit_predictor
-
-
-def _fmt(v):
-    return repr(float(v))
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,8 @@ def write_sep_csv(records, path):
         w = csv.writer(fh)
         w.writerow(["epsilon", "rep", "strategy", "metric", "value"])
         for r in records:
-            w.writerow([_fmt(r.epsilon), r.rep, r.strategy, r.metric, _fmt(r.value)])
+            w.writerow([format_float(r.epsilon), r.rep, r.strategy, r.metric,
+                        format_float(r.value)])
 
 
 def write_sep_summary_csv(aggregates, path):
@@ -100,9 +98,8 @@ def write_sep_summary_csv(aggregates, path):
         w = csv.writer(fh)
         w.writerow(["strategy", "metric", "epsilon", "n", "mean", "se", "two_se"])
         for a in aggregates:
-            w.writerow(
-                [a.strategy, a.metric, _fmt(a.epsilon), a.n, _fmt(a.mean), _fmt(a.se), _fmt(a.two_se)]
-            )
+            w.writerow([a.strategy, a.metric, format_float(a.epsilon), a.n]
+                       + [format_float(v) for v in (a.mean, a.se, a.two_se)])
 
 
 def _task_rngs(seed, eps_idx, rep, strat_idx):
@@ -144,7 +141,8 @@ def _point_target(cfg: ExperimentConfig, train):
     return float(cfg.attack.target)
 
 
-def _point_problem(cfg, defender, feasible, g_star):
+def point_problem(cfg, defender, feasible, g_star):
+    """The point-attack problem a config's optimizer settings describe."""
     opt = cfg.attack.optimizer
     return PointAttackProblem(
         g=response_functional(), g_star=np.array([g_star]), model=defender.likelihood,
@@ -152,7 +150,8 @@ def _point_problem(cfg, defender, feasible, g_star):
     )
 
 
-def _mlmc_config(cfg, feasible, record_objective=False):
+def mlmc_config(cfg, feasible, record_objective=False):
+    """The multilevel attack settings a config's ``attack.mlmc`` block describes."""
     m = cfg.attack.mlmc
     return MlmcConfig(
         feasible=feasible, eta=m.eta, T=m.T, M0=m.M0, tau=m.tau, R=m.R, Lmax=m.Lmax,
@@ -174,7 +173,7 @@ def _attack_point_instance(strategy, cfg, defender, x0, g_star, eps, rng):
         if cfg.attack.norm == "linf":
             return analytic_point_linf(mu, x0, g_star, eps).x_star
         raise ValueError("no analytic point solution for norm %r" % cfg.attack.norm)
-    prob = _point_problem(cfg, defender, feasible, g_star)
+    prob = point_problem(cfg, defender, feasible, g_star)
     if strategy == "sgd":
         return run_point_attack(prob, defender.backend, rng).final_x
     if strategy == "fgsm":
@@ -197,7 +196,7 @@ def _attack_ppd_instance(strategy, cfg, defender, x0, appd, eps, rng):
         if not isinstance(defender.posterior, GaussianPosterior):
             raise TypeError("deterministic KL benchmark needs a known-variance posterior")
         return minimize_kl_multistart(appd, defender.posterior, feasible, rng).x
-    cfg_m = _mlmc_config(cfg, feasible)
+    cfg_m = mlmc_config(cfg, feasible)
     if strategy == "sgd":
         return run_ppd_attack(defender.likelihood, appd, cfg_m, defender.backend, rng).final_x
     if strategy == "fgsm":
@@ -206,16 +205,19 @@ def _attack_ppd_instance(strategy, cfg, defender, x0, appd, eps, rng):
     raise ValueError("unknown strategy %r" % strategy)
 
 
-def _ppd_metrics(defender, cfg, x, appd, clean_params, rng):
+def _ppd_metrics(defender, cfg, x0, x, appd, rng):
+    # Scores the predictive at the attacked x against the target and against
+    # the defender's clean predictive at x0.
     post = defender.posterior
     if isinstance(post, GaussianPosterior):
         m, v = defender.predictive_normal_params(x)
+        m0, v0 = defender.predictive_normal_params(x0)
         kl_appd = gaussian_kl(appd.mean, appd.var, m, v)
-        kl_clean = gaussian_kl(m, v, clean_params[0], clean_params[1])
+        kl_clean = gaussian_kl(m, v, m0, v0)
         return {"kl-to-appd": kl_appd, "kl-to-clean-ppd": kl_clean, "pred-var": v}
     if isinstance(post, NigPosterior):
         induced = defender.predictive_t(x)
-        clean = clean_params
+        clean = defender.predictive_t(x0)
         ys = appd.sample(cfg.attack.n_eval, rng)
         kl_appd = float(np.mean(appd.logpdf(ys) - induced.logpdf(ys)))
         ys2 = induced.sample(cfg.attack.n_eval, rng)
@@ -308,9 +310,9 @@ def _run_task(cfg, defender, instances, targets, strategy, eps, rng_attack, rng_
         return {"rmse-to-target": float(np.sqrt(np.mean(residuals**2)))}
 
     out = {}
-    for i, (x0, (appd, clean_params)) in enumerate(zip(instances, targets)):
+    for x0, (appd, _) in zip(instances, targets):
         x_adv = _attack_ppd_instance(strategy, cfg, defender, x0, appd, eps, rng_attack)
-        metrics = _ppd_metrics(defender, cfg, x_adv, appd, clean_params, rng_eval)
+        metrics = _ppd_metrics(defender, cfg, x0, x_adv, appd, rng_eval)
         if len(instances) == 1:
             return metrics
         for k, v in metrics.items():

@@ -21,7 +21,7 @@ from ppdattack.attacks.ppd import (
     ratio_grad,
     simulate_sample_cost,
 )
-from ppdattack.bayes.backends import ExactConjugate, draw_params
+from ppdattack.bayes.backends import ExactConjugate
 from ppdattack.bayes.conjugate import gaussian_update, ppd_normal_params
 from ppdattack.bayes.likelihoods import GaussianLinear
 from ppdattack.harness.config import (
@@ -212,7 +212,7 @@ def test_criterion_07_level_differences_telescope():
                       for _ in range(reps)])
         lhs += d.mean(axis=0)
         lhs_var += d.var(axis=0, ddof=1) / reps
-    direct = np.array([ratio_grad(model, x, y, draw_params(backend, 32, rng))
+    direct = np.array([ratio_grad(model, x, y, backend.draw(32, rng))
                        for _ in range(reps)])
     joint_se = np.sqrt(lhs_var + direct.var(axis=0, ddof=1) / reps)
     z = (lhs - direct.mean(axis=0)) / joint_se

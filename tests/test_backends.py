@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ppdattack.bayes.backends import McmcChain, SampleBank, adaptive_rwm, draw_params
+from ppdattack.bayes.backends import McmcChain, SampleBank, adaptive_rwm
 
 
 def gaussian_log_post(mean, var):
@@ -51,7 +51,7 @@ def test_chain_determinism_and_bank():
     bank = chain.to_bank(50, np.random.default_rng(42))
     assert isinstance(bank, SampleBank)
     assert len(bank) == 50
-    resampled = draw_params(bank, 7, np.random.default_rng(0))
+    resampled = bank.draw(7, np.random.default_rng(0))
     assert resampled.beta.shape == (7, 1)
 
 

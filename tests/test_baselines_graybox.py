@@ -132,7 +132,7 @@ def test_single_member_draw_matches_exact_predictive(defender):
     triples = [bma_ppd_draw(ens, x, rng) for _ in range(2000)]
     assert {k for k, _, _ in triples} == {0}
     draw = triples[0][1]
-    assert draw.beta.shape == (2,) and draw.phi > 0
+    assert draw.beta.shape == (1, 2) and draw.phi.shape == (1,) and draw.phi[0] > 0
     m, v = ppd_normal_params(post, x)
     ks = stats.kstest(np.array([y for _, _, y in triples]), "norm",
                       args=(m, np.sqrt(v)))
@@ -184,15 +184,15 @@ def test_tagged_batch_preserves_draw_order(defender):
     assert len(first) == 4 and len(second) == 4
     assert np.array_equal(first.member_ids, batch.member_ids[:4])
     assert np.array_equal(second.member_ids, batch.member_ids[4:])
-    for i in range(4):
-        k_f, d_f = first[i]
-        k_b, d_b = batch[i]
-        assert k_f == k_b
-        assert np.array_equal(d_f.beta, d_b.beta) and d_f.phi == d_b.phi
-        k_s, d_s = second[i]
-        k_b2, d_b2 = batch[4 + i]
-        assert k_s == k_b2
-        assert np.array_equal(d_s.beta, d_b2.beta) and d_s.phi == d_b2.phi
+    # Each member's rows in a half are that member's rows of the full batch
+    # falling in the half, in draw order.
+    for half, rows in ((first, slice(0, 4)), (second, slice(4, 8))):
+        for k, sub in half.sub.items():
+            before = np.count_nonzero(batch.member_ids[: rows.start] == k)
+            n_k = np.count_nonzero(batch.member_ids[rows] == k)
+            full = batch.sub[k]
+            assert np.array_equal(sub.beta, full.beta[before : before + n_k])
+            assert np.array_equal(sub.phi, full.phi[before : before + n_k])
 
     odd = MixtureBackend(ens).draw(5, rng)
     with pytest.raises(ValueError):

@@ -3,23 +3,23 @@
 import numpy as np
 import pytest
 
-from ppdattack.attacks.feasible import FeasibleSet, project, project_l1_ball
+from ppdattack.attacks.feasible import FeasibleSet, project_l1_ball
 
 
 def test_interior_point_unchanged():
     fs = FeasibleSet(np.array([1.0, 1.0]), 2.0, "l2")
     x = np.array([1.5, 0.5])
-    assert np.array_equal(project(fs, x), x)
+    assert np.array_equal(fs.project(x), x)
 
 
 def test_l2_radial_scaling():
     fs = FeasibleSet(np.zeros(2), 1.0, "l2")
-    assert np.allclose(project(fs, np.array([3.0, 4.0])), [0.6, 0.8])
+    assert np.allclose(fs.project(np.array([3.0, 4.0])), [0.6, 0.8])
 
 
 def test_linf_clipping():
     fs = FeasibleSet(np.zeros(2), 1.0, "linf")
-    assert np.allclose(project(fs, np.array([3.0, -4.0])), [1.0, -1.0])
+    assert np.allclose(fs.project(np.array([3.0, -4.0])), [1.0, -1.0])
 
 
 def test_projection_idempotent():
@@ -28,8 +28,8 @@ def test_projection_idempotent():
         for _ in range(50):
             fs = FeasibleSet(rng.standard_normal(5), float(rng.uniform(0.1, 2.0)), norm)
             x = rng.standard_normal(5) * 3.0
-            once = project(fs, x)
-            twice = project(fs, once)
+            once = fs.project(x)
+            twice = fs.project(once)
             assert fs.contains(once), norm
             assert np.allclose(once, twice, atol=1e-12), norm
 
@@ -40,7 +40,7 @@ def test_l2_projection_nonexpansive():
     for _ in range(100):
         a = rng.standard_normal(4) * 2.0
         b = rng.standard_normal(4) * 2.0
-        pa, pb = project(fs, a), project(fs, b)
+        pa, pb = fs.project(a), fs.project(b)
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
 
@@ -92,4 +92,4 @@ def test_validation_errors():
 
 def test_zero_epsilon_collapses_to_center():
     fs = FeasibleSet(np.array([2.0, -1.0]), 0.0, "linf")
-    assert np.array_equal(project(fs, np.array([5.0, 5.0])), [2.0, -1.0])
+    assert np.array_equal(fs.project(np.array([5.0, 5.0])), [2.0, -1.0])

@@ -337,6 +337,25 @@ def test_sweep_clean_rows_reproduce_clean_metric():
     assert attacked and all(r.value > 0.0 for r in attacked)
 
 
+def test_nig_ppd_sweep_returns_every_cell():
+    # The unknown-variance defender's predictive is a Student t: every cell is
+    # scored against the clean t predictive at x0, so eps=0 shows zero KL.
+    cfg = ExperimentConfig(
+        seed=13, dataset=DatasetSpec(n=200), model=ModelSpec(kind="nig_linear"),
+        attack=AttackSpec(type="ppd", eps_grid=(0.0, 0.5), repeats=1,
+                          strategies=("sgd",), x0_mode="clean_mean", n_eval=64,
+                          mlmc=MlmcSpec(T=3)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_sep(cfg)
+    assert [str(w.message) for w in caught] == []
+    metrics = ("kl-to-appd", "kl-to-clean-ppd", "pred-var")
+    assert sorted((r.epsilon, r.metric) for r in res.records) == [
+        (eps, metric) for eps in (0.0, 0.5) for metric in metrics]
+    clean = [r.value for r in res.records if r.epsilon == 0.0 and r.metric == "kl-to-clean-ppd"]
+    assert clean == [0.0]
+
+
 def test_sweep_reruns_bit_identical(tmp_path):
     res1 = run_sep(point_config())
     res2 = run_sep(point_config())

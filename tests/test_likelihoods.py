@@ -9,7 +9,7 @@ under the model) and simple moment/frequency oracles.
 import numpy as np
 import pytest
 
-from ppdattack.bayes.draws import DrawBatch, ParamDraw
+from ppdattack.bayes.draws import DrawBatch
 from ppdattack.bayes.likelihoods import (
     BernoulliLogit,
     CategoricalSoftmax,
@@ -17,11 +17,7 @@ from ppdattack.bayes.likelihoods import (
     GaussianLinear,
     SmallBnn,
     UnsupportedModelError,
-    loglik,
-    pdf_grad_x,
     require_gaussian_linear,
-    sample_predictive,
-    score_x,
 )
 
 
@@ -36,9 +32,9 @@ def fd_grad(f, x, h=1e-6):
 
 def test_gaussian_score_hand_value():
     model = GaussianLinear(2)
-    gamma = ParamDraw(np.array([1.0, 0.0]), 1.0)
+    gamma = DrawBatch(np.array([[1.0, 0.0]]), 1.0)
     # score = (y - beta'x) beta / phi = (2 - 0) * (1, 0)
-    assert np.allclose(score_x(model, np.zeros(2), 2.0, gamma), [2.0, 0.0])
+    assert np.allclose(model.score_x(np.zeros(2), 2.0, gamma)[0], [2.0, 0.0])
 
 
 def cases_for_fd():
@@ -49,30 +45,31 @@ def cases_for_fd():
     bnn_g = SmallBnn(2, 4)
     bnn_c = SmallBnn(2, 4, likelihood="categorical", n_out=3)
     fs = FeatureSubsetModel(GaussianLinear(2), [0, 2], 3)
+    # One-row batches: a single draw is a batch with one row.
     return [
-        (gl, ParamDraw(rng.standard_normal(3), 0.7), rng.standard_normal(3), 1.3),
-        (bl, ParamDraw(rng.standard_normal(3)), rng.standard_normal(3), 1.0),
-        (cs, ParamDraw(rng.standard_normal(6)), rng.standard_normal(2), 2),
-        (bnn_g, ParamDraw(bnn_g.random_init(rng), 0.5), rng.standard_normal(2), 0.4),
-        (bnn_c, ParamDraw(bnn_c.random_init(rng)), rng.standard_normal(2), 1),
-        (fs, ParamDraw(rng.standard_normal(2), 1.1), rng.standard_normal(3), -0.2),
+        (gl, DrawBatch(rng.standard_normal(3), 0.7), rng.standard_normal(3), 1.3),
+        (bl, DrawBatch(rng.standard_normal(3)), rng.standard_normal(3), 1.0),
+        (cs, DrawBatch(rng.standard_normal(6)), rng.standard_normal(2), 2),
+        (bnn_g, DrawBatch(bnn_g.random_init(rng), 0.5), rng.standard_normal(2), 0.4),
+        (bnn_c, DrawBatch(bnn_c.random_init(rng)), rng.standard_normal(2), 1),
+        (fs, DrawBatch(rng.standard_normal(2), 1.1), rng.standard_normal(3), -0.2),
     ]
 
 
 def test_score_matches_finite_differences():
     for model, gamma, x, y in cases_for_fd():
-        analytic = np.asarray(score_x(model, x, y, gamma), dtype=float)
-        numeric = fd_grad(lambda z: float(loglik(model, z, y, gamma)), x)
+        analytic = model.score_x(x, y, gamma)[0]
+        numeric = fd_grad(lambda z: float(model.loglik(z, y, gamma)[0]), x)
         denom = max(np.linalg.norm(numeric), 1.0)
         assert np.linalg.norm(analytic - numeric) / denom < 1e-5, type(model).__name__
 
 
 def test_pdf_grad_is_density_times_score():
+    # The covariate gradient of the density pi itself is pi * score_x.
     for model, gamma, x, y in cases_for_fd():
-        expected = np.exp(loglik(model, x, y, gamma)) * np.asarray(
-            score_x(model, x, y, gamma)
-        )
-        assert np.allclose(pdf_grad_x(model, x, y, gamma), expected)
+        expected = np.exp(model.loglik(x, y, gamma)[0]) * model.score_x(x, y, gamma)[0]
+        numeric = fd_grad(lambda z: float(np.exp(model.loglik(z, y, gamma)[0])), x)
+        assert np.allclose(numeric, expected), type(model).__name__
 
 
 def test_score_identity_mean_zero():
@@ -82,8 +79,8 @@ def test_score_identity_mean_zero():
     model = GaussianLinear(2)
     batch = DrawBatch(np.repeat([[0.8, -1.2]], n, axis=0), np.full(n, 0.9))
     x = np.array([0.4, 1.0])
-    ys = sample_predictive(model, x, batch, rng)
-    scores = score_x(model, x, ys, batch)
+    ys = model.sample_y(x, batch, rng)
+    scores = model.score_x(x, ys, batch)
     se = scores.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(scores.mean(axis=0)) <= 3.0 * se)
 
@@ -94,8 +91,8 @@ def test_score_identity_mean_zero_logit():
     model = BernoulliLogit(2)
     batch = DrawBatch(np.repeat([[0.5, -0.3]], n, axis=0))
     x = np.array([1.0, 2.0])
-    ys = sample_predictive(model, x, batch, rng)
-    scores = score_x(model, x, ys, batch)
+    ys = model.sample_y(x, batch, rng)
+    scores = model.score_x(x, ys, batch)
     se = scores.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(scores.mean(axis=0)) <= 3.0 * se)
 
@@ -105,7 +102,7 @@ def test_near_deterministic_gaussian_draws():
     beta = np.array([1.5, -0.5])
     x = np.array([2.0, 1.0])
     batch = DrawBatch(np.repeat([beta], 200, axis=0), np.full(200, 1e-12))
-    ys = sample_predictive(model, x, batch, np.random.default_rng(3))
+    ys = model.sample_y(x, batch, np.random.default_rng(3))
     assert np.all(np.abs(ys - beta @ x) < 1e-5)
 
 
@@ -115,7 +112,7 @@ def test_gaussian_draw_mean():
     x = np.array([-1.0, 0.5])
     n = 100_000
     batch = DrawBatch(np.repeat([beta], n, axis=0), np.ones(n))
-    ys = sample_predictive(model, x, batch, np.random.default_rng(12))
+    ys = model.sample_y(x, batch, np.random.default_rng(12))
     se = ys.std(ddof=1) / np.sqrt(n)
     assert abs(ys.mean() - beta @ x) <= 3.0 * se
 
@@ -126,7 +123,7 @@ def test_dominant_logit_wins():
     W[0, 0] = 50.0
     n = 10_000
     batch = DrawBatch(np.repeat([W.ravel()], n, axis=0))
-    ys = sample_predictive(model, np.array([1.0, 0.0]), batch, np.random.default_rng(4))
+    ys = model.sample_y(np.array([1.0, 0.0]), batch, np.random.default_rng(4))
     assert np.mean(ys == 0.0) > 0.999
 
 
@@ -141,22 +138,22 @@ def test_softmax_probs_sum_to_one():
 
 def test_feature_subset_hides_coordinates():
     model = FeatureSubsetModel(GaussianLinear(2), [0, 2], 3)
-    gamma = ParamDraw(np.array([1.0, -1.0]), 1.0)
-    g = score_x(model, np.array([0.5, 9.0, -0.5]), 1.0, gamma)
-    assert g[1] == 0.0
+    gamma = DrawBatch(np.array([[1.0, -1.0]]), 1.0)
+    g = model.score_x(np.array([0.5, 9.0, -0.5]), 1.0, gamma)
+    assert g.shape == (1, 3) and g[0, 1] == 0.0
     # Changing the hidden coordinate must not change the log likelihood.
-    a = loglik(model, np.array([0.5, 9.0, -0.5]), 1.0, gamma)
-    b = loglik(model, np.array([0.5, -3.0, -0.5]), 1.0, gamma)
-    assert a == b
+    a = model.loglik(np.array([0.5, 9.0, -0.5]), 1.0, gamma)
+    b = model.loglik(np.array([0.5, -3.0, -0.5]), 1.0, gamma)
+    assert np.array_equal(a, b)
 
 
 def test_label_validation():
     model = CategoricalSoftmax(2, 3)
-    gamma = ParamDraw(np.zeros(6))
+    gamma = DrawBatch(np.zeros((1, 6)))
     with pytest.raises(ValueError):
-        loglik(model, np.zeros(2), 7, gamma)
+        model.loglik(np.zeros(2), 7, gamma)
     with pytest.raises(ValueError):
-        loglik(BernoulliLogit(2), np.zeros(2), 0.5, ParamDraw(np.zeros(2)))
+        BernoulliLogit(2).loglik(np.zeros(2), 0.5, DrawBatch(np.zeros((1, 2))))
 
 
 def test_require_gaussian_linear():

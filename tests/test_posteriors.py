@@ -9,7 +9,7 @@ compare chunked empirical moments against the closed-form posterior moments.
 import numpy as np
 import pytest
 
-from ppdattack.bayes.backends import ExactConjugate, SampleBank, draw_params
+from ppdattack.bayes.backends import ExactConjugate, SampleBank
 from ppdattack.bayes.conjugate import (
     GaussianPosterior,
     NigPrior,
@@ -149,7 +149,7 @@ def test_exact_conjugate_draw_covariance():
     backend = ExactConjugate(post)
     chunks = []
     for _ in range(20):
-        batch = draw_params(backend, 5000, rng)
+        batch = backend.draw(5000, rng)
         centered = batch.beta - post.mu_n
         chunks.append(centered.T @ centered / len(batch))
     chunks = np.array(chunks)
@@ -161,13 +161,13 @@ def test_exact_conjugate_draw_covariance():
 def test_known_variance_draws_pin_phi():
     post = gaussian_update(np.zeros(2), np.eye(2), 0.25,
                            np.array([[1.0, 0.0]]), np.array([1.0]))
-    batch = draw_params(ExactConjugate(post), 100, np.random.default_rng(0))
+    batch = ExactConjugate(post).draw(100, np.random.default_rng(0))
     assert np.all(batch.phi == 0.25)
 
 
 def test_sample_bank_singleton_repeats():
     bank = SampleBank(DrawBatch(np.array([[1.5, -0.5]]), np.array([2.0])))
-    batch = draw_params(bank, 3, np.random.default_rng(5))
+    batch = bank.draw(3, np.random.default_rng(5))
     assert np.array_equal(batch.beta, np.repeat([[1.5, -0.5]], 3, axis=0))
     assert np.array_equal(batch.phi, [2.0, 2.0, 2.0])
 
@@ -176,8 +176,8 @@ def test_fixed_seed_draws_are_bit_identical():
     post = nig_update(unit_prior(2), np.random.default_rng(1).standard_normal((8, 2)),
                       np.random.default_rng(2).standard_normal(8))
     backend = ExactConjugate(post)
-    a = draw_params(backend, 64, np.random.default_rng(99))
-    b = draw_params(backend, 64, np.random.default_rng(99))
+    a = backend.draw(64, np.random.default_rng(99))
+    b = backend.draw(64, np.random.default_rng(99))
     assert a.beta.tobytes() == b.beta.tobytes()
     assert a.phi.tobytes() == b.phi.tobytes()
 
@@ -185,4 +185,4 @@ def test_fixed_seed_draws_are_bit_identical():
 def test_draw_count_validation():
     post = gaussian_update(np.zeros(1), np.eye(1), 1.0, np.array([[1.0]]), np.array([0.0]))
     with pytest.raises(ValueError):
-        draw_params(ExactConjugate(post), 0, np.random.default_rng(0))
+        ExactConjugate(post).draw(0, np.random.default_rng(0))

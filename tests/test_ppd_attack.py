@@ -19,7 +19,6 @@ from ppdattack.attacks.ppd import (
     DegenerateLikelihoodError,
     MlmcConfig,
     NormalAppd,
-    StudentTAppd,
     delta_level,
     expected_samples_per_iter,
     level_weights,
@@ -29,9 +28,9 @@ from ppdattack.attacks.ppd import (
     simulate_sample_cost,
 )
 from ppdattack.attacks.ppd import _sample_level
-from ppdattack.bayes.backends import ExactConjugate, SampleBank, draw_params
-from ppdattack.bayes.conjugate import gaussian_update, ppd_normal_params
-from ppdattack.bayes.draws import DrawBatch, ParamDraw
+from ppdattack.bayes.backends import ExactConjugate, SampleBank
+from ppdattack.bayes.conjugate import TPredictive, gaussian_update, ppd_normal_params
+from ppdattack.bayes.draws import DrawBatch
 from ppdattack.bayes.likelihoods import GaussianLinear
 from ppdattack.harness.data import gen_synthetic
 
@@ -69,7 +68,7 @@ def test_appd_logpdfs_match_scipy():
     ys = np.linspace(-3.0, 5.0, 9)
     assert np.allclose(NormalAppd(1.0, 2.5).logpdf(ys),
                        stats.norm.logpdf(ys, 1.0, np.sqrt(2.5)))
-    assert np.allclose(StudentTAppd(3.0, 1.0, 2.0).logpdf(ys),
+    assert np.allclose(TPredictive(3.0, 1.0, 2.0).logpdf(ys),
                        stats.t.logpdf(ys, 3.0, 1.0, np.sqrt(2.0)))
     cat = CategoricalAppd(np.array([0.2, 0.5, 0.3]))
     assert np.allclose(cat.logpdf(np.array([0, 1, 2])), np.log([0.2, 0.5, 0.3]))
@@ -88,7 +87,9 @@ def test_appd_validation():
     with pytest.raises(ValueError):
         NormalAppd(0.0, 0.0)
     with pytest.raises(ValueError):
-        StudentTAppd(-1.0, 0.0, 1.0)
+        TPredictive(-1.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        TPredictive(3.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         CategoricalAppd(np.array([0.5, 0.6]))
 
@@ -102,7 +103,7 @@ def test_ratio_single_draw_is_negative_score(testbed):
     x = clean_point(post)
     gamma = DrawBatch(np.array([[0.3, -1.1]]), np.array([0.8]))
     out = ratio_grad(model, x, 0.7, gamma)
-    score = model.score_x(x, 0.7, ParamDraw(np.array([0.3, -1.1]), 0.8))
+    score = model.score_x(x, 0.7, gamma)[0]
     assert np.array_equal(out, -score)
 
 
@@ -121,7 +122,7 @@ def test_ratio_matches_closed_form_log_ppd_gradient(testbed):
     y = 1.3
     oracle = neg_grad_log_ppd(post, x, y)
     rng = np.random.default_rng(71)
-    reps = np.array([ratio_grad(model, x, y, draw_params(backend, 256, rng))
+    reps = np.array([ratio_grad(model, x, y, backend.draw(256, rng))
                      for _ in range(10_000)])
     se = reps.std(axis=0, ddof=1) / np.sqrt(reps.shape[0])
     # The plug-in ratio carries O(1/M) bias; at M=256 it sits well inside the band.
@@ -145,7 +146,7 @@ def test_level_zero_equals_ratio_on_same_seed(testbed):
     x = clean_point(post)
     cfg = config(x, M0=8)
     a = delta_level(model, x, 1.3, 0, cfg, backend, np.random.default_rng(20))
-    b = ratio_grad(model, x, 1.3, draw_params(backend, 8, np.random.default_rng(20)))
+    b = ratio_grad(model, x, 1.3, backend.draw(8, np.random.default_rng(20)))
     assert np.array_equal(a, b)
 
 
@@ -190,7 +191,7 @@ def test_telescoping_sum_matches_direct_estimate(testbed):
                       for _ in range(8_000)])
         lhs += d.mean(axis=0)
         lhs_var += d.var(axis=0, ddof=1) / d.shape[0]
-    direct = np.array([ratio_grad(model, x, y, draw_params(backend, 32, rng))
+    direct = np.array([ratio_grad(model, x, y, backend.draw(32, rng))
                        for _ in range(8_000)])
     joint_se = np.sqrt(lhs_var + direct.var(axis=0, ddof=1) / direct.shape[0])
     assert np.all(np.abs(lhs - direct.mean(axis=0)) <= 3.0 * joint_se)
@@ -248,7 +249,7 @@ def test_single_level_degenerates_to_plugin_ratio(testbed):
                      for _ in range(6_000)])
     rng = np.random.default_rng(77)
     plain = np.array([
-        ratio_grad(model, x, appd.sample(1, rng)[0], draw_params(backend, 8, rng))
+        ratio_grad(model, x, appd.sample(1, rng)[0], backend.draw(8, rng))
         for _ in range(6_000)
     ])
     joint_se = np.sqrt(mlmc.var(axis=0, ddof=1) / mlmc.shape[0]
