@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..bayes.draws import DrawBatch
 from .point import PointAttackProblem, run_point_attack
 from .ppd import run_ppd_attack
 
@@ -50,8 +51,9 @@ class TaggedBatch:
     """Draw batch whose rows belong to (possibly different) ensemble members.
 
     Stored as per-member sub-batches plus the member id of each row, in draw
-    order, so slicing preserves the sampling sequence (needed by the
-    antithetic half split of the multilevel estimator).
+    order, so slicing and concatenation preserve the sampling sequence (the
+    multilevel estimator splits the concatenated draws of an iteration into
+    per-level batches and their antithetic halves by row position).
     """
 
     def __init__(self, member_ids, sub_batches):
@@ -75,11 +77,12 @@ class TaggedBatch:
         row_in_sub = self._row_in_sub[i]
         return TaggedBatch(ids, {k: self.sub[k][row_in_sub[ids == k]] for k in np.unique(ids)})
 
-    def halves(self):
-        m = len(self)
-        if m % 2 != 0:
-            raise ValueError("cannot halve a batch of odd size %d" % m)
-        return self[: m // 2], self[m // 2 :]
+    @staticmethod
+    def concat(batches):
+        """The rows of ``batches`` one after another; each member's rows stay in draw order."""
+        ids = np.concatenate([b.member_ids for b in batches])
+        return TaggedBatch(ids, {k: DrawBatch.concat([b.sub[k] for b in batches if k in b.sub])
+                                 for k in np.unique(ids).tolist()})
 
 
 class MixtureBackend:

@@ -13,11 +13,21 @@ bias by telescoping over doubling batch sizes M0 * 2^level with an antithetic
 first-half/second-half coupling and a randomised level draw, giving an
 unbiased (or, when the level range is capped, nearly unbiased) gradient at
 finite expected cost.
+
+One gradient evaluation consumes the random stream in a fixed order: the B
+target outcomes, then for each of the B * R (outcome, repeat) pairs its level
+and its M0 * 2^level posterior draws.  The arithmetic runs in one pass over
+all of those draws: :func:`delta_level` scores the concatenated batch with one
+``loglik`` and one ``score_x`` call, each row carrying its pair's outcome, and
+:func:`ratio_grad` forms every full-batch and half-batch ratio by segment
+reductions.  Batching changes no random draw, so a seed gives the same levels,
+draws and sample costs as a pair-by-pair evaluation, and the same gradients up
+to summation order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -68,7 +78,7 @@ class CategoricalAppd:
             return np.log(self.probs)[y]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlmcConfig:
     """Settings for the multilevel gradient and its attack loop.
 
@@ -107,12 +117,20 @@ class MlmcConfig:
             raise ValueError("M0 must be even so batches can be halved antithetically")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
+        w = 2.0 ** (-self.tau * np.arange(self.Lmax + 1))
+        w /= w.sum()
+        # Normalised as Generator.choice(p=w) normalises it: searching it with
+        # one rng.random() gives the level rng.choice would, from the same stream.
+        cdf = np.cumsum(w)
+        cdf /= cdf[-1]
+        w.flags.writeable = cdf.flags.writeable = False
+        object.__setattr__(self, "_level_w", w)
+        object.__setattr__(self, "_level_cdf", cdf)
 
 
 def level_weights(config: MlmcConfig):
     """Probabilities of levels 0..Lmax under the truncated, renormalised law."""
-    w = 2.0 ** (-config.tau * np.arange(config.Lmax + 1))
-    return w / w.sum()
+    return config._level_w
 
 
 def _sample_level(config, rng):
@@ -125,67 +143,79 @@ def _sample_level(config, rng):
                 % (level, config.M0 * (1 << level))
             )
         return level, (1.0 - q) * q**level
-    w = level_weights(config)
-    level = int(rng.choice(config.Lmax + 1, p=w))
-    return level, float(w[level])
+    level = int(config._level_cdf.searchsorted(rng.random(), side="right"))
+    return level, float(config._level_w[level])
 
 
-def ratio_grad(model, x, y, gammas):
-    """Plug-in ratio estimate of -grad_x log of the predictive density at ``y``.
+def ratio_grad(loglik, scores, starts):
+    """Plug-in ratio estimates of -grad_x log predictive density, one per segment.
 
-    Shares one batch of posterior draws between numerator and denominator:
+    Rows ``starts[i]`` up to ``starts[i + 1]`` (the last segment runs to the
+    end) hold the log-likelihoods ``loglik`` and covariate scores ``scores``
+    of one batch of posterior draws at one outcome.  Each estimate shares its
+    batch between numerator and denominator:
 
         - sum_m pi(y | x, gamma_m) * score_x_m / sum_m pi(y | x, gamma_m)
 
-    computed with the likelihoods factored by their common maximum log scale:
+    computed with the likelihoods factored by the segment's maximum log scale:
     the largest weight is then exactly 1, so the denominator is at least 1.
-    Independent of batch size in expectation only up to O(1/M) bias; the
-    multilevel combination removes that bias.
+    Each estimate carries an O(1/M) bias at batch size M; the multilevel
+    combination removes it.  Returns shape ``(len(starts), dim)``.
     """
-    ll = model.loglik(x, y, gammas)
-    scores = model.score_x(x, y, gammas)
-    lmax = ll.max()
-    if not np.isfinite(lmax):
+    lmax = np.maximum.reduceat(loglik, starts)
+    if not np.all(np.isfinite(lmax)):
         raise DegenerateLikelihoodError(
             "all likelihood values are zero (or non-finite) for this outcome"
         )
-    w = np.exp(ll - lmax)
-    return -(w @ scores) / w.sum()
+    w = np.exp(loglik - np.repeat(lmax, np.diff(starts, append=loglik.size)))
+    return -np.add.reduceat(w[:, None] * scores, starts) / np.add.reduceat(w, starts)[:, None]
 
 
-def delta_level(model, x, y, level, config, backend, rng):
-    """Antithetic level difference of the ratio estimator.
+def delta_level(model, x, ys, levels, draws, config):
+    """Antithetic level differences of the ratio estimator, one row per pair.
 
-    Level 0 returns the plain ratio with M0 draws.  Level l >= 1 draws
-    ``M0 * 2^l`` parameters and returns the full-batch ratio minus the average
-    of the two half-batch ratios (first half / second half), whose expectation
-    telescopes to the bias removed between consecutive batch sizes.
+    Pair ``i`` owns outcome ``ys[i]`` and the next ``M0 * 2^levels[i]`` rows
+    of ``draws``, pairs in order.  Level 0 gives the plain ratio on its rows.
+    Level l >= 1 gives the full-batch ratio minus the average of the two
+    half-batch ratios (first half / second half), whose expectation telescopes
+    to the bias removed between consecutive batch sizes.  All pairs are scored
+    by one ``loglik`` and one ``score_x`` call on ``draws``.
     """
-    if level < 0:
+    levels = np.asarray(levels, dtype=int)
+    if np.any(levels < 0):
         raise ValueError("level must be nonnegative")
-    m = config.M0 * (1 << level)
-    draws = backend.draw(m, rng)
-    full = ratio_grad(model, x, y, draws)
-    if level == 0:
-        return full
-    first, second = draws.halves()
-    return full - 0.5 * (ratio_grad(model, x, y, first) + ratio_grad(model, x, y, second))
+    sizes = config.M0 << levels
+    if sizes.sum() != len(draws):
+        raise ValueError("the levels need %d draws, got %d" % (sizes.sum(), len(draws)))
+    y_rows = np.repeat(ys, sizes)
+    ll = model.loglik(x, y_rows, draws)
+    scores = model.score_x(x, y_rows, draws)
+    starts = np.cumsum(sizes) - sizes
+    # Level-0 pairs stay one segment, the others split at their midpoint, so
+    # pair i's first half is segment i + (number of split pairs before i).
+    # Each pass checks its own segments, so a degenerate half whose full batch
+    # is finite raises here too.
+    split = levels > 0
+    halves = ratio_grad(ll, scores, np.sort(np.concatenate([starts, (starts + sizes // 2)[split]])))
+    first = (np.arange(levels.size) + np.cumsum(split) - split)[split]
+    delta = ratio_grad(ll, scores, starts)
+    delta[split] -= 0.5 * (halves[first] + halves[first + 1])
+    return delta
 
 
 def _mlmc_grad_info(model, x, appd, config, backend, rng):
     ys = np.atleast_1d(appd.sample(config.B, rng))
-    grad = np.zeros(np.asarray(x).size)
-    levels = []
-    cost = 0
-    for y in ys:
-        acc = np.zeros_like(grad)
-        for _ in range(config.R):
-            level, w = _sample_level(config, rng)
-            levels.append(level)
-            cost += config.M0 * (1 << level)
-            acc += delta_level(model, x, y, level, config, backend, rng) / w
-        grad += acc / config.R
-    return grad / config.B, levels, cost
+    levels, probs, batches = [], [], []
+    for _ in range(config.B * config.R):  # the stream order: a level, then its draws
+        level, prob = _sample_level(config, rng)
+        levels.append(level)
+        probs.append(prob)
+        batches.append(backend.draw(config.M0 << level, rng))
+    draws = type(batches[0]).concat(batches)
+    deltas = delta_level(model, x, np.repeat(ys, config.R), levels, draws, config)
+    terms = (deltas / np.asarray(probs)[:, None]).reshape(config.B, config.R, -1)
+    grad = (terms.sum(axis=1) / config.R).sum(axis=0) / config.B
+    return grad, levels, len(draws)
 
 
 def mlmc_grad(model, x, appd, config, backend, rng):
@@ -207,8 +237,6 @@ def expected_samples_per_iter(config: MlmcConfig):
     """
     if config.untruncated:
         q = 2.0 ** (-config.tau)
-        if config.tau <= 1.0:
-            raise ValueError("expected cost diverges for tau <= 1")
         per_level = config.M0 * (1.0 - q) / (1.0 - 2.0 * q)
     else:
         w = level_weights(config)
@@ -231,12 +259,12 @@ def simulate_sample_cost(config: MlmcConfig, iters, rng):
 
 
 def _objective_estimate(model, x, ys, config, backend, rng):
-    # Diagnostic plug-in cross entropy: -mean_y log( mean_m pi(y | x, gamma_m) ).
+    # Diagnostic plug-in cross entropy: -mean_y log( mean_m pi(y | x, gamma_m) ),
+    # every (outcome, draw) pair scored by one loglik call.
     draws = backend.draw(config.obj_draws, rng)
-    vals = np.empty(len(ys))
-    for i, y in enumerate(ys):
-        vals[i] = logsumexp(model.loglik(x, y, draws)) - np.log(len(draws))
-    return -float(vals.mean())
+    m = len(draws)
+    ll = model.loglik(x, np.repeat(ys, m), type(draws).concat([draws] * len(ys)))
+    return -float((logsumexp(ll.reshape(len(ys), m), axis=1) - np.log(m)).mean())
 
 
 def run_ppd_attack(model, appd, config, backend, rng) -> AttackTrace:

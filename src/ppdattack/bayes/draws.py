@@ -4,7 +4,9 @@ Draws only ever travel in batches: a :class:`DrawBatch` holds one row per
 draw, pairing a coefficient vector ``beta`` with a positive noise scale
 ``phi`` (the noise variance for Gaussian likelihoods; fixed to 1 for
 classification families whose likelihood has no free scale).  A single draw
-is a batch with one row.
+is a batch with one row; :meth:`DrawBatch.concat` joins batches in order,
+which is how the multilevel gradient scores all of an iteration's draws at
+once.
 """
 
 from __future__ import annotations
@@ -24,11 +26,15 @@ class DrawBatch:
     """
 
     def __init__(self, beta, phi=1.0):
-        beta = np.atleast_2d(np.asarray(beta, dtype=float))
-        phi = np.broadcast_to(np.asarray(phi, dtype=float), (beta.shape[0],)).copy()
-        if not np.all(np.isfinite(beta)):
+        beta = np.asarray(beta, dtype=float)
+        if beta.ndim != 2:
+            beta = np.atleast_2d(beta)
+        phi = np.asarray(phi, dtype=float)
+        if phi.shape != beta.shape[:1]:
+            phi = np.broadcast_to(phi, beta.shape[:1]).copy()
+        if not np.isfinite(beta).all():
             raise ValueError("non-finite coefficient draws")
-        if not np.all(np.isfinite(phi)) or np.any(phi <= 0):
+        if not (np.isfinite(phi).all() and (phi > 0).all()):
             raise ValueError("noise variances must be finite and positive")
         self.beta = beta
         self.phi = phi
@@ -40,9 +46,8 @@ class DrawBatch:
         """The draws selected by a slice or an index array, as a new batch."""
         return DrawBatch(self.beta[rows], self.phi[rows])
 
-    def halves(self):
-        """Split into (first half, second half) -- the antithetic coupling split."""
-        m = len(self)
-        if m % 2 != 0:
-            raise ValueError("cannot halve a batch of odd size %d" % m)
-        return self[: m // 2], self[m // 2 :]
+    @staticmethod
+    def concat(batches):
+        """The rows of ``batches`` one after another, as one batch."""
+        return DrawBatch(np.concatenate([b.beta for b in batches]),
+                         np.concatenate([b.phi for b in batches]))

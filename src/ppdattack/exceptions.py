@@ -10,7 +10,7 @@ class DegenerateLikelihoodError(Exception):
 
 
 class UnsupportedModelError(TypeError):
-    """Operation requires a likelihood family the given model does not provide."""
+    """Operation does not apply to the given model, posterior or threat model."""
 
 
 class NonFiniteGradientError(RuntimeError):

@@ -32,6 +32,7 @@ from ..attacks.point import PointAttackProblem, grad_J, run_point_attack
 from ..attacks.ppd import MlmcConfig, NormalAppd, mlmc_grad, run_ppd_attack
 from ..attacks.trace import format_float
 from ..bayes.conjugate import GaussianPosterior, NigPosterior
+from ..exceptions import UnsupportedModelError
 from .config import ExperimentConfig
 from .data import gen_synthetic, load_dataset
 from .predictor import BayesPredictor, fit_predictor
@@ -166,13 +167,13 @@ def _attack_point_instance(strategy, cfg, defender, x0, g_star, eps, rng):
     feasible = FeasibleSet(center=x0, epsilon=eps, norm=cfg.attack.norm)
     if strategy == "analytic":
         if defender.posterior is None:
-            raise TypeError("analytic strategy needs a conjugate defender")
+            raise UnsupportedModelError("analytic strategy needs a conjugate defender")
         mu = defender.posterior.mu_n
         if cfg.attack.norm == "l2":
             return analytic_point_l2(mu, x0, g_star, eps).x_star
         if cfg.attack.norm == "linf":
             return analytic_point_linf(mu, x0, g_star, eps).x_star
-        raise ValueError("no analytic point solution for norm %r" % cfg.attack.norm)
+        raise UnsupportedModelError("no analytic point solution for norm %r" % cfg.attack.norm)
     prob = point_problem(cfg, defender, feasible, g_star)
     if strategy == "sgd":
         return run_point_attack(prob, defender.backend, rng).final_x
@@ -194,7 +195,8 @@ def _attack_ppd_instance(strategy, cfg, defender, x0, appd, eps, rng):
     feasible = FeasibleSet(center=x0, epsilon=eps, norm=cfg.attack.norm)
     if strategy == "analytic":
         if not isinstance(defender.posterior, GaussianPosterior):
-            raise TypeError("deterministic KL benchmark needs a known-variance posterior")
+            raise UnsupportedModelError(
+                "deterministic KL benchmark needs a known-variance posterior")
         return minimize_kl_multistart(appd, defender.posterior, feasible, rng).x
     cfg_m = mlmc_config(cfg, feasible)
     if strategy == "sgd":

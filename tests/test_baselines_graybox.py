@@ -18,13 +18,14 @@ from ppdattack.attacks.functionals import response_functional
 from ppdattack.attacks.graybox import (
     EnsembleMember,
     MixtureBackend,
+    MixtureLikelihood,
     ModelEnsemble,
     TaggedBatch,
     bma_ppd_draw,
     graybox_attack,
 )
 from ppdattack.attacks.point import PointAttackProblem, run_point_attack
-from ppdattack.attacks.ppd import MlmcConfig, NormalAppd
+from ppdattack.attacks.ppd import MlmcConfig, NormalAppd, delta_level
 from ppdattack.bayes.backends import ExactConjugate
 from ppdattack.bayes.conjugate import gaussian_update, ppd_normal_params
 from ppdattack.bayes.likelihoods import FeatureSubsetModel, GaussianLinear
@@ -180,7 +181,10 @@ def test_tagged_batch_preserves_draw_order(defender):
     batch = MixtureBackend(ens).draw(8, rng)
     assert isinstance(batch, TaggedBatch) and len(batch) == 8
 
-    first, second = batch.halves()
+    # The multilevel gradient takes a level's halves as row slices of the
+    # iteration's concatenated draws.
+    joined = TaggedBatch.concat([MixtureBackend(ens).draw(2, rng), batch])
+    first, second = joined[2:6], joined[6:10]
     assert len(first) == 4 and len(second) == 4
     assert np.array_equal(first.member_ids, batch.member_ids[:4])
     assert np.array_equal(second.member_ids, batch.member_ids[4:])
@@ -195,8 +199,9 @@ def test_tagged_batch_preserves_draw_order(defender):
             assert np.array_equal(sub.phi, full.phi[before : before + n_k])
 
     odd = MixtureBackend(ens).draw(5, rng)
+    cfg = MlmcConfig(FeasibleSet(center=np.zeros(2), epsilon=1.0, norm="l2"), M0=4)
     with pytest.raises(ValueError):
-        odd.halves()
+        delta_level(MixtureLikelihood(ens, 2), np.zeros(2), [0.0], [0], odd, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,16 @@ def config(x0, eps=1.0, **kw):
     return MlmcConfig(FeasibleSet(x0, eps, "l2"), **kw)
 
 
+def plug_in(model, x, y, gammas):
+    # The plug-in ratio on one batch at one outcome: a single segment.
+    return ratio_grad(model.loglik(x, y, gammas), model.score_x(x, y, gammas), [0])[0]
+
+
+def one_level(model, x, y, level, cfg, backend, rng):
+    # One (outcome, level) pair's difference on its own fresh draws.
+    return delta_level(model, x, [y], [level], backend.draw(cfg.M0 << level, rng), cfg)[0]
+
+
 # ---------------------------------------------------------------------------
 # adversarial target distributions
 # ---------------------------------------------------------------------------
@@ -102,7 +112,7 @@ def test_ratio_single_draw_is_negative_score(testbed):
     post, _, model = testbed
     x = clean_point(post)
     gamma = DrawBatch(np.array([[0.3, -1.1]]), np.array([0.8]))
-    out = ratio_grad(model, x, 0.7, gamma)
+    out = plug_in(model, x, 0.7, gamma)
     score = model.score_x(x, 0.7, gamma)[0]
     assert np.array_equal(out, -score)
 
@@ -111,8 +121,8 @@ def test_ratio_constant_draws_independent_of_batch_size(testbed):
     post, _, model = testbed
     x = clean_point(post)
     row = np.array([0.3, -1.1])
-    small = ratio_grad(model, x, 0.7, DrawBatch(np.tile(row, (2, 1)), 0.8))
-    large = ratio_grad(model, x, 0.7, DrawBatch(np.tile(row, (64, 1)), 0.8))
+    small = plug_in(model, x, 0.7, DrawBatch(np.tile(row, (2, 1)), 0.8))
+    large = plug_in(model, x, 0.7, DrawBatch(np.tile(row, (64, 1)), 0.8))
     assert np.allclose(small, large, atol=1e-12)
 
 
@@ -122,7 +132,7 @@ def test_ratio_matches_closed_form_log_ppd_gradient(testbed):
     y = 1.3
     oracle = neg_grad_log_ppd(post, x, y)
     rng = np.random.default_rng(71)
-    reps = np.array([ratio_grad(model, x, y, backend.draw(256, rng))
+    reps = np.array([plug_in(model, x, y, backend.draw(256, rng))
                      for _ in range(10_000)])
     se = reps.std(axis=0, ddof=1) / np.sqrt(reps.shape[0])
     # The plug-in ratio carries O(1/M) bias; at M=256 it sits well inside the band.
@@ -134,7 +144,7 @@ def test_ratio_degenerate_likelihood_raises(testbed):
     x = clean_point(post)
     gamma = DrawBatch(np.array([[0.3, -1.1]]), np.array([1e-300]))
     with pytest.raises(DegenerateLikelihoodError):
-        ratio_grad(model, x, 1e12, gamma)
+        plug_in(model, x, 1e12, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +155,8 @@ def test_level_zero_equals_ratio_on_same_seed(testbed):
     post, backend, model = testbed
     x = clean_point(post)
     cfg = config(x, M0=8)
-    a = delta_level(model, x, 1.3, 0, cfg, backend, np.random.default_rng(20))
-    b = ratio_grad(model, x, 1.3, backend.draw(8, np.random.default_rng(20)))
+    a = one_level(model, x, 1.3, 0, cfg, backend, np.random.default_rng(20))
+    b = plug_in(model, x, 1.3, backend.draw(8, np.random.default_rng(20)))
     assert np.array_equal(a, b)
 
 
@@ -156,7 +166,7 @@ def test_identical_draws_cancel_exactly(testbed):
     bank = SampleBank(DrawBatch(np.array([[0.3, -1.1]]), np.array([0.8])))
     cfg = config(x, M0=8)
     for level in (1, 2, 3):
-        d = delta_level(model, x, 1.3, level, cfg, bank, np.random.default_rng(21))
+        d = one_level(model, x, 1.3, level, cfg, bank, np.random.default_rng(21))
         # Cancellation is exact up to summation rounding (the full batch and
         # its halves accumulate in different orders).
         assert np.allclose(d, 0.0, atol=1e-12), level
@@ -169,7 +179,7 @@ def test_level_mean_decays(testbed):
     rng = np.random.default_rng(72)
     norms, ses = [], []
     for level in range(4):
-        d = np.array([delta_level(model, x, 1.3, level, cfg, backend, rng)
+        d = np.array([one_level(model, x, 1.3, level, cfg, backend, rng)
                       for _ in range(5_000)])
         norms.append(np.linalg.norm(d.mean(axis=0)))
         ses.append(np.linalg.norm(d.std(axis=0, ddof=1)) / np.sqrt(d.shape[0]))
@@ -187,11 +197,11 @@ def test_telescoping_sum_matches_direct_estimate(testbed):
     lhs = np.zeros(2)
     lhs_var = np.zeros(2)
     for level in range(3):
-        d = np.array([delta_level(model, x, y, level, cfg, backend, rng)
+        d = np.array([one_level(model, x, y, level, cfg, backend, rng)
                       for _ in range(8_000)])
         lhs += d.mean(axis=0)
         lhs_var += d.var(axis=0, ddof=1) / d.shape[0]
-    direct = np.array([ratio_grad(model, x, y, backend.draw(32, rng))
+    direct = np.array([plug_in(model, x, y, backend.draw(32, rng))
                        for _ in range(8_000)])
     joint_se = np.sqrt(lhs_var + direct.var(axis=0, ddof=1) / direct.shape[0])
     assert np.all(np.abs(lhs - direct.mean(axis=0)) <= 3.0 * joint_se)
@@ -201,7 +211,7 @@ def test_negative_level_rejected(testbed):
     post, backend, model = testbed
     x = clean_point(post)
     with pytest.raises(ValueError):
-        delta_level(model, x, 1.3, -1, config(x), backend, np.random.default_rng(0))
+        delta_level(model, x, [1.3], [-1], backend.draw(8, np.random.default_rng(0)), config(x))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +259,7 @@ def test_single_level_degenerates_to_plugin_ratio(testbed):
                      for _ in range(6_000)])
     rng = np.random.default_rng(77)
     plain = np.array([
-        ratio_grad(model, x, appd.sample(1, rng)[0], backend.draw(8, rng))
+        plug_in(model, x, appd.sample(1, rng)[0], backend.draw(8, rng))
         for _ in range(6_000)
     ])
     joint_se = np.sqrt(mlmc.var(axis=0, ddof=1) / mlmc.shape[0]
