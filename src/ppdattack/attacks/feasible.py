@@ -12,18 +12,24 @@ NORMS = ("l1", "l2", "linf")
 def project_l1_ball(v, radius):
     """Euclidean projection of ``v`` onto the L1 ball of the given radius.
 
-    Sort-and-threshold algorithm: project the absolute values onto the simplex
-    of size ``radius`` and restore signs.  O(p log p).
+    Sort-and-threshold algorithm (Duchi et al., ICML 2008): project the
+    absolute values onto the simplex of size ``radius`` and restore signs.
+    O(p log p).
     """
     v = np.asarray(v, dtype=float)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if np.abs(v).sum() <= radius:
         return v.copy()
+    if radius == 0:
+        return np.zeros_like(v)
     u = np.sort(np.abs(v))[::-1]
     css = np.cumsum(u)
     k = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * k > (css - radius))[0][-1]
+    # Exactly, index 0 always qualifies; a radius below the rounding of
+    # css[0] can leave none, and index 0 is then the answer.
+    active = np.flatnonzero(u * k > (css - radius))
+    rho = active[-1] if active.size else 0
     theta = (css[rho] - radius) / (rho + 1.0)
     return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
 

@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
+from ..bayes.likelihoods import logsumexp
 from ..exceptions import DegenerateLikelihoodError, NonFiniteGradientError
 from .feasible import FeasibleSet
 from .trace import AttackTrace

@@ -14,14 +14,22 @@ from dataclasses import dataclass, field
 from ..attacks.feasible import NORMS
 
 
+def _tuples(value):
+    if isinstance(value, (list, tuple)):
+        return tuple(_tuples(v) for v in value)
+    return value
+
+
 def _from_dict(cls, data, path):
     if not isinstance(data, dict):
         raise ValueError("config section '%s' must be an object" % path)
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
     if unknown:
         raise ValueError("unknown config keys in '%s': %s" % (path or "<root>", ", ".join(unknown)))
-    return data
+    # JSON has no tuples: lists in tuple-typed fields become (nested) tuples,
+    # so a spec survives a round trip through asdict and json.
+    return {k: _tuples(v) if fields[k].type == "tuple" else v for k, v in data.items()}
 
 
 @dataclass
@@ -188,7 +196,7 @@ class AttackSpec:
 
     @classmethod
     def from_dict(cls, data, path="attack"):
-        data = dict(_from_dict(cls, data, path))
+        data = _from_dict(cls, data, path)
         if "optimizer" in data:
             data["optimizer"] = OptimizerSpec.from_dict(data["optimizer"])
         if "mlmc" in data:
@@ -210,7 +218,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
-        data = dict(_from_dict(cls, data, ""))
+        data = _from_dict(cls, data, "")
         if "dataset" in data:
             data["dataset"] = DatasetSpec.from_dict(data["dataset"])
         if "model" in data:
@@ -256,9 +264,9 @@ class GradCheckSpec:
 
     @classmethod
     def from_dict(cls, data):
-        data = dict(_from_dict(cls, data, ""))
+        data = _from_dict(cls, data, "")
         if "mlmc" in data:
-            data["mlmc"] = MlmcSpec.from_dict(data["mlmc"])
+            data["mlmc"] = MlmcSpec.from_dict(data["mlmc"], path="mlmc")
         spec = cls(**data)
         spec.validate()
         return spec

@@ -25,13 +25,13 @@ baseline.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import xlogy
 
 from ..attacks.feasible import FeasibleSet
 from ..attacks.functionals import onehot_functional
 from ..attacks.point import PointAttackProblem, run_point_attack
 from ..bayes.backends import McmcChain
-from ..bayes.likelihoods import CategoricalSoftmax
+from ..bayes.likelihoods import CategoricalSoftmax, logsumexp
 from .config import EntropySpec
 from .sep import SepRecord
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..bayes.backends import ExactConjugate
 from ..bayes.conjugate import (
@@ -18,7 +17,7 @@ from ..bayes.conjugate import (
     ppd_t_params,
 )
 from ..bayes.data import Dataset
-from ..bayes.likelihoods import GaussianLinear
+from ..bayes.likelihoods import GaussianLinear, logsumexp
 from .config import ModelSpec
 
 

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ppdattack.attacks.feasible import FeasibleSet, project_l1_ball
+from ppdattack.attacks.feasible import NORMS, FeasibleSet, project_l1_ball
+
+PROPERTY = settings(max_examples=200, deadline=None)
+VECTORS = st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8).map(np.array)
+RADII = st.one_of(st.just(0.0), st.floats(1e-3, 100.0))
 
 
 def test_interior_point_unchanged():
@@ -22,16 +28,15 @@ def test_linf_clipping():
     assert np.allclose(fs.project(np.array([3.0, -4.0])), [1.0, -1.0])
 
 
-def test_projection_idempotent():
-    rng = np.random.default_rng(31)
-    for norm in ("l1", "l2", "linf"):
-        for _ in range(50):
-            fs = FeasibleSet(rng.standard_normal(5), float(rng.uniform(0.1, 2.0)), norm)
-            x = rng.standard_normal(5) * 3.0
-            once = fs.project(x)
-            twice = fs.project(once)
-            assert fs.contains(once), norm
-            assert np.allclose(once, twice, atol=1e-12), norm
+@PROPERTY
+@given(x=VECTORS, center=VECTORS, eps=RADII, norm=st.sampled_from(NORMS))
+def test_projection_idempotent(x, center, eps, norm):
+    n = min(x.size, center.size)
+    fs = FeasibleSet(center[:n], eps, norm)
+    once = fs.project(x[:n])
+    twice = fs.project(once)
+    assert fs.contains(once), norm
+    assert np.allclose(once, twice, atol=1e-12), norm
 
 
 def test_l2_projection_nonexpansive():
@@ -93,3 +98,33 @@ def test_validation_errors():
 def test_zero_epsilon_collapses_to_center():
     fs = FeasibleSet(np.array([2.0, -1.0]), 0.0, "linf")
     assert np.array_equal(fs.project(np.array([5.0, 5.0])), [2.0, -1.0])
+
+
+def test_l1_zero_radius_collapses_to_center():
+    fs = FeasibleSet(np.array([2.0, -1.0, 0.5]), 0.0, "l1")
+    assert np.array_equal(fs.project(np.array([5.0, 5.0, -3.0])), fs.center)
+    assert np.array_equal(project_l1_ball(np.array([-1.0, 2.0]), 0.0), [0.0, 0.0])
+
+
+def test_l1_radius_below_cumsum_rounding_projects():
+    # 1 - 1e-20 rounds to 1, so no index passes the threshold test exactly.
+    w = project_l1_ball(np.array([1.0, 0.0]), 1e-20)
+    assert np.all(np.isfinite(w))
+    assert np.abs(w).sum() <= 1e-20
+
+
+@PROPERTY
+@given(v=VECTORS, radius=RADII)
+def test_l1_projection_meets_kkt_conditions(v, radius):
+    # Duchi et al. (ICML 2008): w = sign(v) * max(|v| - theta, 0) for one
+    # theta >= 0, and ||w||_1 = radius whenever v lies outside the ball.
+    w = project_l1_ball(v, radius)
+    tol = 1e-9 * (1.0 + np.abs(v).max())
+    if np.abs(v).sum() > radius:
+        assert np.abs(w).sum() == pytest.approx(radius, abs=tol)
+    active = w != 0.0
+    assert np.all(np.sign(w[active]) == np.sign(v[active]))
+    theta = np.abs(v[active]) - np.abs(w[active]) if active.any() else np.abs(v).max(keepdims=True)
+    assert theta.min() >= -tol
+    assert np.ptp(theta) <= tol
+    assert np.all(np.abs(v[~active]) <= theta.max() + tol)

@@ -7,10 +7,14 @@ the whole file stays fast.
 """
 
 import csv
+import dataclasses
+import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ppdattack.bayes.conjugate import GaussianPosterior, NigPosterior, ppd_normal_params
@@ -72,6 +76,71 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"attack": {"optimizer": {"learning_rate": 0.1}}})
 
 
+@pytest.mark.parametrize("cls, doc, section", [
+    (ExperimentConfig, {"bogus": 1}, "<root>"),
+    (ExperimentConfig, {"dataset": {"bogus": 1}}, "dataset"),
+    (ExperimentConfig, {"model": {"bogus": 1}}, "model"),
+    (ExperimentConfig, {"attack": {"bogus": 1}}, "attack"),
+    (ExperimentConfig, {"attack": {"optimizer": {"bogus": 1}}}, "attack.optimizer"),
+    (ExperimentConfig, {"attack": {"mlmc": {"bogus": 1}}}, "attack.mlmc"),
+    (GradCheckSpec, {"bogus": 1}, "<root>"),
+    (GradCheckSpec, {"mlmc": {"bogus": 1}}, "mlmc"),
+    (EntropySpec, {"bogus": 1}, "<root>"),
+])
+def test_config_rejects_unknown_keys_at_every_level(cls, doc, section):
+    with pytest.raises(ValueError, match="unknown config keys in '%s': bogus$" % section):
+        cls.from_dict(doc)
+
+
+FLOATS = st.floats(-10.0, 10.0)
+GRIDS = st.lists(st.floats(0.0, 5.0), min_size=1, max_size=5).map(lambda g: tuple(sorted(g)))
+MLMC = st.builds(MlmcSpec, M0=st.integers(1, 16), tau=st.floats(1.01, 3.0), R=st.integers(1, 4),
+                 Lmax=st.integers(0, 8), B=st.integers(1, 8), untruncated=st.booleans())
+
+
+def _json_round_trip(spec):
+    return type(spec).from_dict(json.loads(json.dumps(dataclasses.asdict(spec))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(beta=st.lists(FLOATS, min_size=1, max_size=4).map(tuple), mlmc=MLMC,
+       replicates=st.integers(100, 10**5), z=st.floats(0.1, 10.0))
+def test_gradcheck_spec_round_trips_through_json(beta, mlmc, replicates, z):
+    spec = GradCheckSpec(beta=beta, mlmc=mlmc, replicates=replicates, z_threshold=z)
+    spec.validate()
+    assert _json_round_trip(spec) == spec
+
+
+@settings(max_examples=50, deadline=None)
+@given(grid=GRIDS, retention=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6).map(tuple),
+       norm=st.sampled_from(["l1", "l2", "linf"]))
+def test_entropy_spec_round_trips_through_json(grid, retention, norm):
+    spec = EntropySpec(eps_grid=(0.0,) + grid, retention_grid=retention, norm=norm)
+    spec.validate()
+    assert _json_round_trip(spec) == spec
+
+
+@settings(max_examples=50, deadline=None)
+@given(beta=st.lists(FLOATS, min_size=2, max_size=2).map(tuple),
+       mixing=st.lists(st.lists(FLOATS, min_size=2, max_size=2).map(tuple), min_size=2,
+                       max_size=2).map(tuple),
+       grid=GRIDS, x0=st.lists(FLOATS, min_size=2, max_size=2).map(tuple),
+       strategies=st.lists(st.sampled_from(["analytic", "sgd", "fgsm"]), min_size=1,
+                           unique=True).map(tuple),
+       mlmc=MLMC, seed=st.integers(0, 2**31))
+def test_experiment_config_round_trips_through_json(beta, mixing, grid, x0, strategies, mlmc,
+                                                    seed):
+    cfg = ExperimentConfig(
+        seed=seed,
+        dataset=DatasetSpec(beta=beta, mixing=mixing, mode="correlated"),
+        attack=AttackSpec(eps_grid=grid, x0=x0, strategies=strategies, mlmc=mlmc,
+                          optimizer=OptimizerSpec(T=25)),
+    )
+    cfg.dataset.validate()
+    cfg.attack.validate()
+    assert _json_round_trip(cfg) == cfg
+
+
 def test_config_validates_grids_and_counts():
     with pytest.raises(ValueError, match="eps_grid"):
         AttackSpec.from_dict({"eps_grid": [0.5, 0.1]})
@@ -116,7 +185,8 @@ def test_config_from_json(tmp_path):
     )
     cfg = ExperimentConfig.from_json(str(doc))
     assert cfg.seed == 7
-    assert cfg.attack.eps_grid == [0.0, 0.2]
+    assert cfg.attack.eps_grid == (0.0, 0.2)
+    assert cfg.attack.x0 == (0.1, 0.2)
     assert cfg.attack.optimizer.T == 25
     assert cfg.attack.optimizer.N == 64  # untouched default inside the section
 

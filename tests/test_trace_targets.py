@@ -3,9 +3,9 @@
 ``perfbench/tracer.py`` wraps library functions and methods by module and
 attribute name, and raises ``TraceTargetError`` for a name that no longer
 resolves.  Installing it here makes a rename or removal of a wrapped name
-fail this suite, not only the benchmark.  Running the MLMC workloads at their
-tiny size under the tracer makes a refactor that stops calling a traced name
-fail here too.
+fail this suite, not only the benchmark.  Running every workload at its tiny
+size under the tracer makes a refactor that stops calling a traced name fail
+here too.
 """
 
 import sys
@@ -39,7 +39,7 @@ def test_benchmark_trace_targets_resolve():
     assert GaussianLinear.loglik is original
 
 
-@pytest.mark.parametrize("name", ["ppd-sweep", "gradcheck"])
+@pytest.mark.parametrize("name", ["ppd-sweep", "gradcheck", "entropy", "graybox"])
 def test_workload_fires_every_required_span(name, tmp_path):
     tracer, workloads = _perfbench("tracer"), _perfbench("workloads")
     workload = workloads.WORKLOADS[name]
