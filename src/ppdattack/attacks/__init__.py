@@ -9,18 +9,14 @@ from .graybox import (
     MixtureLikelihood,
     ModelEnsemble,
     TaggedBatch,
-    bma_ppd_draw,
-    graybox_attack,
     graybox_point_attack,
     graybox_ppd_attack,
-    graybox_views,
 )
 from .point import (
     PointAttackProblem,
     estimate_grad_mu,
     estimate_mu,
     grad_J,
-    gradient_samples,
     reparam_grad_mu,
     run_point_attack,
     run_point_attack_reparam,
@@ -31,7 +27,6 @@ from .ppd import (
     NormalAppd,
     delta_level,
     expected_samples_per_iter,
-    level_weights,
     mlmc_grad,
     ratio_grad,
     run_ppd_attack,
@@ -52,7 +47,6 @@ __all__ = [
     "NormalAppd",
     "PointAttackProblem",
     "TaggedBatch",
-    "bma_ppd_draw",
     "covariate_functional",
     "delta_level",
     "estimate_grad_mu",
@@ -60,12 +54,8 @@ __all__ = [
     "expected_samples_per_iter",
     "fgsm_like",
     "grad_J",
-    "gradient_samples",
-    "graybox_attack",
     "graybox_point_attack",
     "graybox_ppd_attack",
-    "graybox_views",
-    "level_weights",
     "mlmc_grad",
     "onehot_functional",
     "project_l1_ball",

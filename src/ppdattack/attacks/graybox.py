@@ -11,7 +11,7 @@ algorithms themselves are reused unchanged -- the ensemble is packaged as a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,54 +133,17 @@ class MixtureLikelihood:
         return out
 
 
-def bma_ppd_draw(ensemble: ModelEnsemble, x, rng):
-    """One draw from the model-averaged predictive at ``x``.
-
-    Returns ``(member_index, draw, y)``: the member sampled from the ensemble
-    weights, its one-row :class:`~ppdattack.bayes.draws.DrawBatch` parameter
-    draw, and the outcome from its likelihood.
-    """
-    k = int(rng.choice(len(ensemble), p=ensemble.weights))
-    member = ensemble.members[k]
-    draw = member.backend.draw(1, rng)
-    y = member.likelihood.sample_y(np.asarray(x, dtype=float), draw, rng)
-    return k, draw, float(y[0])
-
-
-def graybox_views(ensemble: ModelEnsemble, dim):
-    """The (likelihood, backend) pair that routes attacks through the ensemble."""
-    return MixtureLikelihood(ensemble, dim), MixtureBackend(ensemble)
-
-
 def graybox_point_attack(prob: PointAttackProblem, ensemble: ModelEnsemble, rng):
     """Run the point attack against the attacker's model-averaged view.
 
     The returned trace's iterates/objectives reflect the attacker's beliefs;
     evaluate the final point against the defender separately.
     """
-    likelihood, backend = graybox_views(ensemble, prob.feasible.dim)
-    attacker_prob = PointAttackProblem(
-        g=prob.g, g_star=prob.g_star, model=likelihood, feasible=prob.feasible,
-        eta=prob.eta, T=prob.T, N=prob.N, M=prob.M, eta_decay=prob.eta_decay,
-        early_stop_tol=prob.early_stop_tol, smooth_window=prob.smooth_window,
-    )
-    return run_point_attack(attacker_prob, backend, rng)
+    attacker_prob = replace(prob, model=MixtureLikelihood(ensemble, prob.feasible.dim))
+    return run_point_attack(attacker_prob, MixtureBackend(ensemble), rng)
 
 
 def graybox_ppd_attack(appd, config, ensemble: ModelEnsemble, rng):
     """Run the distribution attack against the attacker's model-averaged view."""
-    likelihood, backend = graybox_views(ensemble, config.feasible.dim)
-    return run_ppd_attack(likelihood, appd, config, backend, rng)
-
-
-def graybox_attack(prob_or_appd, ensemble: ModelEnsemble, rng, config=None):
-    """Dispatch to the point or distribution gray-box attack.
-
-    Pass a :class:`PointAttackProblem`, or an adversarial predictive target
-    together with an :class:`~ppdattack.attacks.ppd.MlmcConfig` as ``config``.
-    """
-    if isinstance(prob_or_appd, PointAttackProblem):
-        return graybox_point_attack(prob_or_appd, ensemble, rng)
-    if config is None:
-        raise ValueError("distribution attacks need an MlmcConfig as config=")
-    return graybox_ppd_attack(prob_or_appd, config, ensemble, rng)
+    likelihood = MixtureLikelihood(ensemble, config.feasible.dim)
+    return run_ppd_attack(likelihood, appd, config, MixtureBackend(ensemble), rng)

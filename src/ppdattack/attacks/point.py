@@ -71,6 +71,12 @@ class PointAttackProblem:
             )
         if self.eta <= 0 or self.T < 1 or self.N < 1 or self.M < 1:
             raise ValueError("need eta > 0 and T, N, M >= 1")
+        if self.smooth_window < 1:
+            raise ValueError("smooth_window must be >= 1")
+        if self.early_stop_tol is not None and not (
+            np.isfinite(self.early_stop_tol) and self.early_stop_tol >= 0
+        ):
+            raise ValueError("early_stop_tol must be None or a finite number >= 0")
 
 
 def _joint_sample(prob, x, backend, rng, count):
@@ -114,38 +120,13 @@ def reparam_grad_mu(prob, x, backend, rng):
     each draw contributes ``grad_x g + grad_y g * beta``.
     """
     require_gaussian_linear(prob.model)
-    draws = backend.draw(prob.M, rng)
-    zeta = rng.standard_normal(len(draws))
-    ys = draws.beta @ np.asarray(x, dtype=float) + np.sqrt(draws.phi) * zeta
+    # GaussianLinear.sample_y draws the outcomes along exactly that path.
+    draws, ys = _joint_sample(prob, x, backend, rng, prob.M)
     gy = prob.g.grad_y(x, ys)  # (m, q)
     grad = np.einsum("mq,mp->qp", gy, draws.beta) / len(draws)
     gx = prob.g.grad_x(x, ys)
     grad += gx.mean(axis=0) if gx.ndim == 3 else gx
     return grad
-
-
-def gradient_samples(prob, x, backend, rng, kind="score"):
-    """Per-sample Jacobian contributions, for estimator variance comparisons.
-
-    Returns an (M, out_dim, dim) array whose mean over axis 0 is the
-    corresponding Jacobian estimate.
-    """
-    if kind == "score":
-        draws, ys = _joint_sample(prob, x, backend, rng, prob.M)
-        vals = prob.g.value(x, ys)
-        scores = prob.model.score_x(x, ys, draws)
-        term = vals[:, :, None] * scores[:, None, :]
-    elif kind == "reparam":
-        require_gaussian_linear(prob.model)
-        draws = backend.draw(prob.M, rng)
-        zeta = rng.standard_normal(len(draws))
-        ys = draws.beta @ np.asarray(x, dtype=float) + np.sqrt(draws.phi) * zeta
-        gy = prob.g.grad_y(x, ys)
-        term = gy[:, :, None] * draws.beta[:, None, :]
-    else:
-        raise ValueError("kind must be 'score' or 'reparam'")
-    gx = prob.g.grad_x(x, ys)
-    return term + (gx[None, :, :] if gx.ndim == 2 else gx)
 
 
 def grad_J(prob, x, backend, rng, shared_batch=False):

@@ -88,7 +88,8 @@ class MlmcConfig:
     predictive outcome, and ``B`` outcomes are drawn from the target per
     iteration.  ``Lmax`` caps the level range with renormalised weights; set
     ``untruncated=True`` for the uncapped geometric law (guarded by
-    ``max_level_draws``).
+    ``max_level_draws``).  ``level_weights`` holds the probabilities of
+    levels 0..Lmax under the truncated, renormalised law (read-only).
     """
 
     feasible: FeasibleSet
@@ -124,13 +125,8 @@ class MlmcConfig:
         cdf = np.cumsum(w)
         cdf /= cdf[-1]
         w.flags.writeable = cdf.flags.writeable = False
-        object.__setattr__(self, "_level_w", w)
+        object.__setattr__(self, "level_weights", w)
         object.__setattr__(self, "_level_cdf", cdf)
-
-
-def level_weights(config: MlmcConfig):
-    """Probabilities of levels 0..Lmax under the truncated, renormalised law."""
-    return config._level_w
 
 
 def _sample_level(config, rng):
@@ -144,7 +140,7 @@ def _sample_level(config, rng):
             )
         return level, (1.0 - q) * q**level
     level = int(config._level_cdf.searchsorted(rng.random(), side="right"))
-    return level, float(config._level_w[level])
+    return level, float(config.level_weights[level])
 
 
 def ratio_grad(loglik, scores, starts):
@@ -203,7 +199,14 @@ def delta_level(model, x, ys, levels, draws, config):
     return delta
 
 
-def _mlmc_grad_info(model, x, appd, config, backend, rng):
+def mlmc_grad(model, x, appd, config, backend, rng):
+    """Randomised multilevel estimate of the cross-entropy gradient at ``x``.
+
+    Averages ``R`` single-level draws ``delta_level / P(level)`` per predictive
+    outcome and ``B`` outcomes sampled from the adversarial target.  Returns
+    ``(grad, levels, draws)``: the gradient, the level of each (outcome,
+    repeat) pair in draw order, and the number of posterior draws consumed.
+    """
     ys = np.atleast_1d(appd.sample(config.B, rng))
     levels, probs, batches = [], [], []
     for _ in range(config.B * config.R):  # the stream order: a level, then its draws
@@ -218,16 +221,6 @@ def _mlmc_grad_info(model, x, appd, config, backend, rng):
     return grad, levels, len(draws)
 
 
-def mlmc_grad(model, x, appd, config, backend, rng):
-    """Randomised multilevel estimate of the cross-entropy gradient at ``x``.
-
-    Averages ``R`` single-level draws ``delta_level / P(level)`` per predictive
-    outcome and ``B`` outcomes sampled from the adversarial target.
-    """
-    grad, _, _ = _mlmc_grad_info(model, x, appd, config, backend, rng)
-    return grad
-
-
 def expected_samples_per_iter(config: MlmcConfig):
     """Expected posterior draws per attack iteration under the config's level law.
 
@@ -239,8 +232,7 @@ def expected_samples_per_iter(config: MlmcConfig):
         q = 2.0 ** (-config.tau)
         per_level = config.M0 * (1.0 - q) / (1.0 - 2.0 * q)
     else:
-        w = level_weights(config)
-        per_level = float(w @ (config.M0 * 2.0 ** np.arange(config.Lmax + 1)))
+        per_level = float(config.level_weights @ (config.M0 * 2.0 ** np.arange(config.Lmax + 1)))
     return config.B * config.R * per_level
 
 
@@ -280,7 +272,7 @@ def run_ppd_attack(model, appd, config, backend, rng) -> AttackTrace:
     levels_used = []
     sample_cost = []
     for t in range(1, config.T + 1):
-        grad, levels, cost = _mlmc_grad_info(model, x, appd, config, backend, rng)
+        grad, levels, cost = mlmc_grad(model, x, appd, config, backend, rng)
         if not np.all(np.isfinite(grad)):
             raise NonFiniteGradientError(
                 "non-finite multilevel gradient at iteration %d" % t, iteration=t, x=x.copy()

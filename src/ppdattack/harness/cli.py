@@ -86,7 +86,7 @@ def cmd_attack(args):
         headline = "final |E[y] - target| = %.6g" % trace.final_residual
     else:
         appd, _ = targets[0]
-        cfg_m = mlmc_config(cfg, feasible, record_objective=True)
+        cfg_m = mlmc_config(cfg.attack.mlmc, feasible, record_objective=True)
         trace = run_ppd_attack(defender.likelihood, appd, cfg_m, defender.backend, rng)
         headline = "final cross-entropy estimate = %.6g" % trace.final_residual
 

@@ -20,20 +20,43 @@ def _tuples(value):
     return value
 
 
-def _from_dict(cls, data, path):
-    if not isinstance(data, dict):
-        raise ValueError("config section '%s' must be an object" % path)
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - set(fields))
-    if unknown:
-        raise ValueError("unknown config keys in '%s': %s" % (path or "<root>", ", ".join(unknown)))
-    # JSON has no tuples: lists in tuple-typed fields become (nested) tuples,
-    # so a spec survives a round trip through asdict and json.
-    return {k: _tuples(v) if fields[k].type == "tuple" else v for k, v in data.items()}
+class _Spec:
+    """A config section: loaded from a JSON object, then validated."""
+
+    def validate(self):
+        pass
+
+    @classmethod
+    def from_dict(cls, data, path=""):
+        """Build and validate a section; ``path`` names it in error messages."""
+        if not isinstance(data, dict):
+            raise ValueError("config section '%s' must be an object" % path)
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - set(fields))
+        if unknown:
+            raise ValueError("unknown config keys in '%s': %s" % (path or "<root>", ", ".join(unknown)))
+        kwargs = {}
+        for k, v in data.items():
+            section = fields[k].default_factory
+            if isinstance(section, type) and issubclass(section, _Spec):
+                v = section.from_dict(v, "%s.%s" % (path, k) if path else k)
+            elif fields[k].type == "tuple":
+                # JSON has no tuples: lists in tuple-typed fields become (nested)
+                # tuples, so a spec survives a round trip through asdict and json.
+                v = _tuples(v)
+            kwargs[k] = v
+        spec = cls(**kwargs)
+        spec.validate()
+        return spec
+
+    @classmethod
+    def from_json(cls, path):
+        with open(path) as fh:
+            return cls.from_dict(json.load(fh))
 
 
 @dataclass
-class DatasetSpec:
+class DatasetSpec(_Spec):
     """Where the data comes from: a synthetic generator or a CSV file."""
 
     kind: str = "synthetic"  # synthetic | csv
@@ -66,15 +89,9 @@ class DatasetSpec:
             if not 0.0 < self.split < 1.0:
                 raise ValueError("dataset.split must be in (0, 1)")
 
-    @classmethod
-    def from_dict(cls, data, path="dataset"):
-        spec = cls(**_from_dict(cls, data, path))
-        spec.validate()
-        return spec
-
 
 @dataclass
-class ModelSpec:
+class ModelSpec(_Spec):
     """Defender/attacker model family and prior."""
 
     kind: str = "gaussian_linear"  # gaussian_linear | nig_linear
@@ -92,15 +109,9 @@ class ModelSpec:
         if self.a0 <= 0 or self.b0 <= 0:
             raise ValueError("model.a0 and model.b0 must be positive")
 
-    @classmethod
-    def from_dict(cls, data, path="model"):
-        spec = cls(**_from_dict(cls, data, path))
-        spec.validate()
-        return spec
-
 
 @dataclass
-class OptimizerSpec:
+class OptimizerSpec(_Spec):
     """Projected-SGD settings for the point attack."""
 
     eta: float = 0.05
@@ -113,15 +124,9 @@ class OptimizerSpec:
         if self.eta <= 0 or min(self.T, self.N, self.M) < 1:
             raise ValueError("optimizer needs eta > 0 and T, N, M >= 1")
 
-    @classmethod
-    def from_dict(cls, data, path="attack.optimizer"):
-        spec = cls(**_from_dict(cls, data, path))
-        spec.validate()
-        return spec
-
 
 @dataclass
-class MlmcSpec:
+class MlmcSpec(_Spec):
     """Multilevel gradient settings for the distribution attack."""
 
     eta: float = 0.05
@@ -140,15 +145,9 @@ class MlmcSpec:
         if min(self.M0, self.R, self.B, self.T) < 1 or self.Lmax < 0:
             raise ValueError("mlmc sizes must be positive")
 
-    @classmethod
-    def from_dict(cls, data, path="attack.mlmc"):
-        spec = cls(**_from_dict(cls, data, path))
-        spec.validate()
-        return spec
-
 
 @dataclass
-class AttackSpec:
+class AttackSpec(_Spec):
     """What to attack and how to sweep it."""
 
     type: str = "point"  # point | ppd
@@ -194,20 +193,9 @@ class AttackSpec:
         if unknown:
             raise ValueError("unknown strategies: %s" % sorted(unknown))
 
-    @classmethod
-    def from_dict(cls, data, path="attack"):
-        data = _from_dict(cls, data, path)
-        if "optimizer" in data:
-            data["optimizer"] = OptimizerSpec.from_dict(data["optimizer"])
-        if "mlmc" in data:
-            data["mlmc"] = MlmcSpec.from_dict(data["mlmc"])
-        spec = cls(**data)
-        spec.validate()
-        return spec
-
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(_Spec):
     """Top-level config for the ``attack``, ``sweep`` and ``synth`` subcommands."""
 
     seed: int = 0
@@ -216,25 +204,9 @@ class ExperimentConfig:
     model: ModelSpec = field(default_factory=ModelSpec)
     attack: AttackSpec = field(default_factory=AttackSpec)
 
-    @classmethod
-    def from_dict(cls, data):
-        data = _from_dict(cls, data, "")
-        if "dataset" in data:
-            data["dataset"] = DatasetSpec.from_dict(data["dataset"])
-        if "model" in data:
-            data["model"] = ModelSpec.from_dict(data["model"])
-        if "attack" in data:
-            data["attack"] = AttackSpec.from_dict(data["attack"])
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass
-class GradCheckSpec:
+class GradCheckSpec(_Spec):
     """Config for the ``validate-gradients`` subcommand."""
 
     seed: int = 0
@@ -262,23 +234,9 @@ class GradCheckSpec:
         if self.z_threshold <= 0:
             raise ValueError("z_threshold must be positive")
 
-    @classmethod
-    def from_dict(cls, data):
-        data = _from_dict(cls, data, "")
-        if "mlmc" in data:
-            data["mlmc"] = MlmcSpec.from_dict(data["mlmc"], path="mlmc")
-        spec = cls(**data)
-        spec.validate()
-        return spec
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass
-class EntropySpec:
+class EntropySpec(_Spec):
     """Config for the ``entropy`` subcommand (toy classifier experiment)."""
 
     seed: int = 0
@@ -317,14 +275,3 @@ class EntropySpec:
             raise ValueError("entropy.eps_grid must start at 0 and be nondecreasing")
         if any(not 0 < f <= 1 for f in self.retention_grid):
             raise ValueError("retention fractions must lie in (0, 1]")
-
-    @classmethod
-    def from_dict(cls, data):
-        spec = cls(**_from_dict(cls, data, ""))
-        spec.validate()
-        return spec
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))

@@ -33,13 +33,14 @@ from ..attacks.point import (
     grad_J,
     reparam_grad_mu,
 )
-from ..attacks.ppd import MlmcConfig, NormalAppd, mlmc_grad
+from ..attacks.ppd import NormalAppd, mlmc_grad
 from ..attacks.trace import format_float
 from ..bayes.backends import ExactConjugate
 from ..bayes.conjugate import gaussian_update, ppd_normal_params
 from ..bayes.likelihoods import GaussianLinear
 from .config import GradCheckSpec
 from .data import gen_synthetic
+from .sep import mlmc_config
 
 POSITIVE_ESTIMATORS = ("score", "reparam", "mlmc")
 CONTROL_ESTIMATOR = "score-shared-batch"
@@ -145,17 +146,14 @@ def validate_gradients(spec: GradCheckSpec) -> GradCheckReport:
         g=response_functional(), g_star=np.array([spec.target]), model=model,
         feasible=feasible, N=spec.N, M=spec.M,
     )
-    m = spec.mlmc
-    cfg_m = MlmcConfig(
-        feasible=feasible, M0=m.M0, tau=m.tau, R=m.R, Lmax=m.Lmax, B=m.B,
-        untruncated=m.untruncated, record_objective=False,
-    )
+    cfg_m = mlmc_config(spec.mlmc, feasible)
 
     reps = spec.replicates
     samples = {
         "score": np.stack([grad_J(prob, x0, backend, rng_score) for _ in range(reps)]),
         "reparam": np.stack([_grad_J_reparam(prob, x0, backend, rng_reparam) for _ in range(reps)]),
-        "mlmc": np.stack([mlmc_grad(model, x0, appd, cfg_m, backend, rng_mlmc) for _ in range(reps)]),
+        "mlmc": np.stack([mlmc_grad(model, x0, appd, cfg_m, backend, rng_mlmc)[0]
+                          for _ in range(reps)]),
     }
     oracles = {"score": point_oracle, "reparam": point_oracle, "mlmc": mlmc_oracle}
 

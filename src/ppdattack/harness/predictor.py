@@ -17,7 +17,7 @@ from ..bayes.conjugate import (
     ppd_t_params,
 )
 from ..bayes.data import Dataset
-from ..bayes.likelihoods import GaussianLinear, logsumexp
+from ..bayes.likelihoods import GaussianLinear
 from .config import ModelSpec
 
 
@@ -50,15 +50,6 @@ class BayesPredictor:
         if not isinstance(self.posterior, NigPosterior):
             raise TypeError("t predictive needs a NigPosterior")
         return ppd_t_params(self.posterior, x)
-
-    def log_predictive_mc(self, x, ys, m, rng):
-        """Plug-in log predictive density log( mean_m pi(y | x, gamma_m) )."""
-        draws = self.backend.draw(m, rng)
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        out = np.empty(ys.size)
-        for i, y in enumerate(ys):
-            out[i] = logsumexp(self.likelihood.loglik(x, y, draws)) - np.log(len(draws))
-        return out
 
 
 def fit_predictor(spec: ModelSpec, train: Dataset) -> BayesPredictor:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from ..attacks.ppd import MlmcConfig, NormalAppd, mlmc_grad, run_ppd_attack
 from ..attacks.trace import format_float
 from ..bayes.conjugate import GaussianPosterior, NigPosterior
 from ..exceptions import UnsupportedModelError
-from .config import ExperimentConfig
+from .config import ExperimentConfig, MlmcSpec
 from .data import gen_synthetic, load_dataset
 from .predictor import BayesPredictor, fit_predictor
 
@@ -151,14 +151,9 @@ def point_problem(cfg, defender, feasible, g_star):
     )
 
 
-def mlmc_config(cfg, feasible, record_objective=False):
-    """The multilevel attack settings a config's ``attack.mlmc`` block describes."""
-    m = cfg.attack.mlmc
-    return MlmcConfig(
-        feasible=feasible, eta=m.eta, T=m.T, M0=m.M0, tau=m.tau, R=m.R, Lmax=m.Lmax,
-        B=m.B, untruncated=m.untruncated, eta_decay=m.eta_decay,
-        record_objective=record_objective,
-    )
+def mlmc_config(spec: MlmcSpec, feasible, record_objective=False):
+    """The multilevel attack settings an ``MlmcSpec`` block describes."""
+    return MlmcConfig(feasible=feasible, record_objective=record_objective, **asdict(spec))
 
 
 def _attack_point_instance(strategy, cfg, defender, x0, g_star, eps, rng):
@@ -198,11 +193,11 @@ def _attack_ppd_instance(strategy, cfg, defender, x0, appd, eps, rng):
             raise UnsupportedModelError(
                 "deterministic KL benchmark needs a known-variance posterior")
         return minimize_kl_multistart(appd, defender.posterior, feasible, rng).x
-    cfg_m = mlmc_config(cfg, feasible)
+    cfg_m = mlmc_config(cfg.attack.mlmc, feasible)
     if strategy == "sgd":
         return run_ppd_attack(defender.likelihood, appd, cfg_m, defender.backend, rng).final_x
     if strategy == "fgsm":
-        g = mlmc_grad(defender.likelihood, x0, appd, cfg_m, defender.backend, rng)
+        g, _, _ = mlmc_grad(defender.likelihood, x0, appd, cfg_m, defender.backend, rng)
         return fgsm_like(x0, g, eps, norm=cfg.attack.norm)
     raise ValueError("unknown strategy %r" % strategy)
 

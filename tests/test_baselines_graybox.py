@@ -10,6 +10,8 @@ untouched and lands measurably farther from the target).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ppdattack.attacks.baselines import fgsm_like
@@ -21,8 +23,8 @@ from ppdattack.attacks.graybox import (
     MixtureLikelihood,
     ModelEnsemble,
     TaggedBatch,
-    bma_ppd_draw,
-    graybox_attack,
+    graybox_point_attack,
+    graybox_ppd_attack,
 )
 from ppdattack.attacks.point import PointAttackProblem, run_point_attack
 from ppdattack.attacks.ppd import MlmcConfig, NormalAppd, delta_level
@@ -123,6 +125,13 @@ def test_ensemble_weight_validation(defender):
     assert len(uniform) == 3
 
 
+def bma_draws(ensemble, x, n, rng):
+    """n (member, parameters) draws and their outcomes from the model-averaged
+    predictive at x, along the path the gray-box attacks sample."""
+    batch = MixtureBackend(ensemble).draw(n, rng)
+    return batch, MixtureLikelihood(ensemble, x.size).sample_y(x, batch, rng)
+
+
 def test_single_member_draw_matches_exact_predictive(defender):
     # K=1: the member index is always 0 and the outcomes follow the
     # closed-form predictive at x
@@ -130,14 +139,13 @@ def test_single_member_draw_matches_exact_predictive(defender):
     ens = ModelEnsemble([EnsembleMember(GaussianLinear(2), backend)])
     x = np.array([0.3, -0.2])
     rng = np.random.default_rng(np.random.SeedSequence((6, 3)))
-    triples = [bma_ppd_draw(ens, x, rng) for _ in range(2000)]
-    assert {k for k, _, _ in triples} == {0}
-    draw = triples[0][1]
-    assert draw.beta.shape == (1, 2) and draw.phi.shape == (1,) and draw.phi[0] > 0
+    batch, ys = bma_draws(ens, x, 2000, rng)
+    assert set(batch.member_ids.tolist()) == {0}
+    draw = batch.sub[0]
+    assert draw.beta.shape == (2000, 2) and draw.phi.shape == (2000,) and np.all(draw.phi > 0)
     m, v = ppd_normal_params(post, x)
-    ks = stats.kstest(np.array([y for _, _, y in triples]), "norm",
-                      args=(m, np.sqrt(v)))
-    assert ks.pvalue > 0.01  # measured 0.72 at this seed
+    ks = stats.kstest(ys, "norm", args=(m, np.sqrt(v)))
+    assert ks.pvalue > 0.01  # measured 0.96 at this seed
 
 
 def test_duplicate_members_match_single_member(defender):
@@ -148,9 +156,9 @@ def test_duplicate_members_match_single_member(defender):
     x = np.array([0.3, -0.2])
     r1 = np.random.default_rng(np.random.SeedSequence((6, 1)))
     r2 = np.random.default_rng(np.random.SeedSequence((6, 2)))
-    ys2 = np.array([bma_ppd_draw(two, x, r1)[2] for _ in range(10_000)])
-    ys1 = np.array([bma_ppd_draw(one, x, r2)[2] for _ in range(10_000)])
-    assert stats.ks_2samp(ys2, ys1).pvalue > 0.01  # measured 0.98
+    _, ys2 = bma_draws(two, x, 10_000, r1)
+    _, ys1 = bma_draws(one, x, 10_000, r2)
+    assert stats.ks_2samp(ys2, ys1).pvalue > 0.01  # measured 0.59
 
 
 def test_mixture_mean_is_weighted_posterior_mean(defender):
@@ -164,10 +172,10 @@ def test_mixture_mean_is_weighted_posterior_mean(defender):
         [0.7, 0.3])
     x = np.array([0.3, -0.2])
     rng = np.random.default_rng(np.random.SeedSequence((6, 4)))
-    ys = np.array([bma_ppd_draw(mix, x, rng)[2] for _ in range(100_000)])
+    _, ys = bma_draws(mix, x, 100_000, rng)
     want = 0.7 * postA.mu_n @ x + 0.3 * postB.mu_n @ x
     se = ys.std(ddof=1) / np.sqrt(ys.size)
-    assert abs(ys.mean() - want) < 3 * se  # measured z = -0.20
+    assert abs(ys.mean() - want) < 3 * se  # measured z = -1.03
 
 
 def test_tagged_batch_preserves_draw_order(defender):
@@ -229,7 +237,7 @@ def test_degenerate_ensemble_matches_white_box(defender):
     for i in range(20):
         tw = run_point_attack(point_problem(), backend,
                               np.random.default_rng(np.random.SeedSequence((7, 0, i))))
-        tg = graybox_attack(point_problem(), ens,
+        tg = graybox_point_attack(point_problem(), ens,
                             np.random.default_rng(np.random.SeedSequence((7, 1, i))))
         res_w.append(abs(post.mu_n @ tw.final_x - GSTAR))
         res_g.append(abs(post.mu_n @ tg.final_x - GSTAR))
@@ -248,9 +256,9 @@ def test_feature_blind_surrogate_lands_farther(defender):
         FeatureSubsetModel(GaussianLinear(1), [0], 2), ExactConjugate(post1))])
     informed = ModelEnsemble([EnsembleMember(GaussianLinear(2), backend)])
     for i in range(3):
-        tg = graybox_attack(point_problem(), informed,
+        tg = graybox_point_attack(point_problem(), informed,
                             np.random.default_rng(np.random.SeedSequence((7, 2, i))))
-        tb = graybox_attack(point_problem(), blind,
+        tb = graybox_point_attack(point_problem(), blind,
                             np.random.default_rng(np.random.SeedSequence((7, 3, i))))
         r_informed = abs(post.mu_n @ tg.final_x - GSTAR)
         r_blind = abs(post.mu_n @ tb.final_x - GSTAR)
@@ -264,16 +272,34 @@ def test_graybox_dispatch(defender):
     ens = ModelEnsemble([EnsembleMember(GaussianLinear(2), backend)])
     rng = np.random.default_rng(np.random.SeedSequence((7, 4)))
 
-    point_trace = graybox_attack(point_problem(), ens, rng)
+    point_trace = graybox_point_attack(point_problem(), ens, rng)
     assert point_trace.iterates.shape == (151, 2)
 
     m0, v0 = ppd_normal_params(post, X0)
     appd = NormalAppd(m0, 4.0 * v0)
     cfg = MlmcConfig(FeasibleSet(center=X0, epsilon=0.5, norm="l2"),
                      eta=0.5, T=10, B=2, eta_decay=True, record_objective=False)
-    ppd_trace = graybox_attack(appd, ens, rng, config=cfg)
+    ppd_trace = graybox_ppd_attack(appd, cfg, ens, rng)
     assert ppd_trace.iterates.shape == (11, 2)
     assert FeasibleSet(center=X0, epsilon=0.5, norm="l2").contains(ppd_trace.final_x)
 
-    with pytest.raises(ValueError):
-        graybox_attack(appd, ens, rng)
+
+@settings(max_examples=25, deadline=None)
+@given(T=st.integers(1, 6), N=st.integers(1, 8), M=st.integers(1, 8),
+       w=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_graybox_point_attack_is_the_attack_on_the_mixture_views(defender, T, N, M, w, seed):
+    ds, _, backend = defender
+    post1 = gaussian_update(np.zeros(1), np.eye(1), 1.0, ds.X[:, [0]], ds.y)
+    ens = ModelEnsemble([EnsembleMember(GaussianLinear(2), backend),
+                         EnsembleMember(FeatureSubsetModel(GaussianLinear(1), [0], 2),
+                                        ExactConjugate(post1))], [w, 1.0 - w])
+    feasible = FeasibleSet(center=X0, epsilon=EPS, norm="l2")
+    prob = PointAttackProblem(response_functional(), [GSTAR], GaussianLinear(2), feasible,
+                              T=T, N=N, M=M)
+    got = graybox_point_attack(prob, ens, np.random.default_rng(seed))
+    views = PointAttackProblem(response_functional(), [GSTAR], MixtureLikelihood(ens, 2),
+                               feasible, T=T, N=N, M=M)
+    want = run_point_attack(views, MixtureBackend(ens), np.random.default_rng(seed))
+    assert np.array_equal(got.iterates, want.iterates)
+    assert np.array_equal(got.objectives, want.objectives)
+    assert got.final_residual == want.final_residual

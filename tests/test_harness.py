@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from ppdattack.attacks.feasible import FeasibleSet
+from ppdattack.attacks.ppd import MlmcConfig, _objective_estimate
 from ppdattack.bayes.conjugate import GaussianPosterior, NigPosterior, ppd_normal_params
 from ppdattack.harness.config import (
     AttackSpec,
@@ -334,9 +336,12 @@ def test_predictor_monte_carlo_agrees_with_closed_form(train_data):
     est = pred.predictive_mean_mc(x, 40_000, rng)
     assert abs(est - m) < 3.0 * np.sqrt(v / 40_000)  # measured z = 0.24
     ys = np.array([m - 1.0, m, m + 2.0])
-    lp = pred.log_predictive_mc(x, ys, 4000, rng)
+    # the distribution attack's plug-in objective at one outcome is -log ppd(y)
+    cfg = MlmcConfig(FeasibleSet(x, 1.0, "l2"), obj_draws=4000)
+    lp = np.array([-_objective_estimate(pred.likelihood, x, np.array([y]), cfg, pred.backend, rng)
+                   for y in ys])
     exact = stats.norm.logpdf(ys, m, np.sqrt(v))
-    assert np.allclose(lp, exact, atol=0.02)  # measured gaps <= 3e-4
+    assert np.allclose(lp, exact, atol=0.02)  # measured gaps <= 2.1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,21 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from ppdattack.attacks.feasible import FeasibleSet
-from ppdattack.attacks.graybox import EnsembleMember, ModelEnsemble, graybox_views
+from ppdattack.attacks.graybox import (
+    EnsembleMember,
+    MixtureBackend,
+    MixtureLikelihood,
+    ModelEnsemble,
+)
 from ppdattack.attacks.ppd import (
     CategoricalAppd,
     DegenerateLikelihoodError,
     MlmcConfig,
     NormalAppd,
-    _mlmc_grad_info,
     _objective_estimate,
     _sample_level,
     delta_level,
-    level_weights,
+    mlmc_grad,
     ratio_grad,
 )
 from ppdattack.bayes.backends import ExactConjugate, SampleBank
@@ -71,8 +75,7 @@ def mixture_case():
     ens = ModelEnsemble([EnsembleMember(GaussianLinear(2), ExactConjugate(post)),
                          EnsembleMember(FeatureSubsetModel(GaussianLinear(1), [1], 2),
                                         ExactConjugate(post1))], [0.6, 0.4])
-    likelihood, backend = graybox_views(ens, 2)
-    return likelihood, backend, NormalAppd(0.3, 2.0)
+    return MixtureLikelihood(ens, 2), MixtureBackend(ens), NormalAppd(0.3, 2.0)
 
 
 CASES = {"gaussian": gaussian_case, "nig": nig_case, "softmax": softmax_case,
@@ -88,7 +91,7 @@ def reference_level(config, rng):
         q = 2.0 ** (-config.tau)
         level = int(rng.geometric(1.0 - q)) - 1
         return level, (1.0 - q) * q**level
-    w = level_weights(config)
+    w = config.level_weights
     level = int(rng.choice(config.Lmax + 1, p=w))
     return level, float(w[level])
 
@@ -118,8 +121,8 @@ def reference_grad_info(model, x, appd, config, backend, rng):
 
 def assert_matches_reference(model, backend, appd, config, seed):
     x = config.feasible.center
-    grad, levels, cost = _mlmc_grad_info(model, x, appd, config, backend,
-                                         np.random.default_rng(seed))
+    grad, levels, cost = mlmc_grad(model, x, appd, config, backend,
+                                   np.random.default_rng(seed))
     want, want_levels, want_cost, scale = reference_grad_info(
         model, x, appd, config, backend, np.random.default_rng(seed))
     assert list(levels) == want_levels
@@ -154,7 +157,7 @@ def test_batched_gradient_matches_pair_loop_untruncated(B, R, M0, tau, seed):
 @given(Lmax=st.integers(0, 12), tau=st.floats(1.01, 4.0), n=st.integers(1, 300), seed=SEEDS)
 def test_level_cdf_draws_the_choice_stream(Lmax, tau, n, seed):
     config = MlmcConfig(FeasibleSet(np.zeros(1), 1.0, "l2"), tau=tau, Lmax=Lmax)
-    w = level_weights(config)
+    w = config.level_weights
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(n):
         level, prob = _sample_level(config, ours)
@@ -199,3 +202,7 @@ def test_config_is_frozen():
     config = MlmcConfig(FeasibleSet(np.zeros(1), 1.0, "l2"))
     with pytest.raises(AttributeError):
         config.Lmax = 3
+    with pytest.raises(AttributeError):
+        config.level_weights = np.ones(config.Lmax + 1)
+    with pytest.raises(ValueError):
+        config.level_weights[0] = 1.0

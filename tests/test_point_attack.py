@@ -10,6 +10,8 @@ themselves.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppdattack.analytic import analytic_point_l2
 from ppdattack.attacks.feasible import FeasibleSet
@@ -20,7 +22,6 @@ from ppdattack.attacks.point import (
     estimate_grad_mu,
     estimate_mu,
     grad_J,
-    gradient_samples,
     reparam_grad_mu,
     run_point_attack,
     run_point_attack_reparam,
@@ -242,29 +243,44 @@ def test_problem_validation(testbed):
                            FeasibleSet(x0, 1.0, "l2"))
     with pytest.raises(ValueError):
         problem(x0, eta=0.0)
+    # An empty smoothing window averages an empty slice every iteration and a
+    # nan tolerance never fires: both would silently disable early stopping.
+    for kw in ({"smooth_window": 0}, {"smooth_window": -5},
+               {"early_stop_tol": np.nan}, {"early_stop_tol": np.inf},
+               {"early_stop_tol": -1e-3}):
+        with pytest.raises(ValueError):
+            problem(x0, **{"early_stop_tol": 1.0, **kw})
+    assert problem(x0, early_stop_tol=0.0, smooth_window=1).smooth_window == 1
 
 
 # ---------------------------------------------------------------------------
 # reparameterised gradient
 # ---------------------------------------------------------------------------
 
+def per_sample(estimator, prob, x, backend, rng, n=20_000):
+    """n one-draw Jacobian estimates (prob.M == 1): per-sample contributions, stacked."""
+    return np.stack([estimator(prob, x, backend, rng)[0] for _ in range(n)])
+
+
 def test_reparam_agrees_with_score_estimator(testbed):
     _, backend, mu_n, x0 = testbed
-    prob = problem(x0, M=20_000)
+    prob = problem(x0, M=1)
     rng = np.random.default_rng(55)
-    score = gradient_samples(prob, x0, backend, rng, kind="score")[:, 0, :]
-    rep = gradient_samples(prob, x0, backend, rng, kind="reparam")[:, 0, :]
+    score = per_sample(estimate_grad_mu, prob, x0, backend, rng)
+    rep = per_sample(reparam_grad_mu, prob, x0, backend, rng)
     joint_se = np.sqrt(score.var(axis=0, ddof=1) / score.shape[0]
                        + rep.var(axis=0, ddof=1) / rep.shape[0])
+    # measured |diff| / joint_se: 0.16 and 0.26
     assert np.all(np.abs(score.mean(axis=0) - rep.mean(axis=0)) <= 3.0 * joint_se)
 
 
 def test_reparam_has_lower_per_sample_variance(testbed):
     _, backend, _, x0 = testbed
-    prob = problem(x0, M=20_000)
+    prob = problem(x0, M=1)
     rng = np.random.default_rng(56)
-    score = gradient_samples(prob, x0, backend, rng, kind="score")[:, 0, :]
-    rep = gradient_samples(prob, x0, backend, rng, kind="reparam")[:, 0, :]
+    score = per_sample(estimate_grad_mu, prob, x0, backend, rng)
+    rep = per_sample(reparam_grad_mu, prob, x0, backend, rng)
+    # measured per-sample variance sums: reparam 0.0021, score 11.3
     assert rep.var(axis=0, ddof=1).sum() < score.var(axis=0, ddof=1).sum()
 
 
@@ -275,6 +291,49 @@ def test_reparam_deterministic_limit(testbed):
     prob = problem(x0, M=64)
     est = reparam_grad_mu(prob, x0, bank, np.random.default_rng(57))
     assert np.allclose(est[0], mu_n, atol=1e-12)
+
+
+def quadratic_functional():
+    """g(x, y) = (y^2, y * x_0): outcome gradient and per-draw covariate gradient."""
+    def grad_x(x, ys):
+        out = np.zeros((ys.size, 2, x.size))
+        out[:, 1, 0] = ys
+        return out
+
+    return Functional(lambda x, ys: np.column_stack([ys**2, ys * x[0]]), 2, grad_x_fn=grad_x,
+                      grad_y_fn=lambda x, ys: np.column_stack([2.0 * ys, np.full(ys.size, x[0])]))
+
+
+def reference_reparam_grad_mu(prob, x, backend, rng):
+    """The reparameterised estimator with its outcome draw written out inline."""
+    draws = backend.draw(prob.M, rng)
+    zeta = rng.standard_normal(len(draws))
+    ys = draws.beta @ np.asarray(x, dtype=float) + np.sqrt(draws.phi) * zeta
+    gy = prob.g.grad_y(x, ys)
+    grad = np.einsum("mq,mp->qp", gy, draws.beta) / len(draws)
+    gx = prob.g.grad_x(x, ys)
+    grad += gx.mean(axis=0) if gx.ndim == 3 else gx
+    return grad
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), quadratic=st.booleans(),
+       bank=st.booleans())
+def test_reparam_draws_outcomes_through_sample_y(testbed, M, seed, quadratic, bank):
+    # Drawing the outcomes with GaussianLinear.sample_y consumes the same
+    # stream and computes the same expression as the inline formula.
+    _, backend, _, x0 = testbed
+    if bank:  # per-draw noise variances
+        r = np.random.default_rng(seed ^ 0x5EED)
+        backend = SampleBank(DrawBatch(r.standard_normal((50, 2)), r.uniform(0.1, 3.0, 50)))
+    g = quadratic_functional() if quadratic else response_functional()
+    prob = PointAttackProblem(g, np.zeros(g.out_dim), GaussianLinear(2),
+                              FeasibleSet(x0, 1.0, "l2"), M=M)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = reparam_grad_mu(prob, x0, backend, ours)
+    want = reference_reparam_grad_mu(prob, x0, backend, theirs)
+    assert np.array_equal(got, want)
+    assert ours.random() == theirs.random()
 
 
 def test_reparam_requires_gaussian_linear(testbed):

@@ -21,7 +21,6 @@ from ppdattack.attacks.ppd import (
     NormalAppd,
     delta_level,
     expected_samples_per_iter,
-    level_weights,
     mlmc_grad,
     ratio_grad,
     run_ppd_attack,
@@ -226,7 +225,7 @@ def test_mlmc_matches_closed_form_kl_gradient(testbed):
     oracle = kl_normal_ppd_grad(appd, post, x)
     cfg = config(x, M0=8, tau=1.5, R=2, Lmax=6)
     rng = np.random.default_rng(73)
-    reps = np.array([mlmc_grad(model, x, appd, cfg, backend, rng)
+    reps = np.array([mlmc_grad(model, x, appd, cfg, backend, rng)[0]
                      for _ in range(20_000)])
     se = reps.std(axis=0, ddof=1) / np.sqrt(reps.shape[0])
     assert np.all(np.abs(reps.mean(axis=0) - oracle) <= 3.0 * se)
@@ -240,7 +239,7 @@ def test_mlmc_mean_zero_at_stationary_point(testbed):
     assert kl_normal_ppd(appd, post, x) == 0.0
     cfg = config(x, M0=8)
     rng = np.random.default_rng(74)
-    reps = np.array([mlmc_grad(model, x, appd, cfg, backend, rng)
+    reps = np.array([mlmc_grad(model, x, appd, cfg, backend, rng)[0]
                      for _ in range(5_000)])
     se = reps.std(axis=0, ddof=1) / np.sqrt(reps.shape[0])
     assert np.all(np.abs(reps.mean(axis=0)) <= 3.0 * se)
@@ -255,7 +254,7 @@ def test_single_level_degenerates_to_plugin_ratio(testbed):
     appd = NormalAppd(m0, 4.0 * v0)
     cfg = config(x, M0=8, Lmax=0, R=1)
     rng = np.random.default_rng(76)
-    mlmc = np.array([mlmc_grad(model, x, appd, cfg, backend, rng)
+    mlmc = np.array([mlmc_grad(model, x, appd, cfg, backend, rng)[0]
                      for _ in range(6_000)])
     rng = np.random.default_rng(77)
     plain = np.array([
@@ -293,7 +292,7 @@ def test_level_frequencies_chi_square(testbed):
     post, _, _ = testbed
     x = clean_point(post)
     cfg = config(x, M0=8, tau=1.5, R=2, Lmax=6)
-    w = level_weights(cfg)
+    w = cfg.level_weights
     rng = np.random.default_rng(79)
     counts = np.zeros(cfg.Lmax + 1)
     n = 100_000
