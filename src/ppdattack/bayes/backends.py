@@ -124,6 +124,11 @@ def adaptive_rwm(log_post, x0, n_keep, rng, step=0.5, burn_in=1000, thin=5,
 class McmcChain:
     """Posterior draws via adaptive random-walk Metropolis on a log posterior.
 
+    Each ``draw`` reruns the chain from ``initial``, burn-in included, and
+    returns the kept states as ``beta`` with ``phi = 1`` (classifiers have no
+    free noise scale).  To resample one run cheaply, freeze it with
+    ``SampleBank(chain.draw(n, rng))``.
+
     Parameters
     ----------
     log_post : callable
@@ -132,35 +137,22 @@ class McmcChain:
         Chain starting state.
     step, burn_in, thin, target_accept
         Sampler settings; the proposal scale adapts during burn-in only.
-    param_map : callable, optional
-        Maps the (n, dim) array of kept states to a DrawBatch.  Defaults to
-        ``beta = state, phi = 1`` (appropriate for classifiers with no free
-        noise scale).
     """
 
     def __init__(self, log_post, initial, step=0.5, burn_in=1000, thin=5,
-                 target_accept=0.3, param_map=None):
+                 target_accept=0.3):
         self.log_post = log_post
         self.initial = np.asarray(initial, dtype=float)
         self.step = float(step)
         self.burn_in = int(burn_in)
         self.thin = int(thin)
         self.target_accept = float(target_accept)
-        self.param_map = param_map
         self.last_accept_rate = None
 
     def draw(self, count, rng):
-        states, rate = adaptive_rwm(
+        states, self.last_accept_rate = adaptive_rwm(
             self.log_post, self.initial, count, rng,
             step=self.step, burn_in=self.burn_in, thin=self.thin,
             target_accept=self.target_accept,
         )
-        self.last_accept_rate = rate
-        if self.param_map is not None:
-            return self.param_map(states)
         return DrawBatch(states, 1.0)
-
-    def to_bank(self, count, rng):
-        """Run the chain once and freeze the states into a SampleBank."""
-        return SampleBank(self.draw(count, rng))
-

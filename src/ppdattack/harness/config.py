@@ -144,6 +144,10 @@ class MlmcSpec(_Spec):
             raise ValueError("mlmc.tau must exceed 1 (finite expected cost)")
         if min(self.M0, self.R, self.B, self.T) < 1 or self.Lmax < 0:
             raise ValueError("mlmc sizes must be positive")
+        if self.M0 % 2 != 0:
+            raise ValueError("mlmc.M0 must be even so batches can be halved antithetically")
+        if self.eta <= 0:
+            raise ValueError("mlmc.eta must be positive")
 
 
 @dataclass

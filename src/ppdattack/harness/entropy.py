@@ -24,13 +24,15 @@ baseline.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.special import xlogy
 
 from ..attacks.feasible import FeasibleSet
 from ..attacks.functionals import onehot_functional
 from ..attacks.point import PointAttackProblem, run_point_attack
-from ..bayes.backends import McmcChain
+from ..bayes.backends import McmcChain, SampleBank
 from ..bayes.likelihoods import CategoricalSoftmax, logsumexp
 from .config import EntropySpec
 from .sep import SepRecord
@@ -43,36 +45,25 @@ def class_directions(n_classes, rotation_deg=0.0):
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
+def _blob_points(spec: EntropySpec, radius, labels, rng, rotation_deg=0.0):
+    """One point per label, ``blob_sd`` noise around its class centre at ``radius``."""
+    centers = np.zeros((spec.n_classes, spec.dim))
+    centers[:, :2] = radius * class_directions(spec.n_classes, rotation_deg)
+    return centers[labels] + spec.blob_sd * rng.standard_normal((len(labels), spec.dim))
+
+
 def make_blob_data(spec: EntropySpec, rng):
     """Training covariates and labels: one Gaussian blob per class."""
-    dirs = class_directions(spec.n_classes)
-    X, y = [], []
-    for k in range(spec.n_classes):
-        center = np.zeros(spec.dim)
-        center[:2] = spec.blob_radius * dirs[k]
-        X.append(center + spec.blob_sd * rng.standard_normal((spec.n_per_class, spec.dim)))
-        y.append(np.full(spec.n_per_class, k))
-    return np.concatenate(X), np.concatenate(y).astype(int)
+    y = np.repeat(np.arange(spec.n_classes), spec.n_per_class)
+    return _blob_points(spec, spec.blob_radius, y, rng), y
 
 
 def make_eval_points(spec: EntropySpec, rng):
     """Held-out labelled ID points and unlabelled OOD points."""
-    dirs_id = class_directions(spec.n_classes)
-    dirs_ood = class_directions(spec.n_classes, rotation_deg=spec.ood_rotation_deg)
-    X_id = np.empty((spec.n_id, spec.dim))
-    y_id = np.empty(spec.n_id, dtype=int)
-    for i in range(spec.n_id):
-        k = i % spec.n_classes
-        center = np.zeros(spec.dim)
-        center[:2] = spec.blob_radius * dirs_id[k]
-        X_id[i] = center + spec.blob_sd * rng.standard_normal(spec.dim)
-        y_id[i] = k
-    X_ood = np.empty((spec.n_ood, spec.dim))
-    for i in range(spec.n_ood):
-        k = i % spec.n_classes
-        center = np.zeros(spec.dim)
-        center[:2] = spec.ood_radius * dirs_ood[k]
-        X_ood[i] = center + spec.blob_sd * rng.standard_normal(spec.dim)
+    y_id = np.arange(spec.n_id) % spec.n_classes
+    X_id = _blob_points(spec, spec.blob_radius, y_id, rng)
+    X_ood = _blob_points(spec, spec.ood_radius, np.arange(spec.n_ood) % spec.n_classes, rng,
+                         rotation_deg=spec.ood_rotation_deg)
     return X_id, y_id, X_ood
 
 
@@ -98,7 +89,7 @@ def fit_softmax_bank(spec: EntropySpec, X, y, rng):
         log_post, np.zeros(n_classes * dim), step=spec.chain_step,
         burn_in=spec.chain_burn_in, thin=spec.chain_thin,
     )
-    bank = chain.to_bank(spec.bank_size, rng)
+    bank = SampleBank(chain.draw(spec.bank_size, rng))
     return bank, chain.last_accept_rate
 
 
@@ -133,16 +124,15 @@ def _attack_to_target(spec, model, backend, x0, target, eps, rng):
     return run_point_attack(prob, backend, rng).final_x
 
 
+@dataclass
 class EntropyResult:
-    def __init__(self, records, id_mean_entropy, ood_mean_entropy, selective,
-                 ln_p, accept_rate, eps_grid):
-        self.records = records
-        self.id_mean_entropy = id_mean_entropy    # eps -> mean ID entropy
-        self.ood_mean_entropy = ood_mean_entropy  # eps -> mean OOD entropy
-        self.selective = selective                # (eps, retention) -> accuracy
-        self.ln_p = ln_p
-        self.accept_rate = accept_rate
-        self.eps_grid = eps_grid
+    records: list
+    id_mean_entropy: dict   # eps -> mean ID entropy
+    ood_mean_entropy: dict  # eps -> mean OOD entropy
+    selective: dict         # (eps, retention) -> accuracy
+    ln_p: float
+    accept_rate: float
+    eps_grid: list
 
 
 def entropy_experiment(spec: EntropySpec) -> EntropyResult:
@@ -157,50 +147,40 @@ def entropy_experiment(spec: EntropySpec) -> EntropyResult:
     bank, accept_rate = fit_softmax_bank(spec, X, y, rng_chain)
 
     p = spec.n_classes
-    uniform = np.full(p, 1.0 / p)
     # Deflation target per OOD point: one-hot of its clean modal class.
-    ood_targets = []
-    for i in range(spec.n_ood):
-        probs = predictive_probs(model, bank, X_ood[i], spec.entropy_draws, rng_modal)
-        onehot = np.zeros(p)
-        onehot[int(np.argmax(probs))] = 1.0
-        ood_targets.append(onehot)
+    modal = np.array([np.argmax(predictive_probs(model, bank, x, spec.entropy_draws, rng_modal))
+                      for x in X_ood], dtype=int)
+    # (name, points, targets, labels): inflation on ID, deflation on unlabelled OOD
+    tasks = [("id", X_id, np.full((spec.n_id, p), 1.0 / p), y_id),
+             ("ood", X_ood, np.eye(p)[modal], None)]
 
     grid = [float(e) for e in spec.eps_grid]
     records = []
-    id_mean, ood_mean, selective = {}, {}, {}
+    mean_entropy = {"id": {}, "ood": {}}
+    selective = {}
     for ei, eps in enumerate(grid):
         pool_entropy, pool_correct = [], []
-        id_vals, ood_vals = [], []
-        for i in range(spec.n_id):
-            task = np.random.SeedSequence((int(spec.seed), 31337, ei, 0, i))
-            rng_a, rng_e = (np.random.default_rng(c) for c in task.spawn(2))
-            x_adv = _attack_to_target(spec, model, bank, X_id[i], uniform, eps, rng_a)
-            probs = predictive_probs(model, bank, x_adv, spec.entropy_draws, rng_e)
-            h = entropy_of(probs)
-            id_vals.append(h)
-            records.append(SepRecord(eps, i, "sgd", "predictive-entropy-id", h))
-            pool_entropy.append(h)
-            pool_correct.append(1.0 if int(np.argmax(probs)) == int(y_id[i]) else 0.0)
-        for i in range(spec.n_ood):
-            task = np.random.SeedSequence((int(spec.seed), 31337, ei, 1, i))
-            rng_a, rng_e = (np.random.default_rng(c) for c in task.spawn(2))
-            x_adv = _attack_to_target(spec, model, bank, X_ood[i], ood_targets[i], eps, rng_a)
-            probs = predictive_probs(model, bank, x_adv, spec.entropy_draws, rng_e)
-            h = entropy_of(probs)
-            ood_vals.append(h)
-            records.append(SepRecord(eps, i, "sgd", "predictive-entropy-ood", h))
-            pool_entropy.append(h)
-            pool_correct.append(0.0)  # an accepted OOD input is always an error
-        id_mean[eps] = float(np.mean(id_vals))
-        ood_mean[eps] = float(np.mean(ood_vals))
+        for kind, (name, points, targets, labels) in enumerate(tasks):
+            vals = []
+            for i, (x0, target) in enumerate(zip(points, targets)):
+                task = np.random.SeedSequence((int(spec.seed), 31337, ei, kind, i))
+                rng_a, rng_e = (np.random.default_rng(c) for c in task.spawn(2))
+                x_adv = _attack_to_target(spec, model, bank, x0, target, eps, rng_a)
+                probs = predictive_probs(model, bank, x_adv, spec.entropy_draws, rng_e)
+                h = entropy_of(probs)
+                vals.append(h)
+                records.append(SepRecord(eps, i, "sgd", "predictive-entropy-" + name, h))
+                pool_entropy.append(h)
+                # an accepted OOD input is always an error
+                pool_correct.append(float(labels is not None and np.argmax(probs) == labels[i]))
+            mean_entropy[name][eps] = float(np.mean(vals))
         for f in spec.retention_grid:
             acc = selective_accuracy(pool_entropy, pool_correct, float(f))
             selective[(eps, float(f))] = acc
             records.append(SepRecord(eps, 0, "sgd", "selective-accuracy-%g" % f, acc))
 
     return EntropyResult(
-        records=records, id_mean_entropy=id_mean, ood_mean_entropy=ood_mean,
-        selective=selective, ln_p=float(np.log(p)), accept_rate=accept_rate,
-        eps_grid=grid,
+        records=records, id_mean_entropy=mean_entropy["id"],
+        ood_mean_entropy=mean_entropy["ood"], selective=selective, ln_p=float(np.log(p)),
+        accept_rate=accept_rate, eps_grid=grid,
     )

@@ -310,8 +310,6 @@ def _run_task(cfg, defender, instances, targets, strategy, eps, rng_attack, rng_
     for x0, (appd, _) in zip(instances, targets):
         x_adv = _attack_ppd_instance(strategy, cfg, defender, x0, appd, eps, rng_attack)
         metrics = _ppd_metrics(defender, cfg, x0, x_adv, appd, rng_eval)
-        if len(instances) == 1:
-            return metrics
         for k, v in metrics.items():
             out.setdefault(k, []).append(v)
     return {k: float(np.mean(v)) for k, v in out.items()}

@@ -48,22 +48,11 @@ def test_chain_determinism_and_bank():
     assert a.beta.tobytes() == b.beta.tobytes()
     assert np.all(a.phi == 1.0)
 
-    bank = chain.to_bank(50, np.random.default_rng(42))
-    assert isinstance(bank, SampleBank)
+    bank = SampleBank(chain.draw(50, np.random.default_rng(42)))
     assert len(bank) == 50
+    assert bank.batch.beta.tobytes() == a.beta.tobytes()
     resampled = bank.draw(7, np.random.default_rng(0))
     assert resampled.beta.shape == (7, 1)
-
-
-def test_param_map_is_applied():
-    from ppdattack.bayes.draws import DrawBatch
-
-    chain = McmcChain(
-        gaussian_log_post([0.0, 0.0], 1.0), np.zeros(2), burn_in=100, thin=1,
-        param_map=lambda states: DrawBatch(states * 2.0, 3.0),
-    )
-    batch = chain.draw(10, np.random.default_rng(1))
-    assert np.all(batch.phi == 3.0)
 
 
 def test_pathological_acceptance_warns():

@@ -189,8 +189,9 @@ def test_tagged_batch_preserves_draw_order(defender):
     batch = MixtureBackend(ens).draw(8, rng)
     assert isinstance(batch, TaggedBatch) and len(batch) == 8
 
-    # The multilevel gradient takes a level's halves as row slices of the
-    # iteration's concatenated draws.
+    # Row slices of concatenated draws keep each member's rows in draw order;
+    # the pair-loop reference in test_mlmc_batched.py takes a level's halves
+    # this way.
     joined = TaggedBatch.concat([MixtureBackend(ens).draw(2, rng), batch])
     first, second = joined[2:6], joined[6:10]
     assert len(first) == 4 and len(second) == 4

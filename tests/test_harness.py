@@ -36,6 +36,7 @@ from ppdattack.harness.entropy import (
     entropy_experiment,
     entropy_of,
     make_blob_data,
+    make_eval_points,
     selective_accuracy,
 )
 from ppdattack.harness.gradcheck import (
@@ -96,7 +97,7 @@ def test_config_rejects_unknown_keys_at_every_level(cls, doc, section):
 
 FLOATS = st.floats(-10.0, 10.0)
 GRIDS = st.lists(st.floats(0.0, 5.0), min_size=1, max_size=5).map(lambda g: tuple(sorted(g)))
-MLMC = st.builds(MlmcSpec, M0=st.integers(1, 16), tau=st.floats(1.01, 3.0), R=st.integers(1, 4),
+MLMC = st.builds(MlmcSpec, M0=st.integers(1, 8).map(lambda h: 2 * h), tau=st.floats(1.01, 3.0), R=st.integers(1, 4),
                  Lmax=st.integers(0, 8), B=st.integers(1, 8), untruncated=st.booleans())
 
 
@@ -177,6 +178,16 @@ def test_entropy_and_gradcheck_spec_validation():
         GradCheckSpec.from_dict({"replicates": 50})
     with pytest.raises(ValueError, match="z_threshold"):
         GradCheckSpec.from_dict({"z_threshold": -1.0})
+
+
+@pytest.mark.parametrize("mlmc, field", [({"eta": 0.0}, "mlmc.eta"), ({"eta": -0.1}, "mlmc.eta"),
+                                         ({"M0": 7}, "mlmc.M0")])
+def test_mlmc_spec_rejects_what_mlmc_config_rejects(mlmc, field):
+    # caught at load, not as a warning and a missing cell in every attacked sweep cell
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig.from_dict({"attack": {"x0": [0.0, 0.0], "mlmc": mlmc}})
+    with pytest.raises(ValueError, match=field):
+        GradCheckSpec.from_dict({"mlmc": mlmc})
 
 
 def test_config_from_json(tmp_path):
@@ -531,6 +542,39 @@ def test_blob_data_shapes_and_labels():
     assert np.all(np.bincount(y) == 10)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n_classes=st.integers(2, 5), dim=st.integers(2, 4), n_per_class=st.integers(1, 6),
+       n_id=st.integers(0, 7), n_ood=st.integers(0, 7), seeds=st.tuples(st.integers(0, 2**32),
+                                                                        st.integers(0, 2**32)))
+def test_blob_sampler_matches_per_point_walk(n_classes, dim, n_per_class, n_id, n_ood, seeds):
+    spec = EntropySpec(n_classes=n_classes, dim=dim, n_per_class=n_per_class, n_id=n_id,
+                       n_ood=n_ood)
+
+    def walk(rng, n, radius, rotation_deg, label_of):
+        # one centre and one standard_normal(dim) per point, in order
+        dirs = class_directions(n_classes, rotation_deg)
+        X, y = np.empty((n, dim)), np.empty(n, dtype=int)
+        for i in range(n):
+            y[i] = label_of(i)
+            center = np.zeros(dim)
+            center[:2] = radius * dirs[y[i]]
+            X[i] = center + spec.blob_sd * rng.standard_normal(dim)
+        return X, y
+
+    X, y = make_blob_data(spec, np.random.default_rng(seeds[0]))
+    want_X, want_y = walk(np.random.default_rng(seeds[0]), n_classes * n_per_class,
+                          spec.blob_radius, 0.0, lambda i: i // n_per_class)
+    assert np.array_equal(X, want_X) and np.array_equal(y, want_y)
+
+    X_id, y_id, X_ood = make_eval_points(spec, np.random.default_rng(seeds[1]))
+    rng = np.random.default_rng(seeds[1])
+    want_id, want_y_id = walk(rng, n_id, spec.blob_radius, 0.0, lambda i: i % n_classes)
+    want_ood, _ = walk(rng, n_ood, spec.ood_radius, spec.ood_rotation_deg,
+                       lambda i: i % n_classes)
+    assert np.array_equal(X_id, want_id) and np.array_equal(y_id, want_y_id)
+    assert np.array_equal(X_ood, want_ood)
+
+
 def test_entropy_experiment_moves_both_populations():
     # tiny instance of the classifier experiment: inflation must raise mean
     # ID entropy, deflation must lower mean OOD entropy, and the selective
@@ -548,8 +592,11 @@ def test_entropy_experiment_moves_both_populations():
     for r in res.records:
         if r.metric.startswith("predictive-entropy"):
             assert -1e-9 <= r.value <= np.log(3.0) + 1e-9
-    # 2 eps x (3 ID + 3 OOD + 2 retention records)
-    assert len(res.records) == 16
+    # per eps: 3 ID, then 3 OOD, then 2 selective-accuracy records
+    want = (["predictive-entropy-id"] * 3 + ["predictive-entropy-ood"] * 3
+            + ["selective-accuracy-0.5", "selective-accuracy-1"])
+    assert [(r.epsilon, r.metric) for r in res.records] == [(e, m) for e in (0.0, 1.0) for m in want]
+    assert [r.rep for r in res.records[:6]] == [0, 1, 2, 0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
