@@ -56,7 +56,7 @@ def sign_step_comparison():
             eta=0.05, T=500, N=64, M=64, eta_decay=True)
         rng_s = np.random.default_rng(np.random.SeedSequence((102, 1, int(10 * eps))))
         x_sgd = run_point_attack(prob, backend, rng_s).final_x
-        g = grad_J(prob, x0, backend, rng_s)
+        g = grad_J(prob, x0, backend, rng_s)[0]
         x_sign = fgsm_like(x0, g, eps, norm="l2")
         exact = analytic_point_l2(mu, x0, target, eps)
         print("   %6.2f  %12.4f  %12.4f  %12.4f"

@@ -13,6 +13,20 @@ minimised by projected stochastic gradient descent.  Because the gradient of
 for its gradient (which combines the functional's own covariate gradient with
 a score-function term).  Reusing a single batch for both factors is provided
 only as a deliberately biased diagnostic mode.
+
+Drawing and arithmetic are separate steps.  :func:`grad_J` draws, replicate
+by replicate, the posterior draws and predictive outcomes of each batch
+(``backend.draw`` then ``model.sample_y``); :func:`estimate_mu`,
+:func:`estimate_grad_mu` and :func:`reparam_grad_mu` are arithmetic on
+already-drawn samples with a leading replicate axis, so K replicates cost one
+``g.value``/``score_x`` evaluation over all their rows.  A single estimate is
+one replicate, as in the attack loop.  Because every replicate draws exactly
+as one of K successive one-replicate calls would, a K-replicate call gives
+the same numbers bit for bit whenever each likelihood call of a
+one-replicate call sees at least two rows.  Batches of one row, and gray-box
+mixture members that get one row, agree to round-off only: numpy rounds a
+one-row matrix-vector product through BLAS ``dot``, a longer one through
+``gemv``.
 """
 
 from __future__ import annotations
@@ -81,70 +95,92 @@ class PointAttackProblem:
 
 def _joint_sample(prob, x, backend, rng, count):
     draws = backend.draw(count, rng)
-    ys = prob.model.sample_y(x, draws, rng)
-    return draws, ys
+    return draws, prob.model.sample_y(x, draws, rng)
 
 
-def estimate_mu(prob, x, backend, rng):
-    """Monte-Carlo estimate of mu(x) = E[g(x, y)] from N joint draws."""
-    draws, ys = _joint_sample(prob, x, backend, rng, prob.N)
-    return prob.g.value(x, ys).mean(axis=0)
+def _mean_grad_x(prob, x, ys):
+    gx = prob.g.grad_x(x, ys.ravel())
+    if gx.ndim == 3:  # one (q, p) gradient per outcome
+        return gx.reshape(ys.shape + gx.shape[1:]).sum(axis=1) / ys.shape[1]
+    return gx
 
 
-def _grad_mu_from(prob, x, draws, ys):
-    m = len(draws)
-    vals = prob.g.value(x, ys)  # (m, q)
-    scores = prob.model.score_x(x, ys, draws)  # (m, p)
-    grad = np.einsum("mq,mp->qp", vals, scores) / m
-    gx = prob.g.grad_x(x, ys)
-    grad += gx.mean(axis=0) if gx.ndim == 3 else gx
+def estimate_mu(prob, x, ys):
+    """Monte-Carlo estimates of mu(x) = E[g(x, y)], one per row of outcomes.
+
+    ``ys`` has shape (K, n): replicate k's n joint predictive outcomes.
+    Returns shape (K, q).
+    """
+    ys = np.asarray(ys)
+    # sum / n is the quotient np.mean forms, without its per-call overhead,
+    # which the attack loop pays every iteration.
+    return prob.g.value(x, ys.ravel()).reshape(ys.shape + (-1,)).sum(axis=1) / ys.shape[1]
+
+
+def estimate_grad_mu(prob, x, draws, ys):
+    """Score-function estimates of the Jacobian of mu(x), one per replicate.
+
+    ``draws`` holds the K replicates' posterior draws one after another and
+    ``ys`` (K, m) their outcomes.  Each sample contributes
+    ``grad_x g + g * score_x`` so the estimator stays unbiased for models whose
+    predictive density depends on ``x``.  Returns shape (K, q, p).
+    """
+    K, m = ys.shape
+    flat = ys.ravel()
+    vals = prob.g.value(x, flat).reshape(K, m, -1)
+    scores = prob.model.score_x(x, flat, draws).reshape(K, m, -1)
+    grad = np.einsum("...mq,...mp->...qp", vals, scores) / m
+    grad += _mean_grad_x(prob, x, ys)
     return grad
 
 
-def estimate_grad_mu(prob, x, backend, rng):
-    """Score-function estimate of the Jacobian of mu(x), from M fresh joint draws.
+def reparam_grad_mu(prob, x, draws, ys):
+    """Reparameterised Jacobian estimates for Gaussian linear likelihoods.
 
-    Each sample contributes ``grad_x g + g * score_x`` so the estimator stays
-    unbiased for models whose predictive density depends on ``x``.
-    """
-    draws, ys = _joint_sample(prob, x, backend, rng, prob.M)
-    return _grad_mu_from(prob, x, draws, ys)
-
-
-def reparam_grad_mu(prob, x, backend, rng):
-    """Reparameterised Jacobian estimate for Gaussian linear likelihoods.
-
-    Outcomes are expressed as ``y = beta^T x + sqrt(phi) * zeta`` with standard
-    normal ``zeta`` independent of ``x``, so differentiation passes through the
-    sample path and no score term appears:
-    each draw contributes ``grad_x g + grad_y g * beta``.
+    Same arguments and shapes as :func:`estimate_grad_mu`.  Outcomes drawn by
+    ``GaussianLinear.sample_y`` are ``y = beta^T x + sqrt(phi) * zeta`` with
+    standard normal ``zeta`` independent of ``x``, so differentiation passes
+    through the sample path and no score term appears: each draw contributes
+    ``grad_x g + grad_y g * beta``.
     """
     require_gaussian_linear(prob.model)
-    # GaussianLinear.sample_y draws the outcomes along exactly that path.
-    draws, ys = _joint_sample(prob, x, backend, rng, prob.M)
-    gy = prob.g.grad_y(x, ys)  # (m, q)
-    grad = np.einsum("mq,mp->qp", gy, draws.beta) / len(draws)
-    gx = prob.g.grad_x(x, ys)
-    grad += gx.mean(axis=0) if gx.ndim == 3 else gx
+    K, m = ys.shape
+    gy = prob.g.grad_y(x, ys.ravel()).reshape(K, m, -1)
+    grad = np.einsum("...mq,...mp->...qp", gy, draws.beta.reshape(K, m, -1)) / m
+    grad += _mean_grad_x(prob, x, ys)
     return grad
 
 
-def grad_J(prob, x, backend, rng, shared_batch=False):
-    """Stochastic gradient of J(x) = ||mu(x) - g_star||^2.
+def _mu_and_jacobian(prob, x, backend, rng, replicates, grad_mu, shared_batch):
+    # Replicate by replicate, in the order of successive one-replicate calls:
+    # its N-batch, then its M-batch (none with a shared batch).  The
+    # arithmetic then runs once over all replicates.
+    mu_ys = np.empty((replicates, prob.N))
+    ys = mu_ys if shared_batch else np.empty((replicates, prob.M))
+    draws = []
+    for r in range(replicates):
+        d, mu_ys[r] = _joint_sample(prob, x, backend, rng, prob.N)
+        if not shared_batch:
+            d, ys[r] = _joint_sample(prob, x, backend, rng, prob.M)
+        draws.append(d)
+    # One replicate, as in the attack loop, needs no copy of its draws.
+    draws = draws[0] if replicates == 1 else type(draws[0]).concat(draws)
+    return estimate_mu(prob, x, mu_ys), grad_mu(prob, x, draws, ys)
 
+
+def grad_J(prob, x, backend, rng, replicates=1, grad_mu=None, shared_batch=False):
+    """Stochastic gradients of J(x) = ||mu(x) - g_star||^2, one per replicate.
+
+    Each replicate draws its own batches; ``grad_mu`` estimates the Jacobian
+    factor: :func:`estimate_grad_mu` (the default) or :func:`reparam_grad_mu`.
     With ``shared_batch=False`` (the default) the two factors use independent
     batches of sizes N and M and the estimate is unbiased.  With
     ``shared_batch=True`` one batch of size N feeds both factors -- a biased
-    negative control for gradient validation.
+    negative control for gradient validation.  Returns shape (replicates, p).
     """
-    if shared_batch:
-        draws, ys = _joint_sample(prob, x, backend, rng, prob.N)
-        mu_hat = prob.g.value(x, ys).mean(axis=0)
-        grad_mu = _grad_mu_from(prob, x, draws, ys)
-    else:
-        mu_hat = estimate_mu(prob, x, backend, rng)
-        grad_mu = estimate_grad_mu(prob, x, backend, rng)
-    return 2.0 * (mu_hat - prob.g_star) @ grad_mu
+    mu_hat, jac = _mu_and_jacobian(prob, x, backend, rng, replicates,
+                                   grad_mu or estimate_grad_mu, shared_batch)
+    return np.matmul((2.0 * (mu_hat - prob.g_star))[:, None, :], jac)[:, 0]
 
 
 def _descend(prob, backend, rng, grad_mu_fn):
@@ -153,10 +189,9 @@ def _descend(prob, backend, rng, grad_mu_fn):
     objectives = np.empty(prob.T)
     n_done = 0
     for t in range(1, prob.T + 1):
-        mu_hat = estimate_mu(prob, x, backend, rng)
-        grad_mu = grad_mu_fn(prob, x, backend, rng)
-        resid = mu_hat - prob.g_star
-        gJ = 2.0 * resid @ grad_mu
+        mu_hat, grad_mu = _mu_and_jacobian(prob, x, backend, rng, 1, grad_mu_fn, False)
+        resid = mu_hat[0] - prob.g_star
+        gJ = 2.0 * resid @ grad_mu[0]
         if not np.all(np.isfinite(gJ)):
             raise NonFiniteGradientError(
                 "non-finite gradient estimate at iteration %d" % t, iteration=t, x=x.copy()
@@ -169,7 +204,8 @@ def _descend(prob, backend, rng, grad_mu_fn):
         if prob.early_stop_tol is not None and t >= prob.smooth_window:
             if objectives[t - prob.smooth_window : t].mean() < prob.early_stop_tol:
                 break
-    mu_final = estimate_mu(prob, x, backend, rng)
+    _, ys = _joint_sample(prob, x, backend, rng, prob.N)
+    mu_final = estimate_mu(prob, x, ys[None])[0]
     return AttackTrace(
         iterates=np.asarray(iterates),
         objectives=objectives[:n_done],

@@ -22,7 +22,11 @@ all of those draws: :func:`delta_level` scores the concatenated batch with one
 :func:`ratio_grad` forms every full-batch and half-batch ratio by segment
 reductions.  Batching changes no random draw, so a seed gives the same levels,
 draws and sample costs as a pair-by-pair evaluation, and the same gradients up
-to summation order.
+to summation order.  A call for K replicate gradients repeats that order K
+times and scores the pairs of all K in the same single pass; its gradients
+equal those of K successive one-replicate calls bit for bit.  (Gray-box
+mixtures agree to round-off only: a member can get a single row in one call,
+and numpy scores a one-row batch through BLAS ``dot``, not ``gemv``.)
 """
 
 from __future__ import annotations
@@ -199,26 +203,32 @@ def delta_level(model, x, ys, levels, draws, config):
     return delta
 
 
-def mlmc_grad(model, x, appd, config, backend, rng):
-    """Randomised multilevel estimate of the cross-entropy gradient at ``x``.
+def mlmc_grad(model, x, appd, config, backend, rng, replicates=1):
+    """Randomised multilevel estimates of the cross-entropy gradient at ``x``.
 
-    Averages ``R`` single-level draws ``delta_level / P(level)`` per predictive
-    outcome and ``B`` outcomes sampled from the adversarial target.  Returns
-    ``(grad, levels, draws)``: the gradient, the level of each (outcome,
-    repeat) pair in draw order, and the number of posterior draws consumed.
+    Each estimate averages ``R`` single-level draws ``delta_level / P(level)``
+    per predictive outcome and ``B`` outcomes sampled from the adversarial
+    target.  Replicate after replicate consumes the stream exactly as that
+    many successive one-replicate calls would; one :func:`delta_level` call
+    then scores the pairs of every replicate.  Returns ``(grads, levels,
+    draws)``: the gradients, shape ``(replicates, dim)``, the level of each
+    (outcome, repeat) pair in draw order, and the number of posterior draws
+    consumed.
     """
-    ys = np.atleast_1d(appd.sample(config.B, rng))
-    levels, probs, batches = [], [], []
-    for _ in range(config.B * config.R):  # the stream order: a level, then its draws
-        level, prob = _sample_level(config, rng)
-        levels.append(level)
-        probs.append(prob)
-        batches.append(backend.draw(config.M0 << level, rng))
+    ys, levels, probs, batches = [], [], [], []
+    for _ in range(replicates):
+        ys.append(np.atleast_1d(appd.sample(config.B, rng)))
+        for _ in range(config.B * config.R):  # the stream order: a level, then its draws
+            level, prob = _sample_level(config, rng)
+            levels.append(level)
+            probs.append(prob)
+            batches.append(backend.draw(config.M0 << level, rng))
     draws = type(batches[0]).concat(batches)
-    deltas = delta_level(model, x, np.repeat(ys, config.R), levels, draws, config)
-    terms = (deltas / np.asarray(probs)[:, None]).reshape(config.B, config.R, -1)
-    grad = (terms.sum(axis=1) / config.R).sum(axis=0) / config.B
-    return grad, levels, len(draws)
+    deltas = delta_level(model, x, np.repeat(np.concatenate(ys), config.R), levels, draws,
+                         config)
+    terms = (deltas / np.asarray(probs)[:, None]).reshape(replicates, config.B, config.R, -1)
+    grads = (terms.sum(axis=2) / config.R).sum(axis=1) / config.B
+    return grads, levels, len(draws)
 
 
 def expected_samples_per_iter(config: MlmcConfig):
@@ -272,7 +282,8 @@ def run_ppd_attack(model, appd, config, backend, rng) -> AttackTrace:
     levels_used = []
     sample_cost = []
     for t in range(1, config.T + 1):
-        grad, levels, cost = mlmc_grad(model, x, appd, config, backend, rng)
+        grads, levels, cost = mlmc_grad(model, x, appd, config, backend, rng)
+        grad = grads[0]
         if not np.all(np.isfinite(grad)):
             raise NonFiniteGradientError(
                 "non-finite multilevel gradient at iteration %d" % t, iteration=t, x=x.copy()

@@ -237,6 +237,8 @@ class GradCheckSpec(_Spec):
             raise ValueError("batch sizes must be >= 2")
         if self.z_threshold <= 0:
             raise ValueError("z_threshold must be positive")
+        if self.appd_var_factor <= 0:
+            raise ValueError("appd_var_factor must be positive")
 
 
 @dataclass
@@ -274,6 +276,8 @@ class EntropySpec(_Spec):
             raise ValueError("need n_classes >= 2 and dim >= 2")
         if self.norm not in NORMS:
             raise ValueError("entropy.norm must be one of %s" % (NORMS,))
+        if self.n_id < 1 or self.n_ood < 1:
+            raise ValueError("entropy.n_id and entropy.n_ood must be >= 1")
         grid = tuple(float(e) for e in self.eps_grid)
         if not grid or grid[0] != 0.0 or list(grid) != sorted(grid):
             raise ValueError("entropy.eps_grid must start at 0 and be nondecreasing")

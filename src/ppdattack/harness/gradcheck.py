@@ -14,6 +14,13 @@ pass/fail at a configurable |z| threshold.  A deliberately biased variant
 (the two factors of the product estimator fed from one shared batch, at a
 small batch size) serves as a negative control: validation only counts if the
 broken estimator is actually flagged.
+
+Replicates are computed in chunks of ``CHUNK``: one :func:`grad_J` or
+:func:`mlmc_grad` call per chunk draws each replicate's randomness in turn,
+exactly as that many one-replicate calls would, then scores the whole chunk
+in one pass.  The samples are therefore bit-identical to a per-replicate loop
+whatever the chunk size; the chunk only bounds how many draws are held at
+once.
 """
 
 from __future__ import annotations
@@ -21,18 +28,14 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
+from itertools import cycle, repeat
 
 import numpy as np
 
 from ..analytic import kl_normal_ppd_grad
 from ..attacks.feasible import FeasibleSet
 from ..attacks.functionals import response_functional
-from ..attacks.point import (
-    PointAttackProblem,
-    estimate_mu,
-    grad_J,
-    reparam_grad_mu,
-)
+from ..attacks.point import PointAttackProblem, grad_J, reparam_grad_mu
 from ..attacks.ppd import NormalAppd, mlmc_grad
 from ..attacks.trace import format_float
 from ..bayes.backends import ExactConjugate
@@ -44,6 +47,11 @@ from .sep import mlmc_config
 
 POSITIVE_ESTIMATORS = ("score", "reparam", "mlmc")
 CONTROL_ESTIMATOR = "score-shared-batch"
+# Replicates per estimator call: large enough that per-call overhead vanishes,
+# small enough that a chunk's draws and scores stay within the memory of
+# the per-replicate loop.
+CHUNK = 250
+CSV_SLICE = 1000  # replicates per writerows call in the samples CSV
 
 
 @dataclass(frozen=True)
@@ -107,10 +115,9 @@ def _checks_for(estimator, role, draws, oracle, threshold):
     return out
 
 
-def _grad_J_reparam(prob, x, backend, rng):
-    mu_hat = estimate_mu(prob, x, backend, rng)
-    grad_mu = reparam_grad_mu(prob, x, backend, rng)
-    return 2.0 * (mu_hat - prob.g_star) @ grad_mu
+def _replicated(estimate, reps):
+    """``reps`` replicate gradients from ``estimate(k)`` calls of at most CHUNK each."""
+    return np.concatenate([estimate(min(CHUNK, reps - i)) for i in range(0, reps, CHUNK)])
 
 
 def build_testbed(spec: GradCheckSpec, data_rng):
@@ -150,10 +157,11 @@ def validate_gradients(spec: GradCheckSpec) -> GradCheckReport:
 
     reps = spec.replicates
     samples = {
-        "score": np.stack([grad_J(prob, x0, backend, rng_score) for _ in range(reps)]),
-        "reparam": np.stack([_grad_J_reparam(prob, x0, backend, rng_reparam) for _ in range(reps)]),
-        "mlmc": np.stack([mlmc_grad(model, x0, appd, cfg_m, backend, rng_mlmc)[0]
-                          for _ in range(reps)]),
+        "score": _replicated(lambda k: grad_J(prob, x0, backend, rng_score, k), reps),
+        "reparam": _replicated(
+            lambda k: grad_J(prob, x0, backend, rng_reparam, k, reparam_grad_mu), reps),
+        "mlmc": _replicated(
+            lambda k: mlmc_grad(model, x0, appd, cfg_m, backend, rng_mlmc, k)[0], reps),
     }
     oracles = {"score": point_oracle, "reparam": point_oracle, "mlmc": mlmc_oracle}
 
@@ -166,9 +174,8 @@ def validate_gradients(spec: GradCheckSpec) -> GradCheckReport:
             g=response_functional(), g_star=np.array([spec.target]), model=model,
             feasible=feasible, N=spec.control_batch, M=spec.control_batch,
         )
-        ctrl = np.stack(
-            [grad_J(prob_ctrl, x0, backend, rng_control, shared_batch=True) for _ in range(reps)]
-        )
+        ctrl = _replicated(
+            lambda k: grad_J(prob_ctrl, x0, backend, rng_control, k, shared_batch=True), reps)
         samples[CONTROL_ESTIMATOR] = ctrl
         oracles[CONTROL_ESTIMATOR] = point_oracle
         checks.extend(_checks_for(CONTROL_ESTIMATOR, "control", ctrl, point_oracle, spec.z_threshold))
@@ -201,10 +208,16 @@ def write_gradcheck_samples_csv(report: GradCheckReport, path):
         w = csv.writer(fh)
         w.writerow(["estimator", "replicate", "coordinate", "value", "analytic"])
         for name, arr in report.samples.items():
-            oracle = report.oracles[name]
-            for r in range(arr.shape[0]):
-                for j in range(arr.shape[1]):
-                    w.writerow([name, r, j, format_float(arr[r, j]), format_float(oracle[j])])
+            arr = np.asarray(arr, dtype=float)
+            dim = arr.shape[1]
+            # csv writes a Python float as its repr, as format_float does; the
+            # few analytic values are formatted once.
+            oracle = [format_float(v) for v in report.oracles[name]]
+            for start in range(0, arr.shape[0], CSV_SLICE):
+                block = arr[start:start + CSV_SLICE]
+                rows = np.repeat(np.arange(start, start + len(block)), dim).tolist()
+                w.writerows(zip(repeat(name), rows, cycle(range(dim)), block.ravel().tolist(),
+                                cycle(oracle)))
 
 
 def run_gradcheck(spec: GradCheckSpec, write_samples=True):

@@ -173,7 +173,7 @@ def _attack_point_instance(strategy, cfg, defender, x0, g_star, eps, rng):
     if strategy == "sgd":
         return run_point_attack(prob, defender.backend, rng).final_x
     if strategy == "fgsm":
-        gJ = grad_J(prob, x0, defender.backend, rng)
+        gJ = grad_J(prob, x0, defender.backend, rng)[0]
         return fgsm_like(x0, gJ, eps, norm=cfg.attack.norm)
     raise ValueError("unknown strategy %r" % strategy)
 
@@ -198,7 +198,7 @@ def _attack_ppd_instance(strategy, cfg, defender, x0, appd, eps, rng):
         return run_ppd_attack(defender.likelihood, appd, cfg_m, defender.backend, rng).final_x
     if strategy == "fgsm":
         g, _, _ = mlmc_grad(defender.likelihood, x0, appd, cfg_m, defender.backend, rng)
-        return fgsm_like(x0, g, eps, norm=cfg.attack.norm)
+        return fgsm_like(x0, g[0], eps, norm=cfg.attack.norm)
     raise ValueError("unknown strategy %r" % strategy)
 
 

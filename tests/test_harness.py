@@ -20,6 +20,7 @@ from scipy import stats
 from ppdattack.attacks.feasible import FeasibleSet
 from ppdattack.attacks.ppd import MlmcConfig, _objective_estimate
 from ppdattack.bayes.conjugate import GaussianPosterior, NigPosterior, ppd_normal_params
+from ppdattack.harness import gradcheck
 from ppdattack.harness.config import (
     AttackSpec,
     DatasetSpec,
@@ -178,6 +179,17 @@ def test_entropy_and_gradcheck_spec_validation():
         GradCheckSpec.from_dict({"replicates": 50})
     with pytest.raises(ValueError, match="z_threshold"):
         GradCheckSpec.from_dict({"z_threshold": -1.0})
+
+
+def test_specs_reject_empty_populations_and_a_nonpositive_target_variance():
+    # Caught at load: an empty population would average into NaN entropies,
+    # and a nonpositive variance factor would fail later inside NormalAppd.
+    for field in ("n_id", "n_ood"):
+        with pytest.raises(ValueError, match=field):
+            EntropySpec.from_dict({field: 0})
+    for factor in (0.0, -1.0):
+        with pytest.raises(ValueError, match="appd_var_factor"):
+            GradCheckSpec.from_dict({"appd_var_factor": factor})
 
 
 @pytest.mark.parametrize("mlmc, field", [({"eta": 0.0}, "mlmc.eta"), ({"eta": -0.1}, "mlmc.eta"),
@@ -617,6 +629,18 @@ def test_validate_gradients_small_run_passes():
         draws = report.samples[c.estimator][:, c.coordinate]
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert c.z == pytest.approx((draws.mean() - c.analytic) / se)
+
+
+def test_chunk_size_leaves_the_samples_unchanged(monkeypatch):
+    spec = GradCheckSpec(seed=3, replicates=600, N=16, M=16, mlmc=MlmcSpec(Lmax=2, B=1))
+    monkeypatch.setattr(gradcheck, "CHUNK", 7)
+    small = validate_gradients(spec).samples
+    monkeypatch.setattr(gradcheck, "CHUNK", 10_000)
+    whole = validate_gradients(spec).samples
+    assert list(small) == list(whole) == ["score", "reparam", "mlmc", "score-shared-batch"]
+    for name in small:
+        assert small[name].shape == (600, 2)
+        assert np.array_equal(small[name], whole[name])
 
 
 def test_gradcheck_pass_logic_requires_control_detection():

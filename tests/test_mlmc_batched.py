@@ -121,8 +121,8 @@ def reference_grad_info(model, x, appd, config, backend, rng):
 
 def assert_matches_reference(model, backend, appd, config, seed):
     x = config.feasible.center
-    grad, levels, cost = mlmc_grad(model, x, appd, config, backend,
-                                   np.random.default_rng(seed))
+    (grad,), levels, cost = mlmc_grad(model, x, appd, config, backend,
+                                      np.random.default_rng(seed))
     want, want_levels, want_cost, scale = reference_grad_info(
         model, x, appd, config, backend, np.random.default_rng(seed))
     assert list(levels) == want_levels

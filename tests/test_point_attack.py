@@ -52,6 +52,23 @@ def problem(x0, eps=1.0, norm="l2", **kw):
                               feasible=FeasibleSet(x0, eps, norm), **kw)
 
 
+def joint_batches(prob, x, backend, rng, count, replicates=1):
+    """Per replicate, ``count`` posterior draws and their outcomes, drawn in turn.
+
+    Returns the draws concatenated and the outcomes as a (replicates, count)
+    array: the arguments of the estimators' arithmetic.
+    """
+    draws, ys = [], []
+    for _ in range(replicates):
+        draws.append(backend.draw(count, rng))
+        ys.append(prob.model.sample_y(x, draws[-1], rng))
+    return DrawBatch.concat(draws), np.stack(ys)
+
+
+def mu_estimates(prob, x, backend, rng, replicates=1):
+    return estimate_mu(prob, x, joint_batches(prob, x, backend, rng, prob.N, replicates)[1])
+
+
 # ---------------------------------------------------------------------------
 # estimate_mu
 # ---------------------------------------------------------------------------
@@ -60,7 +77,7 @@ def test_estimate_mu_matches_predictive_mean(testbed):
     post, backend, mu_n, x0 = testbed
     prob = problem(x0, N=100_000)
     rng = np.random.default_rng(1)
-    est = estimate_mu(prob, x0, backend, rng)
+    est = mu_estimates(prob, x0, backend, rng)[0]
     # SE of the mean of N predictive draws, using the exact predictive variance.
     lam_inv_x = np.linalg.solve(post.lambda_n, x0)
     pred_var = x0 @ lam_inv_x + post.sigma2
@@ -73,8 +90,8 @@ def test_constant_functional_is_exact(testbed):
     g_const = Functional(lambda x, ys: np.full((np.asarray(ys).size, 1), 4.25), 1)
     prob = PointAttackProblem(g_const, [0.0], GaussianLinear(2),
                               FeasibleSet(x0, 1.0, "l2"), N=3)
-    est = estimate_mu(prob, x0, backend, np.random.default_rng(0))
-    assert est[0] == 4.25
+    est = mu_estimates(prob, x0, backend, np.random.default_rng(0))
+    assert est[0, 0] == 4.25
 
 
 def test_single_draw_estimates_average_out(testbed):
@@ -82,10 +99,10 @@ def test_single_draw_estimates_average_out(testbed):
     rng = np.random.default_rng(2)
     one = PointAttackProblem(response_functional(), [TARGET], GaussianLinear(2),
                              FeasibleSet(x0, 1.0, "l2"), N=1)
-    singles = np.array([estimate_mu(one, x0, backend, rng)[0] for _ in range(10_000)])
+    singles = mu_estimates(one, x0, backend, rng, 10_000)[:, 0]
     big = PointAttackProblem(response_functional(), [TARGET], GaussianLinear(2),
                              FeasibleSet(x0, 1.0, "l2"), N=10_000)
-    pooled = estimate_mu(big, x0, backend, rng)[0]
+    pooled = mu_estimates(big, x0, backend, rng)[0, 0]
     se = singles.std(ddof=1) / np.sqrt(singles.size)
     # Both estimate the same mean; their difference has SE*sqrt(2) at most.
     assert abs(singles.mean() - pooled) <= 3.0 * np.sqrt(2.0) * se
@@ -99,7 +116,8 @@ def test_grad_mu_matches_posterior_mean(testbed):
     _, backend, mu_n, x0 = testbed
     prob = problem(x0, M=16)
     rng = np.random.default_rng(3)
-    reps = np.array([estimate_grad_mu(prob, x0, backend, rng)[0] for _ in range(10_000)])
+    draws, ys = joint_batches(prob, x0, backend, rng, prob.M, 10_000)
+    reps = estimate_grad_mu(prob, x0, draws, ys)[:, 0]
     se = reps.std(axis=0, ddof=1) / np.sqrt(reps.shape[0])
     assert np.all(np.abs(reps.mean(axis=0) - mu_n) <= 3.0 * se)
 
@@ -109,7 +127,8 @@ def test_grad_mu_of_covariate_functional_is_identity(testbed):
     prob = PointAttackProblem(covariate_functional(2), np.zeros(2), GaussianLinear(2),
                               FeasibleSet(x0, 1.0, "l2"), M=32)
     rng = np.random.default_rng(4)
-    reps = np.array([estimate_grad_mu(prob, x0, backend, rng) for _ in range(2_000)])
+    draws, ys = joint_batches(prob, x0, backend, rng, prob.M, 2_000)
+    reps = estimate_grad_mu(prob, x0, draws, ys)
     se = reps.std(axis=0, ddof=1) / np.sqrt(reps.shape[0])
     # The score term has mean zero, leaving only grad_x g = I.
     assert np.all(np.abs(reps.mean(axis=0) - np.eye(2)) <= 3.0 * se + 1e-12)
@@ -121,7 +140,8 @@ def test_grad_mu_of_constant_is_zero(testbed):
     prob = PointAttackProblem(g_const, [0.0], GaussianLinear(2),
                               FeasibleSet(x0, 1.0, "l2"), M=32)
     rng = np.random.default_rng(5)
-    reps = np.array([estimate_grad_mu(prob, x0, backend, rng)[0] for _ in range(2_000)])
+    draws, ys = joint_batches(prob, x0, backend, rng, prob.M, 2_000)
+    reps = estimate_grad_mu(prob, x0, draws, ys)[:, 0]
     se = reps.std(axis=0, ddof=1) / np.sqrt(reps.shape[0])
     assert np.all(np.abs(reps.mean(axis=0)) <= 3.0 * se)
 
@@ -135,7 +155,7 @@ def test_grad_J_unbiased_against_analytic(testbed):
     prob = problem(x0, N=16, M=16)
     oracle = 2.0 * (mu_n @ x0 - TARGET) * mu_n
     rng = np.random.default_rng(6)
-    reps = np.array([grad_J(prob, x0, backend, rng) for _ in range(10_000)])
+    reps = grad_J(prob, x0, backend, rng, 10_000)
     se = reps.std(axis=0, ddof=1) / np.sqrt(reps.shape[0])
     assert np.all(np.abs(reps.mean(axis=0) - oracle) <= 3.0 * se)
 
@@ -147,7 +167,7 @@ def test_grad_J_vanishes_at_exact_solution(testbed):
     x_star = x0 + sol.r_star
     prob = problem(x0, eps=2.0, N=16, M=16)
     rng = np.random.default_rng(9)
-    reps = np.array([grad_J(prob, x_star, backend, rng) for _ in range(4_000)])
+    reps = grad_J(prob, x_star, backend, rng, 4_000)
     se = reps.std(axis=0, ddof=1) / np.sqrt(reps.shape[0])
     assert np.all(np.abs(reps.mean(axis=0)) <= 3.0 * se)
 
@@ -161,13 +181,12 @@ def test_shared_batch_is_biased_control(testbed):
     prob = problem(x0, N=2, M=2)
     oracle = 2.0 * (mu_n @ x0 - TARGET) * mu_n
     rng = np.random.default_rng(123)
-    shared = np.array([grad_J(prob, x0, backend, rng, shared_batch=True)
-                       for _ in range(20_000)])
+    shared = grad_J(prob, x0, backend, rng, 20_000, shared_batch=True)
     se = shared.std(axis=0, ddof=1) / np.sqrt(shared.shape[0])
     z_shared = (shared.mean(axis=0) - oracle) / se
     assert np.max(np.abs(z_shared)) > 4.0
 
-    indep = np.array([grad_J(prob, x0, backend, rng) for _ in range(20_000)])
+    indep = grad_J(prob, x0, backend, rng, 20_000)
     se = indep.std(axis=0, ddof=1) / np.sqrt(indep.shape[0])
     z_indep = (indep.mean(axis=0) - oracle) / se
     assert np.max(np.abs(z_indep)) <= 3.0
@@ -259,7 +278,7 @@ def test_problem_validation(testbed):
 
 def per_sample(estimator, prob, x, backend, rng, n=20_000):
     """n one-draw Jacobian estimates (prob.M == 1): per-sample contributions, stacked."""
-    return np.stack([estimator(prob, x, backend, rng)[0] for _ in range(n)])
+    return estimator(prob, x, *joint_batches(prob, x, backend, rng, prob.M, n))[:, 0]
 
 
 def test_reparam_agrees_with_score_estimator(testbed):
@@ -289,8 +308,9 @@ def test_reparam_deterministic_limit(testbed):
     _, _, mu_n, x0 = testbed
     bank = SampleBank(DrawBatch(mu_n[None, :], np.array([1e-12])))
     prob = problem(x0, M=64)
-    est = reparam_grad_mu(prob, x0, bank, np.random.default_rng(57))
-    assert np.allclose(est[0], mu_n, atol=1e-12)
+    est = reparam_grad_mu(prob, x0, *joint_batches(prob, x0, bank, np.random.default_rng(57),
+                                                     prob.M))
+    assert np.allclose(est[0, 0], mu_n, atol=1e-12)
 
 
 def quadratic_functional():
@@ -330,7 +350,7 @@ def test_reparam_draws_outcomes_through_sample_y(testbed, M, seed, quadratic, ba
     prob = PointAttackProblem(g, np.zeros(g.out_dim), GaussianLinear(2),
                               FeasibleSet(x0, 1.0, "l2"), M=M)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = reparam_grad_mu(prob, x0, backend, ours)
+    got = reparam_grad_mu(prob, x0, *joint_batches(prob, x0, backend, ours, M))[0]
     want = reference_reparam_grad_mu(prob, x0, backend, theirs)
     assert np.array_equal(got, want)
     assert ours.random() == theirs.random()

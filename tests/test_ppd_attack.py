@@ -225,8 +225,7 @@ def test_mlmc_matches_closed_form_kl_gradient(testbed):
     oracle = kl_normal_ppd_grad(appd, post, x)
     cfg = config(x, M0=8, tau=1.5, R=2, Lmax=6)
     rng = np.random.default_rng(73)
-    reps = np.array([mlmc_grad(model, x, appd, cfg, backend, rng)[0]
-                     for _ in range(20_000)])
+    reps = mlmc_grad(model, x, appd, cfg, backend, rng, 20_000)[0]
     se = reps.std(axis=0, ddof=1) / np.sqrt(reps.shape[0])
     assert np.all(np.abs(reps.mean(axis=0) - oracle) <= 3.0 * se)
 
@@ -239,8 +238,7 @@ def test_mlmc_mean_zero_at_stationary_point(testbed):
     assert kl_normal_ppd(appd, post, x) == 0.0
     cfg = config(x, M0=8)
     rng = np.random.default_rng(74)
-    reps = np.array([mlmc_grad(model, x, appd, cfg, backend, rng)[0]
-                     for _ in range(5_000)])
+    reps = mlmc_grad(model, x, appd, cfg, backend, rng, 5_000)[0]
     se = reps.std(axis=0, ddof=1) / np.sqrt(reps.shape[0])
     assert np.all(np.abs(reps.mean(axis=0)) <= 3.0 * se)
 
@@ -254,8 +252,7 @@ def test_single_level_degenerates_to_plugin_ratio(testbed):
     appd = NormalAppd(m0, 4.0 * v0)
     cfg = config(x, M0=8, Lmax=0, R=1)
     rng = np.random.default_rng(76)
-    mlmc = np.array([mlmc_grad(model, x, appd, cfg, backend, rng)[0]
-                     for _ in range(6_000)])
+    mlmc = mlmc_grad(model, x, appd, cfg, backend, rng, 6_000)[0]
     rng = np.random.default_rng(77)
     plain = np.array([
         plug_in(model, x, appd.sample(1, rng)[0], backend.draw(8, rng))

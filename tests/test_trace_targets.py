@@ -9,11 +9,13 @@ here too.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from ppdattack.bayes.likelihoods import GaussianLinear
+from ppdattack.harness import gradcheck
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
@@ -48,3 +50,21 @@ def test_workload_fires_every_required_span(name, tmp_path):
         workload.run(inputs)
     missing = set(workload.spans) - {s.name for s in t.spans}
     assert not missing, "spans that never fired: %s" % sorted(missing)
+
+
+def test_gradcheck_draws_per_replicate_and_scores_per_chunk(tmp_path, monkeypatch):
+    tracer, workloads = _perfbench("tracer"), _perfbench("workloads")
+    workload = workloads.WORKLOADS["gradcheck"]
+    spec = workload.build(0, "tiny", str(tmp_path))
+    monkeypatch.setattr(gradcheck, "CHUNK", 30)
+    with tracer.Tracer() as t:
+        workload.run(spec)
+    calls = Counter(s.name for s in t.spans)
+    # Per replicate: an N- and an M-batch for the score and the reparameterised
+    # estimators, one shared batch for the control, B * R batches for MLMC.
+    per_replicate = 2 + 2 + 1 + spec.mlmc.B * spec.mlmc.R
+    assert per_replicate == 7 and spec.replicates == 100
+    assert calls["bayes.backends.ExactConjugate.draw"] == 7 * 100
+    chunks = 4  # 100 replicates in chunks of 30
+    assert calls["bayes.likelihoods.GaussianLinear.loglik"] == chunks  # MLMC only
+    assert calls["bayes.likelihoods.GaussianLinear.score_x"] == 3 * chunks  # score, control, MLMC
