@@ -19,7 +19,6 @@ from .point import (
     grad_J,
     reparam_grad_mu,
     run_point_attack,
-    run_point_attack_reparam,
 )
 from .ppd import (
     CategoricalAppd,
@@ -63,7 +62,6 @@ __all__ = [
     "reparam_grad_mu",
     "response_functional",
     "run_point_attack",
-    "run_point_attack_reparam",
     "run_ppd_attack",
     "simulate_sample_cost",
 ]

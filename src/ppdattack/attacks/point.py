@@ -14,6 +14,12 @@ for its gradient (which combines the functional's own covariate gradient with
 a score-function term).  Reusing a single batch for both factors is provided
 only as a deliberately biased diagnostic mode.
 
+The Jacobian factor has two estimators, passed as ``grad_mu`` to both
+:func:`grad_J` and the attack loop :func:`run_point_attack`:
+:func:`estimate_grad_mu` (score function, any likelihood; the default) and
+:func:`reparam_grad_mu` (differentiates through the outcome draw; Gaussian
+linear likelihoods only).
+
 Drawing and arithmetic are separate steps.  :func:`grad_J` draws, replicate
 by replicate, the posterior draws and predictive outcomes of each batch
 (``backend.draw`` then ``model.sample_y``); :func:`estimate_mu`,
@@ -183,15 +189,22 @@ def grad_J(prob, x, backend, rng, replicates=1, grad_mu=None, shared_batch=False
     return np.matmul((2.0 * (mu_hat - prob.g_star))[:, None, :], jac)[:, 0]
 
 
-def _descend(prob, backend, rng, grad_mu_fn):
+def run_point_attack(prob, backend, rng, grad_mu=None) -> AttackTrace:
+    """Projected SGD on the point-attack objective.
+
+    ``grad_mu`` estimates the Jacobian factor of each step's gradient, as in
+    :func:`grad_J`: :func:`estimate_grad_mu` (score function, the default) or
+    :func:`reparam_grad_mu` (reparameterised, Gaussian linear only).
+    """
+    grad_mu = grad_mu or estimate_grad_mu
     x = prob.feasible.center.astype(float).copy()
     iterates = [x.copy()]
     objectives = np.empty(prob.T)
     n_done = 0
     for t in range(1, prob.T + 1):
-        mu_hat, grad_mu = _mu_and_jacobian(prob, x, backend, rng, 1, grad_mu_fn, False)
+        mu_hat, jac = _mu_and_jacobian(prob, x, backend, rng, 1, grad_mu, False)
         resid = mu_hat[0] - prob.g_star
-        gJ = 2.0 * resid @ grad_mu[0]
+        gJ = 2.0 * resid @ jac[0]
         if not np.all(np.isfinite(gJ)):
             raise NonFiniteGradientError(
                 "non-finite gradient estimate at iteration %d" % t, iteration=t, x=x.copy()
@@ -212,14 +225,3 @@ def _descend(prob, backend, rng, grad_mu_fn):
         final_x=x,
         final_residual=float(np.linalg.norm(mu_final - prob.g_star)),
     )
-
-
-def run_point_attack(prob, backend, rng) -> AttackTrace:
-    """Projected SGD on the point-attack objective with score-function gradients."""
-    return _descend(prob, backend, rng, estimate_grad_mu)
-
-
-def run_point_attack_reparam(prob, backend, rng) -> AttackTrace:
-    """Projected SGD using the reparameterised gradient (Gaussian linear only)."""
-    require_gaussian_linear(prob.model)
-    return _descend(prob, backend, rng, reparam_grad_mu)

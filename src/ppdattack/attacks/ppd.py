@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bayes.likelihoods import logsumexp
+from ..bayes.likelihoods import _sample_categorical, logsumexp, normal_logpdf, normal_sample
 from ..exceptions import DegenerateLikelihoodError, NonFiniteGradientError
 from .feasible import FeasibleSet
 from .trace import AttackTrace
@@ -53,11 +53,10 @@ class NormalAppd:
             raise ValueError("var must be positive")
 
     def sample(self, size, rng):
-        return self.mean + np.sqrt(self.var) * rng.standard_normal(size)
+        return normal_sample(self.mean, self.var, size, rng)
 
     def logpdf(self, y):
-        y = np.asarray(y, dtype=float)
-        return -0.5 * np.log(2.0 * np.pi * self.var) - (y - self.mean) ** 2 / (2.0 * self.var)
+        return normal_logpdf(np.asarray(y, dtype=float), self.mean, self.var)
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,7 @@ class CategoricalAppd:
         object.__setattr__(self, "probs", probs)
 
     def sample(self, size, rng):
-        u = rng.random(size)[:, None]
-        return (np.cumsum(self.probs)[None, :] < u).sum(axis=1).astype(float)
+        return _sample_categorical(np.broadcast_to(self.probs, (size, self.probs.size)), rng)
 
     def logpdf(self, y):
         y = np.asarray(y).astype(int)

@@ -1,4 +1,4 @@
-"""Attack trace records and their CSV serialisation."""
+"""Attack trace records, and the CSV writer every output file goes through."""
 
 from __future__ import annotations
 
@@ -12,6 +12,14 @@ def format_float(v):
     """A CSV cell for a number: the repr of a Python float round-trips exactly,
     keeping CSV output bit-identical across reruns with the same seed."""
     return repr(float(v))
+
+
+def write_csv(path, header, rows):
+    """Write a header row, then ``rows`` (any iterable of cell sequences)."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 @dataclass
@@ -45,20 +53,13 @@ class AttackTrace:
         for multilevel runs.  Row 0 is the initial point with an empty
         objective cell.
         """
-        p = self.iterates.shape[1]
-        mlmc = self.levels_used is not None
-        header = ["iteration", "objective"] + ["x_%d" % j for j in range(p)]
-        if mlmc:
+        header = ["iteration", "objective"] + ["x_%d" % j for j in range(self.iterates.shape[1])]
+        objectives = [""] + [format_float(v) for v in self.objectives]
+        rows = [[t, objectives[t]] + [format_float(v) for v in x]
+                for t, x in enumerate(self.iterates)]
+        if self.levels_used is not None:
             header += ["levels", "draws"]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for t in range(self.iterates.shape[0]):
-                obj = "" if t == 0 else format_float(self.objectives[t - 1])
-                row = [t, obj] + [format_float(v) for v in self.iterates[t]]
-                if mlmc:
-                    if t == 0:
-                        row += ["", ""]
-                    else:
-                        row += [self.levels_used[t - 1], int(self.sample_cost[t - 1])]
-                w.writerow(row)
+            rows[0] += ["", ""]
+            for row, levels, cost in zip(rows[1:], self.levels_used, self.sample_cost):
+                row += [levels, int(cost)]
+        write_csv(path, header, rows)

@@ -93,12 +93,6 @@ class NigPosterior:
         """Lower Cholesky factor of inv(Lambda_n)."""
         return np.linalg.cholesky(spd_inverse(self.lambda_n, "Lambda_n"))
 
-    def expected_sigma2(self):
-        """Posterior mean of the noise variance, b_n / (a_n - 1); needs a_n > 1."""
-        if self.a_n <= 1:
-            raise ValueError("E[sigma^2] undefined for a_n <= 1")
-        return self.b_n / (self.a_n - 1.0)
-
 
 @dataclass(frozen=True)
 class GaussianPosterior:

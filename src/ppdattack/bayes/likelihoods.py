@@ -12,6 +12,12 @@ Every method takes a ``DrawBatch`` and returns one row per draw; a single draw
 is a one-row batch.  ``y`` may be a scalar (evaluated under every draw) or
 one value per draw.
 
+Each outcome law is written once, as a module-level head the families (and
+the attack targets) call on their per-draw outputs: ``normal_*`` on a mean
+and variance, ``categorical_*`` on class logits.  A score head applies the
+chain rule through the family's output Jacobian ``jac``.  ``BernoulliLogit``
+keeps its own law, which nothing else uses.
+
 Every softmax and log-normaliser in the library goes through this module's
 :func:`logsumexp`.  ``scipy.special.logsumexp`` is generic over array APIs;
 on the small arrays passed here (192 draws by 3 classes in the attacks,
@@ -83,9 +89,42 @@ def _labels(y, m, n_classes):
 
 
 def _sample_categorical(probs, rng):
-    # Inverse-CDF sampling, one row of class probabilities per draw.
+    """One inverse-CDF class draw per row of an (m, k) probability array, as floats."""
     u = rng.random(probs.shape[0])[:, None]
-    return (np.cumsum(probs, axis=1) < u).sum(axis=1)
+    return (np.cumsum(probs, axis=1) < u).sum(axis=1).astype(float)
+
+
+def normal_logpdf(y, mean, var):
+    """Log density of ``y`` under N(mean, var), elementwise."""
+    # The quadratic term may overflow to inf for tiny var; -inf is the
+    # correct log density there, so silence the overflow warning.
+    with np.errstate(over="ignore"):
+        return -0.5 * np.log(2.0 * np.pi * var) - (np.asarray(y) - mean) ** 2 / (2.0 * var)
+
+
+def normal_score(y, mean, var, jac):
+    """x-gradient of :func:`normal_logpdf` given the (m, dim) Jacobian of ``mean``."""
+    with np.errstate(over="ignore"):
+        w = (np.asarray(y) - mean) / var
+    return w[:, None] * jac
+
+
+def normal_sample(mean, var, size, rng):
+    """``size`` draws of N(mean, var) from one standard-normal block."""
+    return mean + np.sqrt(var) * rng.standard_normal(size)
+
+
+def categorical_logpmf(logits, y):
+    """Log mass of integer labels ``y`` under the softmax of (m, k) ``logits``."""
+    y = _labels(y, logits.shape[0], logits.shape[1])
+    return logits[np.arange(logits.shape[0]), y] - logsumexp(logits, axis=1)
+
+
+def categorical_score(logits, y, jac):
+    """x-gradient of :func:`categorical_logpmf` given the (m, k, dim) logit Jacobian."""
+    probs = _softmax(logits)
+    y = _labels(y, logits.shape[0], logits.shape[1])
+    return jac[np.arange(logits.shape[0]), y, :] - np.einsum("mk,mkp->mp", probs, jac)
 
 
 class GaussianLinear:
@@ -96,24 +135,15 @@ class GaussianLinear:
 
     def loglik(self, x, y, gamma):
         x = _check_x(x, self.dim)
-        mean = gamma.beta @ x
-        # The quadratic term may overflow to inf for tiny phi; -inf is the
-        # correct log likelihood there, so silence the overflow warning.
-        with np.errstate(over="ignore"):
-            return -0.5 * np.log(2.0 * np.pi * gamma.phi) - (np.asarray(y) - mean) ** 2 / (
-                2.0 * gamma.phi
-            )
+        return normal_logpdf(y, gamma.beta @ x, gamma.phi)
 
     def score_x(self, x, y, gamma):
         x = _check_x(x, self.dim)
-        mean = gamma.beta @ x
-        with np.errstate(over="ignore"):
-            w = (np.asarray(y) - mean) / gamma.phi
-        return w[:, None] * gamma.beta
+        return normal_score(y, gamma.beta @ x, gamma.phi, gamma.beta)
 
     def sample_y(self, x, gamma, rng):
         x = _check_x(x, self.dim)
-        return gamma.beta @ x + np.sqrt(gamma.phi) * rng.standard_normal(len(gamma))
+        return normal_sample(gamma.beta @ x, gamma.phi, len(gamma), rng)
 
 
 class BernoulliLogit:
@@ -179,20 +209,15 @@ class CategoricalSoftmax:
 
     def loglik(self, x, y, gamma):
         x = _check_x(x, self.dim)
-        logits = self._weights(gamma) @ x
-        y = _labels(y, len(gamma), self.n_classes)
-        return logits[np.arange(len(gamma)), y] - logsumexp(logits, axis=1)
+        return categorical_logpmf(self._weights(gamma) @ x, y)
 
     def score_x(self, x, y, gamma):
         x = _check_x(x, self.dim)
         W = self._weights(gamma)
-        logits = W @ x
-        probs = _softmax(logits)
-        y = _labels(y, len(gamma), self.n_classes)
-        return W[np.arange(len(gamma)), y, :] - np.einsum("mk,mkp->mp", probs, W)
+        return categorical_score(W @ x, y, W)
 
     def sample_y(self, x, gamma, rng):
-        return _sample_categorical(self.class_probs(x, gamma), rng).astype(float)
+        return _sample_categorical(self.class_probs(x, gamma), rng)
 
 
 class SmallBnn:
@@ -241,54 +266,37 @@ class SmallBnn:
         b2 = batch.beta[:, i : i + o]
         return W1, b1, W2, b2
 
-    def _forward(self, x, batch):
+    def _forward(self, x, batch, jacobian=False):
+        """Network outputs (m, n_out), and with ``jacobian`` their x-Jacobian (m, n_out, dim)."""
         W1, b1, W2, b2 = self._unpack(batch)
         hvals = np.tanh(W1 @ x + b1)
         out = np.einsum("moh,mh->mo", W2, hvals) + b2
-        return out, hvals, W1, W2
-
-    def _grad_out_x(self, hvals, W1, W2):
-        # d out_o / d x = W1^T diag(1 - h^2) W2_o  -> (m, n_out, dim)
+        if not jacobian:
+            return out
+        # d out_o / d x = W1^T diag(1 - h^2) W2_o
         gate = (1.0 - hvals**2)[:, None, :] * W2  # (m, o, h)
-        return np.einsum("moh,mhp->mop", gate, W1)
+        return out, np.einsum("moh,mhp->mop", gate, W1)
 
     def loglik(self, x, y, gamma):
         x = _check_x(x, self.dim)
-        out, _, _, _ = self._forward(x, gamma)
+        out = self._forward(x, gamma)
         if self.likelihood == "gaussian":
-            f = out[:, 0]
-            ll = -0.5 * np.log(2.0 * np.pi * gamma.phi) - (np.asarray(y) - f) ** 2 / (
-                2.0 * gamma.phi
-            )
-        else:
-            y = _labels(y, len(gamma), self.n_out)
-            ll = out[np.arange(len(gamma)), y] - logsumexp(out, axis=1)
-        return ll
+            return normal_logpdf(y, out[:, 0], gamma.phi)
+        return categorical_logpmf(out, y)
 
     def score_x(self, x, y, gamma):
         x = _check_x(x, self.dim)
-        out, hvals, W1, W2 = self._forward(x, gamma)
-        dout = self._grad_out_x(hvals, W1, W2)  # (m, o, p)
+        out, jac = self._forward(x, gamma, jacobian=True)
         if self.likelihood == "gaussian":
-            w = (np.asarray(y) - out[:, 0]) / gamma.phi
-            s = w[:, None] * dout[:, 0, :]
-        else:
-            y = _labels(y, len(gamma), self.n_out)
-            probs = _softmax(out)
-            resid = -probs
-            resid[np.arange(len(gamma)), y] += 1.0
-            s = np.einsum("mo,mop->mp", resid, dout)
-        return s
+            return normal_score(y, out[:, 0], gamma.phi, jac[:, 0, :])
+        return categorical_score(out, y, jac)
 
     def sample_y(self, x, gamma, rng):
         x = _check_x(x, self.dim)
-        out, _, _, _ = self._forward(x, gamma)
+        out = self._forward(x, gamma)
         if self.likelihood == "gaussian":
-            ys = out[:, 0] + np.sqrt(gamma.phi) * rng.standard_normal(len(gamma))
-        else:
-            probs = _softmax(out)
-            ys = _sample_categorical(probs, rng).astype(float)
-        return ys
+            return normal_sample(out[:, 0], gamma.phi, len(gamma), rng)
+        return _sample_categorical(_softmax(out), rng)
 
     def random_init(self, rng, scale=0.5):
         """A flat parameter vector for starting an MCMC chain."""

@@ -39,11 +39,12 @@ from ..attacks.feasible import FeasibleSet
 from ..attacks.point import run_point_attack
 from ..attacks.ppd import run_ppd_attack
 from .config import EntropySpec, ExperimentConfig, GradCheckSpec
-from .data import gen_synthetic, write_dataset_csv
+from .data import write_dataset_csv
 from .entropy import entropy_experiment
 from .gradcheck import run_gradcheck
 from .sep import (
     aggregate,
+    build_datasets,
     mlmc_config,
     point_problem,
     prepare_experiment,
@@ -157,13 +158,10 @@ def cmd_entropy(args):
 
 def cmd_synth(args):
     cfg = ExperimentConfig.from_dict(_load_config(args.config, args))
-    ds = cfg.dataset
-    if ds.kind != "synthetic":
+    if cfg.dataset.kind != "synthetic":
         raise ValueError("synth requires dataset.kind == 'synthetic'")
-    # Same generator stream prepare_experiment uses, so the emitted CSV is
-    # exactly the training set a sweep with this config would fit.
-    rng = np.random.default_rng(np.random.SeedSequence((int(cfg.seed), 771)))
-    data = gen_synthetic(ds.n, ds.beta, ds.sigma2, rng, mode=ds.mode, mixing=ds.mixing)
+    # The training set a sweep with this config would fit.
+    data, _ = build_datasets(cfg)
     out = args.out or os.path.join(_ensure_outdir(cfg.output_dir), "synthetic.csv")
     write_dataset_csv(data, out)
     print("wrote %s (%d rows, %d covariates)" % (out, data.n, data.p))

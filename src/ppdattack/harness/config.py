@@ -193,6 +193,10 @@ class AttackSpec(_Spec):
             raise ValueError("attack.metric_mode must be 'mc' or 'exact'")
         if self.n_eval < 2:
             raise ValueError("attack.n_eval must be >= 2")
+        if self.x0_count < 1:
+            raise ValueError("attack.x0_count must be >= 1")
+        if not self.strategies:
+            raise ValueError("attack.strategies must name at least one strategy")
         unknown = set(self.strategies) - {"analytic", "sgd", "fgsm"}
         if unknown:
             raise ValueError("unknown strategies: %s" % sorted(unknown))
@@ -283,3 +287,8 @@ class EntropySpec(_Spec):
             raise ValueError("entropy.eps_grid must start at 0 and be nondecreasing")
         if any(not 0 < f <= 1 for f in self.retention_grid):
             raise ValueError("retention fractions must lie in (0, 1]")
+        if self.eta <= 0:
+            raise ValueError("entropy.eta must be positive")
+        for name in ("T", "N", "M", "entropy_draws"):
+            if getattr(self, name) < 1:
+                raise ValueError("entropy.%s must be >= 1" % name)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..attacks.trace import format_float
+from ..attacks.trace import format_float, write_csv
 from ..bayes.data import Dataset
 
 
@@ -39,11 +39,9 @@ def write_dataset_csv(dataset: Dataset, path, column_names=None, response_name="
     names = list(column_names) if column_names else ["x_%d" % j for j in range(dataset.p)]
     if len(names) != dataset.p:
         raise ValueError("need one column name per covariate")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(names + [response_name])
-        for i in range(dataset.n):
-            w.writerow([format_float(v) for v in dataset.X[i]] + [format_float(dataset.y[i])])
+    write_csv(path, names + [response_name],
+              ([format_float(v) for v in dataset.X[i]] + [format_float(dataset.y[i])]
+               for i in range(dataset.n)))
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,9 @@ once.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
-from itertools import cycle, repeat
+from itertools import chain, cycle, repeat
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from ..attacks.feasible import FeasibleSet
 from ..attacks.functionals import response_functional
 from ..attacks.point import PointAttackProblem, grad_J, reparam_grad_mu
 from ..attacks.ppd import NormalAppd, mlmc_grad
-from ..attacks.trace import format_float
+from ..attacks.trace import format_float, write_csv
 from ..bayes.backends import ExactConjugate
 from ..bayes.conjugate import gaussian_update, ppd_normal_params
 from ..bayes.likelihoods import GaussianLinear
@@ -51,7 +50,7 @@ CONTROL_ESTIMATOR = "score-shared-batch"
 # small enough that a chunk's draws and scores stay within the memory of
 # the per-replicate loop.
 CHUNK = 250
-CSV_SLICE = 1000  # replicates per writerows call in the samples CSV
+CSV_SLICE = 1000  # replicates converted to Python floats at a time in the samples CSV
 
 
 @dataclass(frozen=True)
@@ -188,14 +187,11 @@ def validate_gradients(spec: GradCheckSpec) -> GradCheckReport:
 
 def write_gradcheck_csv(report: GradCheckReport, path):
     """Summary table: estimator, role, coordinate, replicates, mean, analytic, se, z, within_threshold."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["estimator", "role", "coordinate", "replicates", "mean",
-                    "analytic", "se", "z", "within_threshold"])
-        for c in report.checks:
-            w.writerow([c.estimator, c.role, c.coordinate, c.replicates]
-                       + [format_float(v) for v in (c.mean, c.analytic, c.se, c.z)]
-                       + [int(c.within_threshold)])
+    write_csv(path, ["estimator", "role", "coordinate", "replicates", "mean",
+                     "analytic", "se", "z", "within_threshold"],
+              ([c.estimator, c.role, c.coordinate, c.replicates]
+               + [format_float(v) for v in (c.mean, c.analytic, c.se, c.z)]
+               + [int(c.within_threshold)] for c in report.checks))
 
 
 def write_gradcheck_samples_csv(report: GradCheckReport, path):
@@ -204,9 +200,7 @@ def write_gradcheck_samples_csv(report: GradCheckReport, path):
     The matching analytic value is repeated per row so a plotting script can
     draw the reference line without joining against the summary table.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["estimator", "replicate", "coordinate", "value", "analytic"])
+    def blocks():
         for name, arr in report.samples.items():
             arr = np.asarray(arr, dtype=float)
             dim = arr.shape[1]
@@ -215,9 +209,12 @@ def write_gradcheck_samples_csv(report: GradCheckReport, path):
             oracle = [format_float(v) for v in report.oracles[name]]
             for start in range(0, arr.shape[0], CSV_SLICE):
                 block = arr[start:start + CSV_SLICE]
-                rows = np.repeat(np.arange(start, start + len(block)), dim).tolist()
-                w.writerows(zip(repeat(name), rows, cycle(range(dim)), block.ravel().tolist(),
-                                cycle(oracle)))
+                reps = np.repeat(np.arange(start, start + len(block)), dim).tolist()
+                yield zip(repeat(name), reps, cycle(range(dim)), block.ravel().tolist(),
+                          cycle(oracle))
+
+    write_csv(path, ["estimator", "replicate", "coordinate", "value", "analytic"],
+              chain.from_iterable(blocks()))
 
 
 def run_gradcheck(spec: GradCheckSpec, write_samples=True):

@@ -39,11 +39,16 @@ class BayesPredictor:
         draws = self.backend.draw(n, rng)
         return float(np.mean(self.likelihood.sample_y(x, draws, rng)))
 
-    def predictive_normal_params(self, x):
-        """Closed-form (mean, variance); known-variance conjugate only."""
-        if not isinstance(self.posterior, GaussianPosterior):
-            raise TypeError("closed-form normal predictive needs a GaussianPosterior")
-        return ppd_normal_params(self.posterior, x)
+    def predictive_moments(self, x):
+        """Closed-form predictive (mean, variance) at ``x``: the normal
+        predictive's for a ``GaussianPosterior``, the Student-t predictive's
+        location and variance for a ``NigPosterior``."""
+        if isinstance(self.posterior, GaussianPosterior):
+            return ppd_normal_params(self.posterior, x)
+        if isinstance(self.posterior, NigPosterior):
+            t = ppd_t_params(self.posterior, x)
+            return t.loc, t.variance()
+        raise TypeError("closed-form predictive moments need a conjugate posterior")
 
     def predictive_t(self, x):
         """Closed-form Student-t predictive; normal--inverse-gamma only."""

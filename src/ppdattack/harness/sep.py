@@ -13,7 +13,6 @@ are recorded as missing cells with a warning, never as an aborted sweep.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -28,12 +27,15 @@ from ..analytic import (
 from ..attacks.baselines import fgsm_like
 from ..attacks.feasible import FeasibleSet
 from ..attacks.functionals import response_functional
+from ..attacks.graybox import EnsembleMember, ModelEnsemble, graybox_point_attack
 from ..attacks.point import PointAttackProblem, grad_J, run_point_attack
 from ..attacks.ppd import MlmcConfig, NormalAppd, mlmc_grad, run_ppd_attack
-from ..attacks.trace import format_float
-from ..bayes.conjugate import GaussianPosterior, NigPosterior
+from ..attacks.trace import format_float, write_csv
+from ..bayes.backends import ExactConjugate
+from ..bayes.conjugate import GaussianPosterior, NigPosterior, gaussian_update
+from ..bayes.likelihoods import GaussianLinear
 from ..exceptions import UnsupportedModelError
-from .config import ExperimentConfig, MlmcSpec
+from .config import ExperimentConfig, MlmcSpec, ModelSpec
 from .data import gen_synthetic, load_dataset
 from .predictor import BayesPredictor, fit_predictor
 
@@ -85,39 +87,22 @@ def aggregate(records):
 
 def write_sep_csv(records, path):
     """Raw records: columns epsilon, rep, strategy, metric, value."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epsilon", "rep", "strategy", "metric", "value"])
-        for r in records:
-            w.writerow([format_float(r.epsilon), r.rep, r.strategy, r.metric,
-                        format_float(r.value)])
+    write_csv(path, ["epsilon", "rep", "strategy", "metric", "value"],
+              ([format_float(r.epsilon), r.rep, r.strategy, r.metric, format_float(r.value)]
+               for r in records))
 
 
 def write_sep_summary_csv(aggregates, path):
     """Aggregated curve: columns strategy, metric, epsilon, n, mean, se, two_se."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["strategy", "metric", "epsilon", "n", "mean", "se", "two_se"])
-        for a in aggregates:
-            w.writerow([a.strategy, a.metric, format_float(a.epsilon), a.n]
-                       + [format_float(v) for v in (a.mean, a.se, a.two_se)])
+    write_csv(path, ["strategy", "metric", "epsilon", "n", "mean", "se", "two_se"],
+              ([a.strategy, a.metric, format_float(a.epsilon), a.n]
+               + [format_float(v) for v in (a.mean, a.se, a.two_se)] for a in aggregates))
 
 
 def _task_rngs(seed, eps_idx, rep, strat_idx):
     ss = np.random.SeedSequence((int(seed), int(eps_idx), int(rep), int(strat_idx)))
     attack_ss, eval_ss = ss.spawn(2)
     return np.random.default_rng(attack_ss), np.random.default_rng(eval_ss)
-
-
-def _clean_normal_params(defender: BayesPredictor, x):
-    """(mean, variance) of the defender's predictive at x, exact when conjugate."""
-    post = defender.posterior
-    if isinstance(post, GaussianPosterior):
-        return defender.predictive_normal_params(x)
-    if isinstance(post, NigPosterior):
-        t = defender.predictive_t(x)
-        return t.loc, t.variance()
-    raise TypeError("defender must carry a conjugate posterior")
 
 
 def _instances(cfg: ExperimentConfig, defender, test):
@@ -180,7 +165,7 @@ def _attack_point_instance(strategy, cfg, defender, x0, g_star, eps, rng):
 
 def _point_mean(defender, cfg, x, rng):
     if cfg.attack.metric_mode == "exact" and defender.posterior is not None:
-        return _clean_normal_params(defender, x)[0]
+        return defender.predictive_moments(x)[0]
     return defender.predictive_mean_mc(x, cfg.attack.n_eval, rng)
 
 
@@ -204,15 +189,9 @@ def _attack_ppd_instance(strategy, cfg, defender, x0, appd, eps, rng):
 
 def _ppd_metrics(defender, cfg, x0, x, appd, rng):
     # Scores the predictive at the attacked x against the target and against
-    # the defender's clean predictive at x0.
-    post = defender.posterior
-    if isinstance(post, GaussianPosterior):
-        m, v = defender.predictive_normal_params(x)
-        m0, v0 = defender.predictive_normal_params(x0)
-        kl_appd = gaussian_kl(appd.mean, appd.var, m, v)
-        kl_clean = gaussian_kl(m, v, m0, v0)
-        return {"kl-to-appd": kl_appd, "kl-to-clean-ppd": kl_clean, "pred-var": v}
-    if isinstance(post, NigPosterior):
+    # the defender's clean predictive at x0: in closed form for a normal
+    # predictive, by Monte Carlo for the Student-t one.
+    if isinstance(defender.posterior, NigPosterior):
         induced = defender.predictive_t(x)
         clean = defender.predictive_t(x0)
         ys = appd.sample(cfg.attack.n_eval, rng)
@@ -221,7 +200,11 @@ def _ppd_metrics(defender, cfg, x0, x, appd, rng):
         kl_clean = float(np.mean(induced.logpdf(ys2) - clean.logpdf(ys2)))
         return {"kl-to-appd": kl_appd, "kl-to-clean-ppd": kl_clean,
                 "pred-var": induced.variance()}
-    raise TypeError("defender must carry a conjugate posterior")
+    m, v = defender.predictive_moments(x)
+    m0, v0 = defender.predictive_moments(x0)
+    kl_appd = gaussian_kl(appd.mean, appd.var, m, v)
+    kl_clean = gaussian_kl(m, v, m0, v0)
+    return {"kl-to-appd": kl_appd, "kl-to-clean-ppd": kl_clean, "pred-var": v}
 
 
 @dataclass
@@ -233,35 +216,43 @@ class SepResult:
     clean_targets: list  # per instance: g_star (point) or (appd, clean_params) (ppd)
 
 
+def build_datasets(cfg: ExperimentConfig):
+    """The (train, test) split a config describes; ``test`` is None when empty.
+
+    A synthetic dataset draws the training set, then the test set, from the
+    config seed's own generator stream, so the ``synth`` subcommand and a sweep
+    see the same training set.
+    """
+    data_rng = np.random.default_rng(np.random.SeedSequence((int(cfg.seed), 771)))
+    ds = cfg.dataset
+    if ds.kind != "synthetic":
+        loaded = load_dataset(ds.path, ds.response, split=ds.split,
+                              standardize=ds.standardize, rng=data_rng)
+        return loaded.train, loaded.test
+    train = gen_synthetic(ds.n, ds.beta, ds.sigma2, data_rng, mode=ds.mode, mixing=ds.mixing)
+    test = None
+    if ds.n_test:
+        test = gen_synthetic(ds.n_test, ds.beta, ds.sigma2, data_rng, mode=ds.mode,
+                             mixing=ds.mixing)
+    return train, test
+
+
 def prepare_experiment(cfg: ExperimentConfig):
     """Build data, defender, attacked instances and targets for a config."""
-    data_rng = np.random.default_rng(np.random.SeedSequence((int(cfg.seed), 771)))
-    test = None
-    if cfg.dataset.kind == "synthetic":
-        train = gen_synthetic(
-            cfg.dataset.n, cfg.dataset.beta, cfg.dataset.sigma2, data_rng,
-            mode=cfg.dataset.mode, mixing=cfg.dataset.mixing,
-        )
-        if cfg.dataset.n_test:
-            test = gen_synthetic(
-                cfg.dataset.n_test, cfg.dataset.beta, cfg.dataset.sigma2, data_rng,
-                mode=cfg.dataset.mode, mixing=cfg.dataset.mixing,
-            )
-    else:
-        loaded = load_dataset(
-            cfg.dataset.path, cfg.dataset.response, split=cfg.dataset.split,
-            standardize=cfg.dataset.standardize, rng=data_rng,
-        )
-        train, test = loaded.train, loaded.test
+    train, test = build_datasets(cfg)
     defender = fit_predictor(cfg.model, train)
     instances = _instances(cfg, defender, test)
+    for x0 in instances:
+        if x0.shape != (train.p,):
+            raise ValueError("attacked instance has shape %s; the training data has %d "
+                             "covariates" % (x0.shape, train.p))
 
     targets = []
     for x0 in instances:
         if cfg.attack.type == "point":
             targets.append(_point_target(cfg, train))
         else:
-            m, v = _clean_normal_params(defender, x0)
+            m, v = defender.predictive_moments(x0)
             appd = NormalAppd(mean=m + cfg.attack.appd_mean_shift,
                               var=cfg.attack.appd_var_factor * v)
             targets.append((appd, (m, v)))
@@ -326,11 +317,6 @@ def compare_graybox_residuals(seeds, eps_grid=(0.3, 0.5), n=1000, n_attacker=10,
     residuals are the defender's exact predictive means against the target.
     Returns one dict per (seed, epsilon) with both residuals.
     """
-    from ..attacks.graybox import EnsembleMember, ModelEnsemble, graybox_point_attack
-    from ..bayes.backends import ExactConjugate
-    from ..bayes.conjugate import gaussian_update
-    from ..bayes.likelihoods import GaussianLinear
-
     beta = np.asarray(beta, dtype=float)
     dim = beta.size
     model = GaussianLinear(dim)
@@ -378,11 +364,9 @@ def compare_norm_sparsity(seeds, dim=8, n=400, eps=0.25, target_shift=2.0,
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 4242)))
         beta = np.linspace(0.2, 2.0, dim) * np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
         train = gen_synthetic(n, beta, 1.0, rng)
-        from .config import ModelSpec
-
         defender = fit_predictor(ModelSpec(kind="gaussian_linear", sigma2=1.0), train)
         x0 = rng.standard_normal(dim) * 0.5
-        m0, _ = defender.predictive_normal_params(x0)
+        m0, _ = defender.predictive_moments(x0)
         g_star = m0 + target_shift
         counts = {}
         for norm in ("l1", "l2"):

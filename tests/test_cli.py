@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from ppdattack.harness.cli import main
+from ppdattack.harness.config import ExperimentConfig
+from ppdattack.harness.sep import prepare_experiment
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -103,6 +105,18 @@ def test_synth_custom_out_path(tmp_path):
     target = tmp_path / "custom.csv"
     assert main(["synth", cfg, "--out", str(target)]) == 0
     assert target.exists()
+
+
+def test_synth_emits_the_sweep_training_set(tmp_path):
+    doc = {"seed": 4, "dataset": {"n": 30, "n_test": 12, "mode": "correlated",
+                                  "beta": [0.5, -1.5]},
+           "attack": {"x0": [0.0, 0.0]}}
+    target = tmp_path / "train.csv"
+    assert main(["synth", write_config(tmp_path, doc), "--out", str(target)]) == 0
+    rows = np.array(read_rows(target)[1:], dtype=float)
+    train = prepare_experiment(ExperimentConfig.from_dict(doc))[0]
+    assert np.array_equal(rows[:, :-1], [[float(v) for v in r] for r in train.X])
+    assert np.array_equal(rows[:, -1], [float(v) for v in train.y])
 
 
 def test_attack_point_writes_trace(tmp_path, capsys):
@@ -205,6 +219,10 @@ def test_bad_configs_exit_2(tmp_path, capsys):
     not_object = tmp_path / "arr.json"
     not_object.write_text("[1, 2]")
     assert main(["sweep", str(not_object)]) == 2
+    wrong_length = write_config(tmp_path, dict(POINT_DOC, attack=dict(
+        POINT_DOC["attack"], x0=[0.1, 0.2, 0.3])), name="len.json")
+    assert main(["sweep", wrong_length, "--output-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "sep.csv").exists()
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

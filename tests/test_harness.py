@@ -46,7 +46,7 @@ from ppdattack.harness.gradcheck import (
     run_gradcheck,
     validate_gradients,
 )
-from ppdattack.harness.predictor import fit_predictor
+from ppdattack.harness.predictor import BayesPredictor, fit_predictor
 from ppdattack.harness.sep import (
     SepRecord,
     aggregate,
@@ -160,6 +160,26 @@ def test_config_validates_grids_and_counts():
         OptimizerSpec.from_dict({"eta": 0.0})
 
 
+def test_attack_spec_rejects_zero_test_instances():
+    # Caught at load: a point sweep averaged no residuals into NaN, a ppd
+    # sweep wrote no records.
+    with pytest.raises(ValueError, match="x0_count"):
+        AttackSpec.from_dict({"x0_mode": "test_sample", "x0_count": 0})
+
+
+def test_attack_spec_rejects_an_empty_strategy_list():
+    with pytest.raises(ValueError, match="strategies"):
+        AttackSpec.from_dict({"x0": [0.0, 0.0], "strategies": []})
+
+
+def test_prepare_experiment_rejects_an_instance_of_the_wrong_length():
+    # Raised before any cell runs, not as a failed-cell warning in every cell.
+    cfg = ExperimentConfig.from_dict({"dataset": {"n": 50},
+                                      "attack": {"x0": [0.1, 0.2, 0.3]}})
+    with pytest.raises(ValueError, match="2 covariates"):
+        prepare_experiment(cfg)
+
+
 def test_dataset_spec_validation():
     with pytest.raises(ValueError, match="path"):
         DatasetSpec.from_dict({"kind": "csv", "response": "y"})
@@ -179,6 +199,14 @@ def test_entropy_and_gradcheck_spec_validation():
         GradCheckSpec.from_dict({"replicates": 50})
     with pytest.raises(ValueError, match="z_threshold"):
         GradCheckSpec.from_dict({"z_threshold": -1.0})
+
+
+@pytest.mark.parametrize("field, value", [("eta", 0.0), ("eta", -0.3), ("T", 0), ("N", 0),
+                                          ("M", 0), ("entropy_draws", 0)])
+def test_entropy_spec_rejects_an_unusable_optimizer(field, value):
+    # Caught at load, not after the MCMC bank fit.
+    with pytest.raises(ValueError, match="entropy.%s " % field):
+        EntropySpec.from_dict({field: value})
 
 
 def test_specs_reject_empty_populations_and_a_nonpositive_target_variance():
@@ -341,20 +369,24 @@ def test_fit_predictor_kinds(train_data):
     gaussian = fit_predictor(ModelSpec(kind="gaussian_linear"), train_data)
     assert isinstance(gaussian.posterior, GaussianPosterior)
     assert gaussian.dim == 2
+    assert gaussian.predictive_moments(np.array([0.3, -0.2])) == ppd_normal_params(
+        gaussian.posterior, np.array([0.3, -0.2]))
     nig = fit_predictor(ModelSpec(kind="nig_linear"), train_data)
     assert isinstance(nig.posterior, NigPosterior)
     t = nig.predictive_t(np.array([0.3, -0.2]))
     assert t.df == 2.0 * nig.posterior.a_n
+    assert nig.predictive_moments(np.array([0.3, -0.2])) == (t.loc, t.variance())
     with pytest.raises(TypeError):
         gaussian.predictive_t(np.array([0.3, -0.2]))
     with pytest.raises(TypeError):
-        nig.predictive_normal_params(np.array([0.3, -0.2]))
+        BayesPredictor(gaussian.likelihood, gaussian.backend).predictive_moments(
+            np.array([0.3, -0.2]))
 
 
 def test_predictor_monte_carlo_agrees_with_closed_form(train_data):
     pred = fit_predictor(ModelSpec(), train_data)
     x = np.array([0.3, -0.2])
-    m, v = pred.predictive_normal_params(x)
+    m, v = pred.predictive_moments(x)
     rng = np.random.default_rng(np.random.SeedSequence((8, 2)))
     est = pred.predictive_mean_mc(x, 40_000, rng)
     assert abs(est - m) < 3.0 * np.sqrt(v / 40_000)  # measured z = 0.24

@@ -8,7 +8,10 @@ under the model) and simple moment/frequency oracles.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ppdattack.attacks.ppd import CategoricalAppd, NormalAppd
 from ppdattack.bayes.draws import DrawBatch
 from ppdattack.bayes.likelihoods import (
     BernoulliLogit,
@@ -17,6 +20,7 @@ from ppdattack.bayes.likelihoods import (
     GaussianLinear,
     SmallBnn,
     UnsupportedModelError,
+    logsumexp,
     require_gaussian_linear,
 )
 
@@ -160,3 +164,74 @@ def test_require_gaussian_linear():
     assert require_gaussian_linear(GaussianLinear(2)) is not None
     with pytest.raises(UnsupportedModelError):
         require_gaussian_linear(BernoulliLogit(2))
+
+
+# ---------------------------------------------------------------------------
+# The shared outcome laws give the numbers of the expressions each family
+# and target wrote out before they shared them, bit for bit, and consume the
+# random stream the same way.
+
+
+def _same_stream(a, b):
+    return a.bit_generator.state == b.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 40), dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       one_y=st.booleans())
+def test_gaussian_linear_matches_its_written_out_law(m, dim, seed, one_y):
+    r = np.random.default_rng(seed)
+    beta, phi = r.standard_normal((m, dim)), r.uniform(0.05, 4.0, m)
+    x = r.standard_normal(dim)
+    y = r.standard_normal() if one_y else r.standard_normal(m)
+    model, gamma = GaussianLinear(dim), DrawBatch(beta, phi)
+    mean = beta @ x
+    want_ll = -0.5 * np.log(2.0 * np.pi * phi) - (np.asarray(y) - mean) ** 2 / (2.0 * phi)
+    want_score = ((np.asarray(y) - mean) / phi)[:, None] * beta
+    assert np.array_equal(model.loglik(x, y, gamma), want_ll)
+    assert np.array_equal(model.score_x(x, y, gamma), want_score)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    want_y = beta @ x + np.sqrt(phi) * theirs.standard_normal(m)
+    assert np.array_equal(model.sample_y(x, gamma, ours), want_y)
+    assert _same_stream(ours, theirs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 40), dim=st.integers(1, 4), k=st.integers(2, 5),
+       seed=st.integers(0, 2**32 - 1), one_y=st.booleans())
+def test_categorical_softmax_matches_its_written_out_law(m, dim, k, seed, one_y):
+    r = np.random.default_rng(seed)
+    W = 2.0 * r.standard_normal((m, k, dim))
+    x = r.standard_normal(dim)
+    y = int(r.integers(k)) if one_y else r.integers(0, k, m)
+    model, gamma = CategoricalSoftmax(dim, k), DrawBatch(W.reshape(m, -1))
+    logits = W @ x
+    probs = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+    rows, labels = np.arange(m), np.broadcast_to(y, (m,))
+    want_ll = logits[rows, labels] - logsumexp(logits, axis=1)
+    want_score = W[rows, labels, :] - np.einsum("mk,mkp->mp", probs, W)
+    assert np.array_equal(model.class_probs(x, gamma), probs)
+    assert np.array_equal(model.loglik(x, y, gamma), want_ll)
+    assert np.array_equal(model.score_x(x, y, gamma), want_score)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    u = theirs.random(m)[:, None]
+    want_y = (np.cumsum(probs, axis=1) < u).sum(axis=1).astype(float)
+    assert np.array_equal(model.sample_y(x, gamma, ours), want_y)
+    assert _same_stream(ours, theirs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 50), k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_adversarial_targets_match_their_written_out_laws(size, k, seed):
+    r = np.random.default_rng(seed)
+    mean, var = float(r.standard_normal()), float(r.uniform(0.05, 4.0))
+    ys = r.standard_normal(size)
+    want = -0.5 * np.log(2.0 * np.pi * var) - (ys - mean) ** 2 / (2.0 * var)
+    assert np.array_equal(NormalAppd(mean, var).logpdf(ys), want)
+    probs = r.dirichlet(np.ones(k))
+    appd = CategoricalAppd(probs)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    u = theirs.random(size)[:, None]
+    want_y = (np.cumsum(appd.probs)[None, :] < u).sum(axis=1).astype(float)
+    assert np.array_equal(appd.sample(size, ours), want_y)
+    assert _same_stream(ours, theirs)

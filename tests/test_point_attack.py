@@ -24,7 +24,6 @@ from ppdattack.attacks.point import (
     grad_J,
     reparam_grad_mu,
     run_point_attack,
-    run_point_attack_reparam,
 )
 from ppdattack.bayes.backends import ExactConjugate, SampleBank
 from ppdattack.bayes.conjugate import gaussian_update
@@ -361,13 +360,13 @@ def test_reparam_requires_gaussian_linear(testbed):
     prob = PointAttackProblem(response_functional(), [TARGET], BernoulliLogit(2),
                               FeasibleSet(x0, 1.0, "l2"))
     with pytest.raises(UnsupportedModelError):
-        run_point_attack_reparam(prob, backend, np.random.default_rng(58))
+        run_point_attack(prob, backend, np.random.default_rng(58), reparam_grad_mu)
 
 
 def test_reparam_descent_matches_analytic(testbed):
     _, backend, mu_n, x0 = testbed
     sol = analytic_point_l2(mu_n, x0, TARGET, 0.3)
     prob = problem(x0, eps=0.3, eta=0.05, T=400, N=64, M=64, eta_decay=True)
-    trace = run_point_attack_reparam(prob, backend, np.random.default_rng(59))
+    trace = run_point_attack(prob, backend, np.random.default_rng(59), reparam_grad_mu)
     exact_residual = abs(mu_n @ trace.final_x - TARGET)
     assert abs(exact_residual - sol.residual) <= 1e-2
