@@ -39,7 +39,8 @@ class ModelEnsemble:
         if weights is None:
             weights = np.full(k, 1.0 / k)
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != (k,) or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
+        if (weights.shape != (k,) or not np.isfinite(weights).all() or np.any(weights < 0)
+                or abs(weights.sum() - 1.0) > 1e-9):
             raise ValueError("weights must be a probability vector over members")
         self.weights = weights
 
@@ -91,13 +92,20 @@ class MixtureBackend:
 
     def __init__(self, ensemble: ModelEnsemble):
         self.ensemble = ensemble
+        # The member CDF that ``rng.choice(k, p=weights)`` builds on every
+        # call, built once: searching it with the same uniforms gives the
+        # same ids and leaves the generator in the same state.
+        cdf = np.cumsum(ensemble.weights)
+        self._cdf = cdf / cdf[-1]
 
     def draw(self, count, rng):
-        ids = rng.choice(len(self.ensemble), size=count, p=self.ensemble.weights)
-        subs = {}
-        for k in np.unique(ids):
-            n_k = int((ids == k).sum())
-            subs[int(k)] = self.ensemble.members[k].backend.draw(n_k, rng)
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        ids = self._cdf.searchsorted(rng.random(count), side="right")
+        counts = np.bincount(ids).tolist()
+        # Members draw in ascending id, each once, with all of its rows.
+        subs = {k: self.ensemble.members[k].backend.draw(n_k, rng)
+                for k, n_k in enumerate(counts) if n_k}
         return TaggedBatch(ids, subs)
 
 

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from .conjugate import GaussianPosterior, NigPosterior
-from .draws import DrawBatch
+from .draws import DrawBatch, _check_draws
 
 
 class ExactConjugate:
@@ -29,20 +29,28 @@ class ExactConjugate:
         if not isinstance(posterior, (NigPosterior, GaussianPosterior)):
             raise TypeError("posterior must be NigPosterior or GaussianPosterior")
         self.posterior = posterior
-        self._chol = posterior.cov_chol()  # lower factor of inv(Lambda_n)
+        self._nig = isinstance(posterior, NigPosterior)
+        # Transposed lower factor of inv(Lambda_n), so a draw is mu_n + z @ chol_t.
+        self._chol_t = posterior.cov_chol().T
+        # A finite mean and factor and a positive noise scale make every
+        # known-variance draw valid, so that branch of ``draw`` checks nothing.
+        _check_draws(np.vstack([posterior.mu_n, self._chol_t]),
+                     posterior.b_n if self._nig else posterior.sigma2)
 
     def draw(self, count, rng):
         if count < 1:
             raise ValueError("count must be >= 1")
         post = self.posterior
         z = rng.standard_normal((count, post.p))
-        if isinstance(post, NigPosterior):
-            # InvGamma(a, b): reciprocal of Gamma(shape=a, scale=1/b).
+        if self._nig:
+            # InvGamma(a, b): reciprocal of Gamma(shape=a, scale=1/b).  For a
+            # small shape a the gamma draw underflows and phi overflows to inf.
             phi = 1.0 / rng.gamma(post.a_n, 1.0 / post.b_n, size=count)
-            beta = post.mu_n + np.sqrt(phi)[:, None] * (z @ self._chol.T)
+            beta = post.mu_n + np.sqrt(phi)[:, None] * (z @ self._chol_t)
+            _check_draws(beta, phi)
         else:
             phi = np.full(count, post.sigma2)
-            beta = post.mu_n + z @ self._chol.T
+            beta = post.mu_n + z @ self._chol_t
         return DrawBatch(beta, phi)
 
 
@@ -57,6 +65,7 @@ class SampleBank:
     def __init__(self, batch: DrawBatch):
         if len(batch) == 0:
             raise ValueError("sample bank must be non-empty")
+        _check_draws(batch.beta, batch.phi)
         self.batch = batch
 
     def __len__(self):

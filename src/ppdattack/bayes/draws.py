@@ -7,6 +7,14 @@ classification families whose likelihood has no free scale).  A single draw
 is a batch with one row; :meth:`DrawBatch.concat` joins batches in order,
 which is how the multilevel gradient scores all of an iteration's draws at
 once.
+
+Draws are checked once, where they enter the program, not each time a batch
+is built: :class:`~ppdattack.bayes.backends.SampleBank` checks its rows when
+it is built, and :class:`~ppdattack.bayes.backends.ExactConjugate` checks its
+posterior when it is built and each normal--inverse-gamma draw, whose
+inverse-gamma ``phi`` can overflow.  Batches cut or joined from checked
+batches need no further check, so the :class:`DrawBatch` constructor trusts
+its input.
 """
 
 from __future__ import annotations
@@ -14,13 +22,27 @@ from __future__ import annotations
 import numpy as np
 
 
+def _check_draws(beta, phi):
+    """Raise ``ValueError`` unless every ``beta`` is finite and every ``phi``
+    finite and positive."""
+    if not np.isfinite(beta).all():
+        raise ValueError("non-finite coefficient draws")
+    if not (np.isfinite(phi).all() and np.all(phi > 0)):
+        raise ValueError("noise variances must be finite and positive")
+
+
 class DrawBatch:
     """A batch of posterior draws stored as arrays.
+
+    The constructor coerces its input to float arrays but does not check the
+    values: a hand-built batch with a non-finite ``beta`` or a non-positive
+    ``phi`` is taken as it is.  Wrap such a batch in
+    :class:`~ppdattack.bayes.backends.SampleBank` to have it checked.
 
     Parameters
     ----------
     beta : ndarray, shape (m, k)
-        One coefficient vector per row.
+        One coefficient vector per row; a 1-D vector is one row.
     phi : ndarray or float
         Noise variances, shape (m,) or a scalar broadcast to all rows.
     """
@@ -32,10 +54,6 @@ class DrawBatch:
         phi = np.asarray(phi, dtype=float)
         if phi.shape != beta.shape[:1]:
             phi = np.broadcast_to(phi, beta.shape[:1]).copy()
-        if not np.isfinite(beta).all():
-            raise ValueError("non-finite coefficient draws")
-        if not (np.isfinite(phi).all() and (phi > 0).all()):
-            raise ValueError("noise variances must be finite and positive")
         self.beta = beta
         self.phi = phi
 

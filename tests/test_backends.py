@@ -1,9 +1,12 @@
-"""Random-walk Metropolis backend checked against a known Gaussian target."""
+"""Random-walk Metropolis backend checked against a known Gaussian target,
+and the checks made where draws enter: bank rows and conjugate draws."""
 
 import numpy as np
 import pytest
 
-from ppdattack.bayes.backends import McmcChain, SampleBank, adaptive_rwm
+from ppdattack.bayes.backends import ExactConjugate, McmcChain, SampleBank, adaptive_rwm
+from ppdattack.bayes.conjugate import GaussianPosterior, NigPrior, nig_update
+from ppdattack.bayes.draws import DrawBatch
 
 
 def gaussian_log_post(mean, var):
@@ -69,3 +72,35 @@ def test_invalid_arguments():
     with pytest.raises(ValueError):
         adaptive_rwm(lambda w: float("nan"), np.zeros(1), 10,
                      np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("beta, phi, message", [
+    ([[0.0, np.nan]], 1.0, "non-finite coefficient draws"),
+    ([[np.inf, 0.0]], 1.0, "non-finite coefficient draws"),
+    ([[0.0, 0.0]], 0.0, "noise variances must be finite and positive"),
+    ([[0.0, 0.0]], -1.0, "noise variances must be finite and positive"),
+    ([[0.0, 0.0]], np.inf, "noise variances must be finite and positive"),
+])
+def test_bank_rejects_bad_rows(beta, phi, message):
+    # DrawBatch takes any values; the bank checks them as they enter.
+    with pytest.raises(ValueError, match=message):
+        SampleBank(DrawBatch(np.vstack([[1.0, 2.0], beta]), [1.0, phi]))
+
+
+def test_nig_draw_rejects_overflowing_noise_variance():
+    # With shape a0 = 1e-3 and no data most Gamma(a, 1/b) draws underflow to
+    # 0, so phi = 1 / gamma is inf and the coefficient draws are not finite.
+    post = nig_update(NigPrior(np.zeros(2), np.eye(2), 1e-3, 1.0),
+                      np.zeros((0, 2)), np.zeros(0))
+    with np.errstate(divide="ignore", over="ignore"), \
+            pytest.raises(ValueError, match="non-finite coefficient draws"):
+        ExactConjugate(post).draw(64, np.random.default_rng(0))
+
+
+def test_conjugate_backend_rejects_non_finite_posterior():
+    post = GaussianPosterior(mu_n=np.array([0.0, np.nan]), lambda_n=np.eye(2), sigma2=1.0)
+    with pytest.raises(ValueError, match="non-finite coefficient draws"):
+        ExactConjugate(post)
+    post = GaussianPosterior(mu_n=np.zeros(2), lambda_n=np.eye(2), sigma2=np.inf)
+    with pytest.raises(ValueError, match="noise variances must be finite and positive"):
+        ExactConjugate(post)

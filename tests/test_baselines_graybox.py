@@ -5,7 +5,9 @@ asserted exactly.  The ensemble machinery is checked two ways: distributional
 (model-averaged draws match the closed-form mixture via KS / moment tests)
 and behavioral (a degenerate single-member ensemble attacks as well as the
 white-box loop, while a surrogate that cannot see a coordinate leaves it
-untouched and lands measurably farther from the target).
+untouched and lands measurably farther from the target).  The mixture
+backend's stored member CDF is checked draw for draw against member ids taken
+with ``Generator.choice``.
 """
 
 import numpy as np
@@ -123,6 +125,100 @@ def test_ensemble_weight_validation(defender):
     uniform = ModelEnsemble([member, member, member])
     assert np.allclose(uniform.weights, 1.0 / 3.0)
     assert len(uniform) == 3
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan], [np.inf, 1.0]])
+def test_ensemble_rejects_non_finite_weights(defender, weights):
+    # abs(nan - 1.0) > 1e-9 is False, so the sum test alone lets NaN through;
+    # the stored member CDF would then give silent member ids.
+    member = EnsembleMember(GaussianLinear(2), defender[2])
+    with pytest.raises(ValueError, match="probability vector"):
+        ModelEnsemble([member, member], weights)
+
+
+def test_mixture_draw_rejects_empty_count(defender):
+    # The same refusal as the member backends give.
+    backend = MixtureBackend(ModelEnsemble([EnsembleMember(GaussianLinear(2), defender[2])]))
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        backend.draw(0, np.random.default_rng(0))
+
+
+def _untemper(y):
+    # Inverse of the MT19937 output tempering on a 32-bit word.
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    t = y
+    for _ in range(5):
+        t = y ^ ((t << 7) & 0x9D2C5680)
+    t &= 0xFFFFFFFF
+    y = t
+    for _ in range(2):
+        t = y ^ (t >> 11)
+    return t & 0xFFFFFFFF
+
+
+def uniforms_then_stream(numerators, seed):
+    """A generator whose first ``random()`` calls return ``n / 2**53`` for each
+    ``n`` in ``numerators`` and whose later output is an MT19937 stream.
+
+    ``Generator.random`` builds each double from two 32-bit words, the top 27
+    bits of the first and the top 26 of the second; writing their untempered
+    values at the head of the state makes the uniforms exact, so they can sit
+    on a member CDF entry, where a left and a right search differ.
+    """
+    bits = np.random.MT19937(seed)
+    state = bits.state
+    key = state["state"]["key"].copy()
+    for i, n in enumerate(numerators):
+        key[2 * i] = _untemper((n >> 26) << 5)
+        key[2 * i + 1] = _untemper((n & (2**26 - 1)) << 6)
+    state["state"]["key"], state["state"]["pos"] = key, 0
+    bits.state = state
+    return np.random.Generator(bits)
+
+
+def choice_mixture_draw(ensemble, count, rng):
+    # The member ids from rng.choice, then each member's rows in np.unique order.
+    ids = rng.choice(len(ensemble), size=count, p=ensemble.weights)
+    subs = {int(k): ensemble.members[k].backend.draw(int(np.count_nonzero(ids == k)), rng)
+            for k in np.unique(ids)}
+    return ids, subs
+
+
+MIXTURE_MEMBERS = [
+    EnsembleMember(GaussianLinear(2), ExactConjugate(
+        gaussian_update(np.full(2, float(i)), np.eye(2), 1.0, np.zeros((0, 2)), np.zeros(0))))
+    for i in range(5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(any),
+       count=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_mixture_draw_matches_rng_choice(counts, count, seed, data):
+    # Integer weight ratios give zero weights, single members and CDF entries
+    # that are exact multiples of 2**-53; the chosen-uniform generator puts
+    # draws exactly on those entries.
+    weights = np.array(counts, dtype=float) / sum(counts)
+    ensemble = ModelEnsemble(MIXTURE_MEMBERS[: len(counts)], weights)
+    backend = MixtureBackend(ensemble)
+    if data.draw(st.booleans()):
+        cdf = np.cumsum(weights) / np.cumsum(weights)[-1]
+        on_cdf = [int(c * 2**53) for c in cdf if c < 1.0 and c * 2**53 == int(c * 2**53)]
+        numerator = st.integers(0, 2**53 - 1)
+        if on_cdf:
+            numerator = st.one_of(st.sampled_from(on_cdf), numerator)
+        numerators = data.draw(st.lists(numerator, min_size=count, max_size=count))
+        rngs = [uniforms_then_stream(numerators, seed) for _ in range(2)]
+    else:
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+    got = backend.draw(count, rngs[0])
+    want_ids, want_subs = choice_mixture_draw(ensemble, count, rngs[1])
+    assert np.array_equal(got.member_ids, want_ids)
+    assert set(got.sub) == set(want_subs)
+    for k, sub in want_subs.items():
+        assert got.sub[k].beta.tobytes() == sub.beta.tobytes()
+        assert got.sub[k].phi.tobytes() == sub.phi.tobytes()
+    assert rngs[0].random() == rngs[1].random()
 
 
 def bma_draws(ensemble, x, n, rng):
