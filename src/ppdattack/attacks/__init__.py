@@ -9,8 +9,6 @@ from .graybox import (
     MixtureLikelihood,
     ModelEnsemble,
     TaggedBatch,
-    graybox_point_attack,
-    graybox_ppd_attack,
 )
 from .point import (
     PointAttackProblem,
@@ -53,8 +51,6 @@ __all__ = [
     "expected_samples_per_iter",
     "fgsm_like",
     "grad_J",
-    "graybox_point_attack",
-    "graybox_ppd_attack",
     "mlmc_grad",
     "onehot_functional",
     "project_l1_ball",

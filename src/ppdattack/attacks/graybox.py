@@ -5,19 +5,20 @@ of candidate models (each a likelihood family plus a posterior backend) with
 prior weights, and attacks the Bayesian model average: every posterior draw
 first samples a member index from the weights, then parameters from that
 member's posterior, and outcomes from that member's likelihood.  The attack
-algorithms themselves are reused unchanged -- the ensemble is packaged as a
-(mixture likelihood, mixture backend) pair whose draws carry member tags.
+algorithms themselves are reused unchanged: the gray-box attack is
+``run_point_attack`` or ``run_ppd_attack`` with ``MixtureLikelihood(ensemble)``
+as the model and ``MixtureBackend(ensemble)`` as the backend, whose draws carry
+member tags.  Its trace reflects the attacker's beliefs; evaluate the final
+point against the defender separately.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..bayes.draws import DrawBatch
-from .point import PointAttackProblem, run_point_attack
-from .ppd import run_ppd_attack
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,6 @@ class TaggedBatch:
     def __init__(self, member_ids, sub_batches):
         self.member_ids = np.asarray(member_ids, dtype=int)
         self.sub = dict(sub_batches)  # member id -> DrawBatch, rows in draw order
-        self._row_in_sub = np.empty(len(self.member_ids), dtype=int)
-        for k in np.unique(self.member_ids):
-            idx = np.nonzero(self.member_ids == k)[0]
-            self._row_in_sub[idx] = np.arange(idx.size)
 
     def __len__(self):
         return len(self.member_ids)
@@ -75,8 +72,11 @@ class TaggedBatch:
     def __getitem__(self, i):
         """The rows selected by a slice, as a new tagged batch in draw order."""
         ids = self.member_ids[i]
-        row_in_sub = self._row_in_sub[i]
-        return TaggedBatch(ids, {k: self.sub[k][row_in_sub[ids == k]] for k in np.unique(ids)})
+        subs = {}
+        for k in np.unique(ids):
+            rank = np.cumsum(self.member_ids == k) - 1  # each row's index in member k's sub-batch
+            subs[k] = self.sub[k][rank[i][ids == k]]
+        return TaggedBatch(ids, subs)
 
     @staticmethod
     def concat(batches):
@@ -112,46 +112,27 @@ class MixtureBackend:
 class MixtureLikelihood:
     """Dispatch likelihood evaluations to the member that produced each draw."""
 
-    def __init__(self, ensemble: ModelEnsemble, dim):
+    def __init__(self, ensemble: ModelEnsemble):
         self.ensemble = ensemble
-        self.dim = int(dim)
 
-    def _dispatch(self, method, x, y, tagged: TaggedBatch, width=None):
+    def _dispatch(self, method, tagged: TaggedBatch, x, y=None, rng=None, width=()):
+        """Each member's ``method(x, y, sub)``, or ``method(x, sub, rng)`` without
+        ``y``, on its own rows in ``tagged.sub`` order, scattered back to them."""
         m = len(tagged)
-        out = np.empty(m) if width is None else np.empty((m, width))
-        y_arr = np.broadcast_to(np.asarray(y, dtype=float), (m,))
+        out = np.empty((m, *width))
+        if y is not None:
+            y = np.broadcast_to(np.asarray(y, dtype=float), (m,))
         for k, sub in tagged.sub.items():
             pos = tagged.positions(k)
             fn = getattr(self.ensemble.members[k].likelihood, method)
-            out[pos] = fn(x, y_arr[pos], sub)
+            out[pos] = fn(x, sub, rng) if y is None else fn(x, y[pos], sub)
         return out
 
     def loglik(self, x, y, tagged):
-        return self._dispatch("loglik", x, y, tagged)
+        return self._dispatch("loglik", tagged, x, y)
 
     def score_x(self, x, y, tagged):
-        return self._dispatch("score_x", x, y, tagged, width=self.dim)
+        return self._dispatch("score_x", tagged, x, y, width=np.shape(x))
 
     def sample_y(self, x, tagged, rng):
-        m = len(tagged)
-        out = np.empty(m)
-        for k, sub in tagged.sub.items():
-            pos = tagged.positions(k)
-            out[pos] = self.ensemble.members[k].likelihood.sample_y(x, sub, rng)
-        return out
-
-
-def graybox_point_attack(prob: PointAttackProblem, ensemble: ModelEnsemble, rng):
-    """Run the point attack against the attacker's model-averaged view.
-
-    The returned trace's iterates/objectives reflect the attacker's beliefs;
-    evaluate the final point against the defender separately.
-    """
-    attacker_prob = replace(prob, model=MixtureLikelihood(ensemble, prob.feasible.dim))
-    return run_point_attack(attacker_prob, MixtureBackend(ensemble), rng)
-
-
-def graybox_ppd_attack(appd, config, ensemble: ModelEnsemble, rng):
-    """Run the distribution attack against the attacker's model-averaged view."""
-    likelihood = MixtureLikelihood(ensemble, config.feasible.dim)
-    return run_ppd_attack(likelihood, appd, config, MixtureBackend(ensemble), rng)
+        return self._dispatch("sample_y", tagged, x, rng=rng)

@@ -44,8 +44,10 @@ class ExactConjugate:
         z = rng.standard_normal((count, post.p))
         if self._nig:
             # InvGamma(a, b): reciprocal of Gamma(shape=a, scale=1/b).  For a
-            # small shape a the gamma draw underflows and phi overflows to inf.
-            phi = 1.0 / rng.gamma(post.a_n, 1.0 / post.b_n, size=count)
+            # small shape a the gamma draw underflows and phi overflows to inf,
+            # which ``_check_draws`` rejects with a ValueError, not a warning.
+            with np.errstate(divide="ignore", over="ignore"):
+                phi = 1.0 / rng.gamma(post.a_n, 1.0 / post.b_n, size=count)
             beta = post.mu_n + np.sqrt(phi)[:, None] * (z @ self._chol_t)
             _check_draws(beta, phi)
         else:

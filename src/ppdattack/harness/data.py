@@ -34,12 +34,9 @@ def gen_synthetic(n, beta, sigma2, rng, mode="independent", mixing=None):
     return Dataset(X=X, y=y)
 
 
-def write_dataset_csv(dataset: Dataset, path, column_names=None, response_name="y"):
-    """Write a dataset as CSV with a header row (covariates then response)."""
-    names = list(column_names) if column_names else ["x_%d" % j for j in range(dataset.p)]
-    if len(names) != dataset.p:
-        raise ValueError("need one column name per covariate")
-    write_csv(path, names + [response_name],
+def write_dataset_csv(dataset: Dataset, path):
+    """Write a dataset as CSV with the header ``x_0..x_{p-1}, y``."""
+    write_csv(path, ["x_%d" % j for j in range(dataset.p)] + ["y"],
               ([format_float(v) for v in dataset.X[i]] + [format_float(dataset.y[i])]
                for i in range(dataset.n)))
 

@@ -14,7 +14,7 @@ are recorded as missing cells with a warning, never as an aborted sweep.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from ..analytic import (
 from ..attacks.baselines import fgsm_like
 from ..attacks.feasible import FeasibleSet
 from ..attacks.functionals import response_functional
-from ..attacks.graybox import EnsembleMember, ModelEnsemble, graybox_point_attack
+from ..attacks.graybox import EnsembleMember, MixtureBackend, MixtureLikelihood, ModelEnsemble
 from ..attacks.point import PointAttackProblem, grad_J, run_point_attack
 from ..attacks.ppd import MlmcConfig, NormalAppd, mlmc_grad, run_ppd_attack
 from ..attacks.trace import format_float, write_csv
@@ -334,6 +334,8 @@ def compare_graybox_residuals(seeds, eps_grid=(0.3, 0.5), n=1000, n_attacker=10,
         mu = post.mu_n
         x0 = (clean_mean / float(mu @ mu)) * mu
         ensemble = ModelEnsemble([EnsembleMember(model, ExactConjugate(post_attacker))])
+        attacker_view = MixtureLikelihood(ensemble)
+        attacker_backend = MixtureBackend(ensemble)
         for eps in eps_grid:
             prob = PointAttackProblem(
                 g=response_functional(), g_star=np.array([float(target)]), model=model,
@@ -341,7 +343,7 @@ def compare_graybox_residuals(seeds, eps_grid=(0.3, 0.5), n=1000, n_attacker=10,
                 eta=eta, T=T, N=N, M=M, eta_decay=True,
             )
             trace_white = run_point_attack(prob, ExactConjugate(post), rng)
-            trace_gray = graybox_point_attack(prob, ensemble, rng)
+            trace_gray = run_point_attack(replace(prob, model=attacker_view), attacker_backend, rng)
             rows.append({
                 "seed": int(seed), "epsilon": float(eps),
                 "residual_white": abs(float(trace_white.final_x @ mu) - float(target)),

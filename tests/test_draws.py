@@ -92,7 +92,7 @@ def test_halves_of_odd_size_raise(half, seed):
     with pytest.raises(ValueError):
         delta_level(GaussianLinear(2), np.zeros(2), ys, levels, batch, cfg)
     ids = np.zeros(2 * half + 1, dtype=int)
-    mixture = MixtureLikelihood(ModelEnsemble([EnsembleMember(GaussianLinear(2), None)]), 2)
+    mixture = MixtureLikelihood(ModelEnsemble([EnsembleMember(GaussianLinear(2), None)]))
     with pytest.raises(ValueError):
         delta_level(mixture, np.zeros(2), ys, levels, TaggedBatch(ids, {0: batch}), cfg)
 

@@ -75,7 +75,7 @@ def mixture_case():
     ens = ModelEnsemble([EnsembleMember(GaussianLinear(2), ExactConjugate(post)),
                          EnsembleMember(FeatureSubsetModel(GaussianLinear(1), [1], 2),
                                         ExactConjugate(post1))], [0.6, 0.4])
-    return MixtureLikelihood(ens, 2), MixtureBackend(ens), NormalAppd(0.3, 2.0)
+    return MixtureLikelihood(ens), MixtureBackend(ens), NormalAppd(0.3, 2.0)
 
 
 CASES = {"gaussian": gaussian_case, "nig": nig_case, "softmax": softmax_case,

@@ -81,7 +81,7 @@ def mixture_case():
     ens = ModelEnsemble([EnsembleMember(GaussianLinear(2), ExactConjugate(post)),
                          EnsembleMember(FeatureSubsetModel(GaussianLinear(1), [1], 2),
                                         ExactConjugate(post1))], [0.6, 0.4])
-    return (MixtureLikelihood(ens, 2), MixtureBackend(ens), response_functional(),
+    return (MixtureLikelihood(ens), MixtureBackend(ens), response_functional(),
             NormalAppd(0.3, 2.0))
 
 
