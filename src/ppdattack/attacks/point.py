@@ -21,18 +21,19 @@ The Jacobian factor has two estimators, passed as ``grad_mu`` to both
 linear likelihoods only).
 
 Drawing and arithmetic are separate steps.  :func:`grad_J` draws, replicate
-by replicate, the posterior draws and predictive outcomes of each batch
-(``backend.draw`` then ``model.sample_y``); :func:`estimate_mu`,
-:func:`estimate_grad_mu` and :func:`reparam_grad_mu` are arithmetic on
-already-drawn samples with a leading replicate axis, so K replicates cost one
-``g.value``/``score_x`` evaluation over all their rows.  A single estimate is
-one replicate, as in the attack loop.  Because every replicate draws exactly
-as one of K successive one-replicate calls would, a K-replicate call gives
-the same numbers bit for bit whenever each likelihood call of a
-one-replicate call sees at least two rows.  Batches of one row, and gray-box
-mixture members that get one row, agree to round-off only: numpy rounds a
-one-row matrix-vector product through BLAS ``dot``, a longer one through
-``gemv``.
+by replicate, one joint sample of N + M rows (``backend.draw`` then
+``model.sample_y``); its rows are iid, so its first N rows form the batch for
+``mu`` and its last M rows the independent batch for the Jacobian.
+:func:`estimate_mu`, :func:`estimate_grad_mu` and :func:`reparam_grad_mu` are
+arithmetic on already-drawn samples with a leading replicate axis, so K
+replicates cost one ``g.value``/``score_x`` evaluation over all their rows.
+A single estimate is one replicate, as in the attack loop.  Because every
+replicate draws exactly as one of K successive one-replicate calls would, a
+K-replicate call gives the same numbers bit for bit whenever each likelihood
+call of a one-replicate call sees at least two rows.  Batches of one row, and
+gray-box mixture members that get one row, agree to round-off only: numpy
+rounds a one-row matrix-vector product through BLAS ``dot``, a longer one
+through ``gemv``.
 """
 
 from __future__ import annotations
@@ -158,20 +159,19 @@ def reparam_grad_mu(prob, x, draws, ys):
 
 
 def _mu_and_jacobian(prob, x, backend, rng, replicates, grad_mu, shared_batch):
-    # Replicate by replicate, in the order of successive one-replicate calls:
-    # its N-batch, then its M-batch (none with a shared batch).  The
-    # arithmetic then runs once over all replicates.
-    mu_ys = np.empty((replicates, prob.N))
-    ys = mu_ys if shared_batch else np.empty((replicates, prob.M))
+    # Replicate by replicate, as successive one-replicate calls draw: one joint
+    # sample of N + M iid rows (N with a shared batch) whose first N feed mu and
+    # last M, an independent batch, the Jacobian.  Then one arithmetic pass.
+    n = prob.N
+    ys = np.empty((replicates, n if shared_batch else n + prob.M))
     draws = []
     for r in range(replicates):
-        d, mu_ys[r] = _joint_sample(prob, x, backend, rng, prob.N)
-        if not shared_batch:
-            d, ys[r] = _joint_sample(prob, x, backend, rng, prob.M)
-        draws.append(d)
+        d, ys[r] = _joint_sample(prob, x, backend, rng, ys.shape[1])
+        draws.append(d if shared_batch else d[n:])
     # One replicate, as in the attack loop, needs no copy of its draws.
     draws = draws[0] if replicates == 1 else type(draws[0]).concat(draws)
-    return estimate_mu(prob, x, mu_ys), grad_mu(prob, x, draws, ys)
+    jac_ys = ys if shared_batch else ys[:, n:]
+    return estimate_mu(prob, x, ys[:, :n]), grad_mu(prob, x, draws, jac_ys)
 
 
 def grad_J(prob, x, backend, rng, replicates=1, grad_mu=None, shared_batch=False):

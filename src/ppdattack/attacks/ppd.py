@@ -14,19 +14,19 @@ first-half/second-half coupling and a randomised level draw, giving an
 unbiased (or, when the level range is capped, nearly unbiased) gradient at
 finite expected cost.
 
-One gradient evaluation consumes the random stream in a fixed order: the B
-target outcomes, then for each of the B * R (outcome, repeat) pairs its level
-and its M0 * 2^level posterior draws.  The arithmetic runs in one pass over
-all of those draws: :func:`delta_level` scores the concatenated batch with one
-``loglik`` and one ``score_x`` call, each row carrying its pair's outcome, and
-:func:`ratio_grad` forms every full-batch and half-batch ratio by segment
-reductions.  Batching changes no random draw, so a seed gives the same levels,
-draws and sample costs as a pair-by-pair evaluation, and the same gradients up
-to summation order.  A call for K replicate gradients repeats that order K
-times and scores the pairs of all K in the same single pass; its gradients
-equal those of K successive one-replicate calls bit for bit.  (Gray-box
-mixtures agree to round-off only: a member can get a single row in one call,
-and numpy scores a one-row batch through BLAS ``dot``, not ``gemv``.)
+One gradient evaluation draws its randomness in three blocks: the B target
+outcomes, the levels of all B * R (outcome, repeat) pairs in one generator
+call, and all of their posterior draws in one ``backend.draw`` call, iid rows
+cut into M0 * 2^level per pair in pair order.  The arithmetic runs in one
+pass over those draws: :func:`delta_level` scores the batch with one
+``loglik`` and one ``score_x`` call, each row carrying its pair's outcome,
+and :func:`ratio_grad` forms every full-batch and half-batch ratio by
+segment reductions.  A call for K replicate gradients repeats the three
+blocks K times and scores the pairs of all K in the same single pass; its
+gradients equal those of K successive one-replicate calls bit for bit.
+(Gray-box mixtures agree to round-off only: a member can get a single row in
+one call, and numpy scores a one-row batch through BLAS ``dot``, not
+``gemv``.)
 """
 
 from __future__ import annotations
@@ -131,18 +131,20 @@ class MlmcConfig:
         object.__setattr__(self, "_level_cdf", cdf)
 
 
-def _sample_level(config, rng):
+def _sample_level(config, rng, count):
+    """``count`` iid levels and their probabilities from one generator call: the
+    levels ``count`` calls of ``rng.choice(p=level_weights)`` would give, or
+    ``count`` geometric draws for the untruncated law."""
     if config.untruncated:
         q = 2.0 ** (-config.tau)
-        level = int(rng.geometric(1.0 - q)) - 1
-        if config.M0 * (1 << level) > config.max_level_draws:
-            raise RuntimeError(
-                "level %d needs %d draws, above the max_level_draws guard"
-                % (level, config.M0 * (1 << level))
-            )
-        return level, (1.0 - q) * q**level
-    level = int(config._level_cdf.searchsorted(rng.random(), side="right"))
-    return level, float(config.level_weights[level])
+        levels = rng.geometric(1.0 - q, size=count) - 1
+        top = int(levels.max())
+        if config.M0 << top > config.max_level_draws:
+            raise RuntimeError("level %d needs %d draws, above the max_level_draws guard"
+                               % (top, config.M0 << top))
+        return levels, (1.0 - q) * q**levels
+    levels = config._level_cdf.searchsorted(rng.random(count), side="right")
+    return levels, config.level_weights[levels]
 
 
 def ratio_grad(loglik, scores, starts):
@@ -206,27 +208,27 @@ def mlmc_grad(model, x, appd, config, backend, rng, replicates=1):
 
     Each estimate averages ``R`` single-level draws ``delta_level / P(level)``
     per predictive outcome and ``B`` outcomes sampled from the adversarial
-    target.  Replicate after replicate consumes the stream exactly as that
-    many successive one-replicate calls would; one :func:`delta_level` call
-    then scores the pairs of every replicate.  Returns ``(grads, levels,
-    draws)``: the gradients, shape ``(replicates, dim)``, the level of each
-    (outcome, repeat) pair in draw order, and the number of posterior draws
-    consumed.
+    target.  Replicate by replicate, as successive one-replicate calls would,
+    it draws the outcomes, the ``B * R`` levels and one posterior batch for
+    all pairs; one :func:`delta_level` call then scores them all.  Returns
+    ``(grads, levels, draws)``: the gradients, shape ``(replicates, dim)``,
+    the level of each (outcome, repeat) pair in draw order, and the number of
+    posterior draws consumed.
     """
-    ys, levels, probs, batches = [], [], [], []
-    for _ in range(replicates):
+    ys, drawn = [], []
+    for _ in range(replicates):  # the stream order: outcomes, levels, draws
         ys.append(np.atleast_1d(appd.sample(config.B, rng)))
-        for _ in range(config.B * config.R):  # the stream order: a level, then its draws
-            level, prob = _sample_level(config, rng)
-            levels.append(level)
-            probs.append(prob)
-            batches.append(backend.draw(config.M0 << level, rng))
-    draws = type(batches[0]).concat(batches)
+        level, prob = _sample_level(config, rng, config.B * config.R)
+        drawn.append((level, prob, backend.draw(int((config.M0 << level).sum()), rng)))
+    levels, probs, batches = zip(*drawn)
+    # One replicate, as in the attack loop, needs no copy of its draws.
+    draws = batches[0] if replicates == 1 else type(batches[0]).concat(batches)
+    levels = np.concatenate(levels)
     deltas = delta_level(model, x, np.repeat(np.concatenate(ys), config.R), levels, draws,
                          config)
-    terms = (deltas / np.asarray(probs)[:, None]).reshape(replicates, config.B, config.R, -1)
+    terms = (deltas / np.concatenate(probs)[:, None]).reshape(replicates, config.B, config.R, -1)
     grads = (terms.sum(axis=2) / config.R).sum(axis=1) / config.B
-    return grads, levels, len(draws)
+    return grads, levels.tolist(), len(draws)
 
 
 def expected_samples_per_iter(config: MlmcConfig):
@@ -250,12 +252,8 @@ def simulate_sample_cost(config: MlmcConfig, iters, rng):
     Exercises the same level-sampling path as :func:`mlmc_grad` without
     evaluating any gradients.
     """
-    total = 0
-    for _ in range(int(iters)):
-        for _ in range(config.B * config.R):
-            level, _ = _sample_level(config, rng)
-            total += config.M0 * (1 << level)
-    return total / float(iters)
+    levels, _ = _sample_level(config, rng, int(iters) * config.B * config.R)
+    return float((config.M0 << levels).sum()) / float(iters)
 
 
 def _objective_estimate(model, x, ys, config, backend, rng):

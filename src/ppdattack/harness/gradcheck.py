@@ -16,11 +16,11 @@ small batch size) serves as a negative control: validation only counts if the
 broken estimator is actually flagged.
 
 Replicates are computed in chunks of ``CHUNK``: one :func:`grad_J` or
-:func:`mlmc_grad` call per chunk draws each replicate's randomness in turn,
-exactly as that many one-replicate calls would, then scores the whole chunk
-in one pass.  The samples are therefore bit-identical to a per-replicate loop
-whatever the chunk size; the chunk only bounds how many draws are held at
-once.
+:func:`mlmc_grad` call per chunk draws replicate after replicate as
+one-replicate calls would (an N + M joint sample; or outcomes, levels and
+posterior rows, one call each), then scores the chunk in one pass.  So the
+samples are bit-identical whatever the chunk size, which only bounds how
+many draws are held at once.
 """
 
 from __future__ import annotations

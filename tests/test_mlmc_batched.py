@@ -1,12 +1,15 @@
 """The one-pass multilevel gradient against a pair-by-pair reference.
 
-The gradient draws, per (outcome, repeat) pair, a level and its posterior
-draws, then scores all pairs at once.  The reference below loops over the
-pairs instead: it draws the level with ``rng.choice`` over the level weights,
-scores the full batch and each half with its own :func:`ratio_grad` call, and
-accumulates ``delta / P(level)`` pair by pair.  Both consume the generator in
-the same order, so they must agree on every level and sample cost, and on the
-gradient up to summation order.
+Per replicate the gradient draws its B outcomes, then the levels of all
+B * R (outcome, repeat) pairs in one call, then every pair's posterior draws
+in one backend call, and scores all pairs at once.  The reference below
+draws in the same order but one value at a time: each level by its own
+``rng.choice`` over the level weights (or ``rng.geometric`` for the
+untruncated law), then one backend batch cut pair by pair, and it scores the
+full batch and each half of every pair with its own :func:`ratio_grad` call,
+accumulating ``delta / P(level)`` pair by pair.  Both consume the generator
+in the same order, so they must agree on every level and sample cost and on
+the final generator state, and on the gradient up to summation order.
 """
 
 import numpy as np
@@ -97,36 +100,39 @@ def reference_level(config, rng):
 
 
 def reference_grad_info(model, x, appd, config, backend, rng):
-    """Pair by pair: a level, its draws, the full ratio minus the mean of the halves."""
+    """Outcomes, then every pair's level, then one batch cut pair by pair:
+    the full ratio minus the mean of the halves."""
     ys = np.atleast_1d(appd.sample(config.B, rng))
+    pairs = [reference_level(config, rng) for _ in range(config.B * config.R)]
+    cost = sum(config.M0 * (1 << level) for level, _ in pairs)
+    draws = backend.draw(cost, rng)
     grad = np.zeros(x.size)
-    levels, cost, scale = [], 0, 0.0
-    for y in ys:
+    scale, start = 0.0, 0
+    for i, y in enumerate(ys):
         acc = np.zeros_like(grad)
-        for _ in range(config.R):
-            level, w = reference_level(config, rng)
+        for level, w in pairs[i * config.R:(i + 1) * config.R]:
             m = config.M0 * (1 << level)
-            draws = backend.draw(m, rng)
-            delta = plug_in(model, x, y, draws)
+            batch = draws[start:start + m]
+            start += m
+            delta = plug_in(model, x, y, batch)
             if level > 0:
-                first, second = draws[: m // 2], draws[m // 2 :]
+                first, second = batch[: m // 2], batch[m // 2 :]
                 delta = delta - 0.5 * (plug_in(model, x, y, first) + plug_in(model, x, y, second))
-            levels.append(level)
-            cost += m
             scale = max(scale, np.abs(delta / w).max())
             acc += delta / w
         grad += acc / config.R
-    return grad / config.B, levels, cost, scale
+    return grad / config.B, [level for level, _ in pairs], cost, scale
 
 
 def assert_matches_reference(model, backend, appd, config, seed):
     x = config.feasible.center
-    (grad,), levels, cost = mlmc_grad(model, x, appd, config, backend,
-                                      np.random.default_rng(seed))
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    (grad,), levels, cost = mlmc_grad(model, x, appd, config, backend, ours)
     want, want_levels, want_cost, scale = reference_grad_info(
-        model, x, appd, config, backend, np.random.default_rng(seed))
+        model, x, appd, config, backend, theirs)
     assert list(levels) == want_levels
     assert cost == want_cost
+    assert ours.random() == theirs.random()
     # Summation order differs, so the error scales with the largest term
     # delta / P(level), not with the (possibly cancelling) gradient.
     np.testing.assert_allclose(grad, want, rtol=RTOL, atol=RTOL * scale)
@@ -159,11 +165,38 @@ def test_level_cdf_draws_the_choice_stream(Lmax, tau, n, seed):
     config = MlmcConfig(FeasibleSet(np.zeros(1), 1.0, "l2"), tau=tau, Lmax=Lmax)
     w = config.level_weights
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(n):
-        level, prob = _sample_level(config, ours)
-        assert level == int(theirs.choice(Lmax + 1, p=w))
-        assert prob == w[level]
+    levels, probs = _sample_level(config, ours, n)
+    assert levels.tolist() == [int(theirs.choice(Lmax + 1, p=w)) for _ in range(n)]
+    assert np.array_equal(probs, w[levels])
     assert ours.random() == theirs.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(tau=st.floats(1.01, 4.0), n=st.integers(1, 300), seed=SEEDS)
+def test_untruncated_levels_draw_the_geometric_stream(tau, n, seed):
+    config = MlmcConfig(FeasibleSet(np.zeros(1), 1.0, "l2"), tau=tau, untruncated=True,
+                        max_level_draws=1 << 62)
+    q = 2.0 ** (-tau)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    levels, probs = _sample_level(config, ours, n)
+    want = [int(theirs.geometric(1.0 - q)) - 1 for _ in range(n)]
+    assert levels.tolist() == want
+    np.testing.assert_allclose(probs, [(1.0 - q) * q**level for level in want], rtol=RTOL)
+    assert ours.random() == theirs.random()
+
+
+def test_untruncated_guard_trips_before_any_draw():
+    class NoDraws:
+        def draw(self, count, rng):
+            raise AssertionError("drew %d rows past the guard" % count)
+
+    model, _, appd = gaussian_case()
+    # any level >= 1 exceeds the 2-draw guard; all 64 pairs draw level 0 w.p. < 1e-12
+    config = MlmcConfig(FeasibleSet(np.array([0.4, -0.3]), 1.0, "l2"), M0=2, tau=1.5, B=32,
+                        untruncated=True, max_level_draws=2)
+    with pytest.raises(RuntimeError, match="max_level_draws"):
+        mlmc_grad(model, config.feasible.center, appd, config, NoDraws(),
+                  np.random.default_rng(3))
 
 
 @pytest.mark.parametrize("split_level", [0, 2])

@@ -291,12 +291,10 @@ def test_level_frequencies_chi_square(testbed):
     cfg = config(x, M0=8, tau=1.5, R=2, Lmax=6)
     w = cfg.level_weights
     rng = np.random.default_rng(79)
-    counts = np.zeros(cfg.Lmax + 1)
     n = 100_000
-    for _ in range(n):
-        level, prob = _sample_level(cfg, rng)
-        counts[level] += 1
-        assert prob == w[level]
+    levels, probs = _sample_level(cfg, rng, n)
+    counts = np.bincount(levels, minlength=cfg.Lmax + 1)
+    assert np.array_equal(probs, w[levels])
     _, pval = stats.chisquare(counts, w * n)
     assert pval > 0.01
 

@@ -1,10 +1,17 @@
 """A call for K replicates equals K successive one-replicate calls.
 
-``grad_J`` and ``mlmc_grad`` draw each replicate's randomness in turn, through
-the same backend, ``sample_y``, target and level calls as a one-replicate
-call, and then score all K replicates in one pass.  So the K-replicate call
-must return, bit for bit, what K successive one-replicate calls return, and
-leave the generator in the same state.
+``grad_J`` and ``mlmc_grad`` draw each replicate's randomness in turn, in
+blocks, and then score all K replicates in one pass.  A ``grad_J`` replicate
+makes one joint sample of N + M rows (one ``backend.draw`` and one
+``sample_y``): its first N rows estimate ``mu`` and its last M rows, an
+independent batch because the rows are iid, the Jacobian; the shared-batch
+control draws N rows that feed both.  An ``mlmc_grad`` replicate draws its
+target outcomes, then all B * R levels in one call, then the posterior rows
+of every (outcome, repeat) pair in one ``backend.draw``.  So the K-replicate
+call must return, bit for bit, what K successive one-replicate calls return,
+and leave the generator in the same state; and ``grad_J`` must return what a
+reference that draws and splits the joint sample replicate by replicate
+returns, up to summation order.
 
 Bit identity needs every likelihood evaluation of a one-replicate call to
 see at least two rows: numpy evaluates a one-row ``beta @ x`` through BLAS
@@ -130,4 +137,39 @@ def test_mlmc_replicates_equal_successive_calls(case, K, B, R, M0, Lmax, seed):
     assert_same(got, np.concatenate([c[0] for c in calls]), exact=case != "mixture")
     assert levels == [level for c in calls for level in c[1]]
     assert cost == sum(c[2] for c in calls)
+    assert ours.random() == theirs.random()
+
+
+def reference_grad_J(prob, x, backend, rng, shared):
+    """One replicate: draw N + M rows (N if shared), sample their outcomes,
+    split, and form the score-function gradient; also a bound on its terms."""
+    n = prob.N if shared else prob.N + prob.M
+    draws = backend.draw(n, rng)
+    ys = prob.model.sample_y(x, draws, rng)
+    head = ys[:prob.N]
+    tail, tail_draws = (ys, draws) if shared else (ys[prob.N:], draws[prob.N:])
+    resid = prob.g.value(x, head).mean(axis=0) - prob.g_star
+    vals = prob.g.value(x, tail)
+    scores = prob.model.score_x(x, tail, tail_draws)
+    gx = prob.g.grad_x(x, tail)
+    gx = gx.mean(axis=0) if gx.ndim == 3 else gx
+    jac = vals.T @ scores / len(tail) + gx
+    bound = 2 * (np.abs(resid) + np.abs(prob.g_star)) @ (
+        np.abs(vals).T @ np.abs(scores) / len(tail) + np.abs(gx))
+    return 2 * resid @ jac, bound
+
+
+@pytest.mark.parametrize("case", ["gaussian", "nig", "softmax", "mixture"])
+@settings(max_examples=15, deadline=None)
+@given(K=st.integers(1, 40), N=st.integers(1, 12), M=st.integers(1, 12), shared=st.booleans(),
+       seed=SEEDS)
+def test_grad_J_draws_one_joint_sample_per_replicate(case, K, N, M, shared, seed):
+    model, backend, g, _ = CASES[case]()
+    prob = PointAttackProblem(g, np.full(g.out_dim, 0.2), model, FeasibleSet(X0, 1.0, "l2"),
+                              N=N, M=M)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = grad_J(prob, X0, backend, ours, K, shared_batch=shared)
+    want, bound = map(np.array, zip(*(reference_grad_J(prob, X0, backend, theirs, shared)
+                                      for _ in range(K))))
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * bound.max())
     assert ours.random() == theirs.random()

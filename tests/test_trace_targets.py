@@ -60,11 +60,27 @@ def test_gradcheck_draws_per_replicate_and_scores_per_chunk(tmp_path, monkeypatc
     with tracer.Tracer() as t:
         workload.run(spec)
     calls = Counter(s.name for s in t.spans)
-    # Per replicate: an N- and an M-batch for the score and the reparameterised
-    # estimators, one shared batch for the control, B * R batches for MLMC.
-    per_replicate = 2 + 2 + 1 + spec.mlmc.B * spec.mlmc.R
-    assert per_replicate == 7 and spec.replicates == 100
-    assert calls["bayes.backends.ExactConjugate.draw"] == 7 * 100
+    # Per replicate, one backend draw each: an N + M joint sample for the
+    # score and for the reparameterised estimator, one shared batch for the
+    # control, and one block holding all B * R pairs' draws for MLMC; the
+    # three point estimators draw their outcomes with one sample_y each.
+    assert spec.replicates == 100
+    assert calls["bayes.backends.ExactConjugate.draw"] == 4 * 100
+    assert calls["bayes.likelihoods.GaussianLinear.sample_y"] == 3 * 100
     chunks = 4  # 100 replicates in chunks of 30
     assert calls["bayes.likelihoods.GaussianLinear.loglik"] == chunks  # MLMC only
     assert calls["bayes.likelihoods.GaussianLinear.score_x"] == 3 * chunks  # score, control, MLMC
+
+
+def test_ppd_sweep_draws_once_per_iteration(tmp_path):
+    tracer, workloads = _perfbench("tracer"), _perfbench("workloads")
+    workload = workloads.WORKLOADS["ppd-sweep"]
+    cfg = workload.build(0, "tiny", str(tmp_path))
+    with tracer.Tracer() as t:
+        workload.run(cfg)
+    calls = Counter(s.name for s in t.spans)
+    # One attacked cell (eps = 2; the eps = 0 cell returns x0 undrawn); each
+    # iteration draws all B * R levels in one call and their rows in another.
+    T = cfg.attack.mlmc.T
+    assert calls["attacks.ppd.level_sample"] == T
+    assert calls["bayes.backends.ExactConjugate.draw"] == T
