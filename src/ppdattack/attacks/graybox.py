@@ -69,14 +69,20 @@ class TaggedBatch:
         """Row indices of member ``k``'s draws within the batch order."""
         return np.nonzero(self.member_ids == k)[0]
 
-    def __getitem__(self, i):
-        """The rows selected by a slice, as a new tagged batch in draw order."""
-        ids = self.member_ids[i]
-        subs = {}
-        for k in np.unique(ids):
-            rank = np.cumsum(self.member_ids == k) - 1  # each row's index in member k's sub-batch
-            subs[k] = self.sub[k][rank[i][ids == k]]
-        return TaggedBatch(ids, subs)
+    def __getitem__(self, rows):
+        """The rows of a step-1 slice, as a new tagged batch in draw order.
+
+        Member k's rows in the slice are a contiguous run of its sub-batch,
+        starting after its rows before the slice, so each is a view.
+        """
+        start, stop, step = rows.indices(len(self))
+        if step != 1:
+            raise ValueError("a tagged batch slices with step 1 only")
+        ids = self.member_ids[start:stop]
+        counts = np.bincount(ids).tolist()
+        before = np.bincount(self.member_ids[:start], minlength=len(counts)).tolist()
+        return TaggedBatch(ids, {k: self.sub[k][before[k]:before[k] + n_k]
+                                 for k, n_k in enumerate(counts) if n_k})
 
     @staticmethod
     def concat(batches):

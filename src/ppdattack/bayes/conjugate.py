@@ -9,6 +9,10 @@ Two conjugate families are provided:
   The posterior predictive is Gaussian with a closed-form mean and variance,
   which is what makes exact attack oracles possible.
 
+Both posteriors share one frozen base holding ``mu_n`` and ``Lambda_n``, the
+covariance factor and the pair ``(x^T mu_n, x^T inv(Lambda_n) x)`` from which
+both predictive forms are built.
+
 All solves against precision matrices go through a Cholesky factorisation; a
 factorisation failure raises :class:`SingularPrecisionError` rather than
 silently regularising.
@@ -77,13 +81,11 @@ class NigPrior:
 
 
 @dataclass(frozen=True)
-class NigPosterior:
-    """Normal--inverse-gamma posterior (mu_n, Lambda_n, a_n, b_n)."""
+class _LinearPosterior:
+    """Coefficient mean ``mu_n`` and precision ``Lambda_n`` of either conjugate posterior."""
 
     mu_n: np.ndarray
     lambda_n: np.ndarray
-    a_n: float
-    b_n: float
 
     @property
     def p(self):
@@ -93,25 +95,31 @@ class NigPosterior:
         """Lower Cholesky factor of inv(Lambda_n)."""
         return np.linalg.cholesky(spd_inverse(self.lambda_n, "Lambda_n"))
 
+    def predictive_pair(self, x):
+        """``(x^T mu_n, x^T inv(Lambda_n) x)`` at covariate vector ``x``."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.p,):
+            raise ValueError("x must have shape (%d,)" % self.p)
+        return x @ self.mu_n, x @ spd_solve(self.lambda_n, x, "Lambda_n")
+
 
 @dataclass(frozen=True)
-class GaussianPosterior:
+class NigPosterior(_LinearPosterior):
+    """Normal--inverse-gamma posterior (mu_n, Lambda_n, a_n, b_n)."""
+
+    a_n: float
+    b_n: float
+
+
+@dataclass(frozen=True)
+class GaussianPosterior(_LinearPosterior):
     """Known-variance Gaussian posterior: beta ~ N(mu_n, inv(Lambda_n)), noise sigma2."""
 
-    mu_n: np.ndarray
-    lambda_n: np.ndarray
     sigma2: float
 
     def __post_init__(self):
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
-
-    @property
-    def p(self):
-        return self.mu_n.size
-
-    def cov_chol(self):
-        return np.linalg.cholesky(spd_inverse(self.lambda_n, "Lambda_n"))
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,17 @@ class TPredictive:
         return self.scale * self.df / (self.df - 2.0)
 
 
+def _design(p, X, y):
+    """``X`` and ``y`` as float arrays, checked to be an (n, p) design and its n responses."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[1] != p:
+        raise ValueError("X must have shape (n, %d), got %s" % (p, X.shape))
+    if y.shape != (X.shape[0],):
+        raise ValueError("y must have shape (%d,), got %s" % (X.shape[0], y.shape))
+    return X, y
+
+
 def nig_update(prior: NigPrior, X, y) -> NigPosterior:
     """Conjugate normal--inverse-gamma update for linear regression.
 
@@ -171,13 +190,7 @@ def nig_update(prior: NigPrior, X, y) -> NigPosterior:
     -----
     ``n = 0`` (empty data) returns the prior unchanged, exactly.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    p = prior.mu0.size
-    if X.ndim != 2 or X.shape[1] != p:
-        raise ValueError("X must have shape (n, %d), got %s" % (p, X.shape))
-    if y.shape != (X.shape[0],):
-        raise ValueError("y must have shape (%d,), got %s" % (X.shape[0], y.shape))
+    X, y = _design(prior.mu0.size, X, y)
     n = X.shape[0]
     if n == 0:
         _chol_spd(prior.lambda0, "Lambda0")
@@ -200,15 +213,8 @@ def ppd_t_params(post: NigPosterior, x) -> TPredictive:
     Returns a :class:`TPredictive` with ``df = 2 a_n``, ``loc = x^T mu_n`` and
     squared scale ``(b_n / a_n) * (1 + x^T inv(Lambda_n) x)``.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (post.p,):
-        raise ValueError("x must have shape (%d,)" % post.p)
-    q = x @ spd_solve(post.lambda_n, x, "Lambda_n")
-    return TPredictive(
-        df=2.0 * post.a_n,
-        loc=float(x @ post.mu_n),
-        scale=float((post.b_n / post.a_n) * (1.0 + q)),
-    )
+    loc, q = post.predictive_pair(x)
+    return TPredictive(2.0 * post.a_n, float(loc), float((post.b_n / post.a_n) * (1.0 + q)))
 
 
 def gaussian_update(mu0, lambda0, sigma2, X, y) -> GaussianPosterior:
@@ -219,17 +225,12 @@ def gaussian_update(mu0, lambda0, sigma2, X, y) -> GaussianPosterior:
     """
     mu0 = np.asarray(mu0, dtype=float)
     lambda0 = np.asarray(lambda0, dtype=float)
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     p = mu0.size
     if lambda0.shape != (p, p):
         raise ValueError("lambda0 must be (p, p)")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    if X.ndim != 2 or X.shape[1] != p:
-        raise ValueError("X must have shape (n, %d), got %s" % (p, X.shape))
-    if y.shape != (X.shape[0],):
-        raise ValueError("y length must match X rows")
+    X, y = _design(p, X, y)
 
     lambda_n = lambda0 + X.T @ X / sigma2
     mu_n = spd_solve(lambda_n, lambda0 @ mu0 + X.T @ y / sigma2, "Lambda_n")
@@ -241,8 +242,5 @@ def ppd_normal_params(post: GaussianPosterior, x):
 
     Returns ``(x^T mu_n, x^T inv(Lambda_n) x + sigma2)``.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (post.p,):
-        raise ValueError("x must have shape (%d,)" % post.p)
-    var = x @ spd_solve(post.lambda_n, x, "Lambda_n") + post.sigma2
-    return float(x @ post.mu_n), float(var)
+    loc, q = post.predictive_pair(x)
+    return float(loc), float(q + post.sigma2)

@@ -26,7 +26,7 @@ many draws are held at once.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, cycle, repeat
 
 import numpy as np
@@ -37,12 +37,10 @@ from ..attacks.functionals import response_functional
 from ..attacks.point import PointAttackProblem, grad_J, reparam_grad_mu
 from ..attacks.ppd import NormalAppd, mlmc_grad
 from ..attacks.trace import format_float, write_csv
-from ..bayes.backends import ExactConjugate
-from ..bayes.conjugate import gaussian_update, ppd_normal_params
-from ..bayes.likelihoods import GaussianLinear
-from .config import GradCheckSpec
+from .config import GradCheckSpec, ModelSpec
 from .data import gen_synthetic
-from .sep import mlmc_config
+from .predictor import fit_predictor
+from .sep import aim_at_mean, mlmc_config
 
 POSITIVE_ESTIMATORS = ("score", "reparam", "mlmc")
 CONTROL_ESTIMATOR = "score-shared-batch"
@@ -119,31 +117,20 @@ def _replicated(estimate, reps):
     return np.concatenate([estimate(min(CHUNK, reps - i)) for i in range(0, reps, CHUNK)])
 
 
-def build_testbed(spec: GradCheckSpec, data_rng):
-    """Fit the known-variance posterior and aim the probe covariate."""
-    train = gen_synthetic(spec.n, spec.beta, spec.sigma2, data_rng)
-    dim = len(spec.beta)
-    post = gaussian_update(
-        np.zeros(dim), spec.prior_precision * np.eye(dim), spec.sigma2, train.X, train.y
-    )
-    mu = post.mu_n
-    x0 = (spec.clean_mean / float(mu @ mu)) * mu
-    return post, x0
-
-
 def validate_gradients(spec: GradCheckSpec) -> GradCheckReport:
     """Replicate every estimator on the conjugate testbed and z-test the means."""
     ss = np.random.SeedSequence((int(spec.seed), 90210))
     rng_data, rng_score, rng_reparam, rng_mlmc, rng_control = (
         np.random.default_rng(c) for c in ss.spawn(5)
     )
-    post, x0 = build_testbed(spec, rng_data)
-    dim = x0.size
-    model = GaussianLinear(dim)
-    backend = ExactConjugate(post)
+    train = gen_synthetic(spec.n, spec.beta, spec.sigma2, rng_data)
+    fitted = fit_predictor(
+        ModelSpec(sigma2=spec.sigma2, prior_precision=spec.prior_precision), train)
+    post, model, backend = fitted.posterior, fitted.likelihood, fitted.backend
+    x0 = aim_at_mean(post.mu_n, spec.clean_mean)
     feasible = FeasibleSet(center=x0, epsilon=1.0, norm="l2")
 
-    m0, v0 = ppd_normal_params(post, x0)
+    m0, v0 = fitted.predictive_moments(x0)
     point_oracle = 2.0 * (m0 - spec.target) * post.mu_n
     appd = NormalAppd(mean=m0, var=spec.appd_var_factor * v0)
     mlmc_oracle = kl_normal_ppd_grad(appd, post, x0)
@@ -169,10 +156,7 @@ def validate_gradients(spec: GradCheckSpec) -> GradCheckReport:
         checks.extend(_checks_for(name, "positive", samples[name], oracles[name], spec.z_threshold))
 
     if spec.include_control:
-        prob_ctrl = PointAttackProblem(
-            g=response_functional(), g_star=np.array([spec.target]), model=model,
-            feasible=feasible, N=spec.control_batch, M=spec.control_batch,
-        )
+        prob_ctrl = replace(prob, N=spec.control_batch, M=spec.control_batch)
         ctrl = _replicated(
             lambda k: grad_J(prob_ctrl, x0, backend, rng_control, k, shared_batch=True), reps)
         samples[CONTROL_ESTIMATOR] = ctrl

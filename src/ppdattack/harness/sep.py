@@ -7,8 +7,10 @@ its own generator from (seed, epsilon index, repetition, strategy index), so
 the grid is order-independent, reproducible bit-for-bit, and safe to
 parallelise externally.
 
-Failures of a single task (e.g. a strategy that does not apply to the model)
-are recorded as missing cells with a warning, never as an aborted sweep.
+A task that fails because its strategy does not apply to the model
+(``UnsupportedModelError``) or because its attack stopped (a ``RuntimeError``
+such as a non-finite gradient) is recorded as a missing cell with a warning.
+Any other error, such as a bad setting, aborts the sweep.
 """
 
 from __future__ import annotations
@@ -31,9 +33,7 @@ from ..attacks.graybox import EnsembleMember, MixtureBackend, MixtureLikelihood,
 from ..attacks.point import PointAttackProblem, grad_J, run_point_attack
 from ..attacks.ppd import MlmcConfig, NormalAppd, mlmc_grad, run_ppd_attack
 from ..attacks.trace import format_float, write_csv
-from ..bayes.backends import ExactConjugate
-from ..bayes.conjugate import GaussianPosterior, NigPosterior, gaussian_update
-from ..bayes.likelihoods import GaussianLinear
+from ..bayes.conjugate import GaussianPosterior, NigPosterior
 from ..exceptions import UnsupportedModelError
 from .config import ExperimentConfig, MlmcSpec, ModelSpec
 from .data import gen_synthetic, load_dataset
@@ -105,16 +105,20 @@ def _task_rngs(seed, eps_idx, rep, strat_idx):
     return np.random.default_rng(attack_ss), np.random.default_rng(eval_ss)
 
 
+def aim_at_mean(mu_n, value):
+    """The covariate along ``mu_n`` whose clean predictive mean ``x @ mu_n`` is ``value``."""
+    nrm2 = float(mu_n @ mu_n)
+    if nrm2 == 0.0:
+        raise ValueError("posterior mean is zero; cannot aim an instance")
+    return (value / nrm2) * mu_n
+
+
 def _instances(cfg: ExperimentConfig, defender, test):
     mode = cfg.attack.x0_mode
     if mode == "explicit":
         return [np.asarray(cfg.attack.x0, dtype=float)]
     if mode == "clean_mean":
-        mu = defender.posterior.mu_n
-        nrm2 = float(mu @ mu)
-        if nrm2 == 0.0:
-            raise ValueError("posterior mean is zero; cannot aim an instance")
-        return [(cfg.attack.x0_value / nrm2) * mu]
+        return [aim_at_mean(defender.posterior.mu_n, cfg.attack.x0_value)]
     if test is None or test.n == 0:
         raise ValueError("x0_mode='test_sample' needs a test split")
     k = min(cfg.attack.x0_count, test.n)
@@ -271,7 +275,7 @@ def run_sep(cfg: ExperimentConfig) -> SepResult:
                 try:
                     metrics = _run_task(cfg, defender, instances, targets, strategy,
                                         eps, rng_attack, rng_eval)
-                except Exception as err:  # record a missing cell, keep sweeping
+                except (UnsupportedModelError, RuntimeError) as err:  # a missing cell
                     warnings.warn(
                         "strategy %r failed at eps=%g rep=%d: %s" % (strategy, eps, rep, err),
                         RuntimeWarning,
@@ -317,32 +321,27 @@ def compare_graybox_residuals(seeds, eps_grid=(0.3, 0.5), n=1000, n_attacker=10,
     residuals are the defender's exact predictive means against the target.
     Returns one dict per (seed, epsilon) with both residuals.
     """
-    beta = np.asarray(beta, dtype=float)
-    dim = beta.size
-    model = GaussianLinear(dim)
     rows = []
     for seed in seeds:
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 33)))
         defender_data = gen_synthetic(n, beta, sigma2, rng)
         attacker_data = gen_synthetic(n_attacker, beta, sigma2, rng)
-        post = gaussian_update(np.zeros(dim), np.eye(dim), sigma2,
-                               defender_data.X, defender_data.y)
-        post_attacker = gaussian_update(
-            np.zeros(dim), attacker_prior_precision * np.eye(dim), sigma2,
-            attacker_data.X, attacker_data.y,
-        )
-        mu = post.mu_n
-        x0 = (clean_mean / float(mu @ mu)) * mu
-        ensemble = ModelEnsemble([EnsembleMember(model, ExactConjugate(post_attacker))])
+        defender = fit_predictor(ModelSpec(sigma2=sigma2, prior_precision=1.0), defender_data)
+        attacker = fit_predictor(
+            ModelSpec(sigma2=sigma2, prior_precision=attacker_prior_precision), attacker_data)
+        mu = defender.posterior.mu_n
+        x0 = aim_at_mean(mu, clean_mean)
+        ensemble = ModelEnsemble([EnsembleMember(attacker.likelihood, attacker.backend)])
         attacker_view = MixtureLikelihood(ensemble)
         attacker_backend = MixtureBackend(ensemble)
         for eps in eps_grid:
             prob = PointAttackProblem(
-                g=response_functional(), g_star=np.array([float(target)]), model=model,
+                g=response_functional(), g_star=np.array([float(target)]),
+                model=defender.likelihood,
                 feasible=FeasibleSet(center=x0, epsilon=float(eps), norm="l2"),
                 eta=eta, T=T, N=N, M=M, eta_decay=True,
             )
-            trace_white = run_point_attack(prob, ExactConjugate(post), rng)
+            trace_white = run_point_attack(prob, defender.backend, rng)
             trace_gray = run_point_attack(replace(prob, model=attacker_view), attacker_backend, rng)
             rows.append({
                 "seed": int(seed), "epsilon": float(eps),

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from ppdattack.harness import sep
 from ppdattack.harness.cli import main
 from ppdattack.harness.config import ExperimentConfig
 from ppdattack.harness.sep import prepare_experiment
@@ -164,6 +165,19 @@ def test_sweep_writes_records_and_summary(tmp_path, capsys):
     summary = read_rows(tmp_path / "sep_summary.csv")
     assert summary[0] == ["strategy", "metric", "epsilon", "n", "mean", "se", "two_se"]
     assert "wrote" in capsys.readouterr().out
+
+
+def test_sweep_fault_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # A ValueError inside a task is a fault, not a missing cell: the sweep
+    # aborts before any CSV is written and the CLI reports it.
+    def broken(*args, **kwargs):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(sep, "run_point_attack", broken)
+    cfg = write_config(tmp_path, POINT_DOC)
+    assert main(["sweep", cfg, "--output-dir", str(tmp_path)]) == 2
+    assert "injected fault" in capsys.readouterr().err
+    assert not (tmp_path / "sep.csv").exists()
 
 
 def test_validate_gradients_exit_codes(tmp_path, capsys):

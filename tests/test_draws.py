@@ -103,7 +103,7 @@ def test_tagged_slice_matches_per_row_reference(tagged, data):
     m = len(tagged)
     start = data.draw(st.integers(-m, m))
     stop = data.draw(st.integers(-m, m))
-    step = data.draw(st.sampled_from([None, 1, 2, 3, -1, -2]))
+    step = data.draw(st.sampled_from([None, 1]))
     cuts = [slice(0, m // 2), slice(m // 2, m), slice(start, stop, step)]
     parts = [tagged[rows] for rows in cuts]
     for rows, part in zip(cuts, parts):
@@ -113,6 +113,10 @@ def test_tagged_slice_matches_per_row_reference(tagged, data):
         for k, idx in want.items():
             assert np.array_equal(part.sub[k].beta, tagged.sub[k].beta[idx])
             assert np.array_equal(part.sub[k].phi, tagged.sub[k].phi[idx])
+    # Only step-1 slices are supported: each member's rows must be one run.
+    for bad in (2, -1):
+        with pytest.raises(ValueError):
+            tagged[start:stop:bad]
 
 
 @PROPERTY

@@ -20,7 +20,7 @@ from scipy import stats
 from ppdattack.attacks.feasible import FeasibleSet
 from ppdattack.attacks.ppd import MlmcConfig, _objective_estimate
 from ppdattack.bayes.conjugate import GaussianPosterior, NigPosterior, ppd_normal_params
-from ppdattack.harness import gradcheck
+from ppdattack.harness import gradcheck, sep
 from ppdattack.harness.config import (
     AttackSpec,
     DatasetSpec,
@@ -50,6 +50,7 @@ from ppdattack.harness.predictor import BayesPredictor, fit_predictor
 from ppdattack.harness.sep import (
     SepRecord,
     aggregate,
+    aim_at_mean,
     compare_graybox_residuals,
     compare_norm_sparsity,
     prepare_experiment,
@@ -526,6 +527,25 @@ def test_sweep_survives_a_failing_strategy():
     ana_eps = {r.epsilon for r in res.records if r.strategy == "analytic"}
     assert sgd_eps == {0.0, 0.3}
     assert ana_eps == {0.0}  # the eps=0 short-circuit never reaches the solver
+
+
+def test_sweep_aborts_on_a_fault_in_a_task(monkeypatch):
+    # Only an inapplicable strategy or a stopped attack is a missing cell; a
+    # fault anywhere else in a task propagates out of the sweep.
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("injected fault")
+
+    monkeypatch.setattr(sep, "run_point_attack", broken)
+    with pytest.raises(ZeroDivisionError, match="injected fault"):
+        run_sep(point_config(repeats=1))
+
+
+def test_aim_at_mean_sets_the_clean_predictive_mean():
+    mu = np.array([0.7, -1.9, 0.05])
+    for value in (-0.5, 3.0, 0.0):
+        assert aim_at_mean(mu, value) @ mu == pytest.approx(value, abs=1e-14)
+    with pytest.raises(ValueError, match="zero"):
+        aim_at_mean(np.zeros(3), -0.5)
 
 
 def test_norm_sparsity_report_counts_zeroed_coordinates():

@@ -8,16 +8,20 @@ compare chunked empirical moments against the closed-form posterior moments.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppdattack.bayes.backends import ExactConjugate, SampleBank
 from ppdattack.bayes.conjugate import (
     GaussianPosterior,
+    NigPosterior,
     NigPrior,
     SingularPrecisionError,
     gaussian_update,
     nig_update,
     ppd_normal_params,
     ppd_t_params,
+    spd_solve,
 )
 from ppdattack.bayes.draws import DrawBatch
 
@@ -126,6 +130,26 @@ def test_ridge_map_property():
         post = nig_update(NigPrior(np.zeros(3), c * np.eye(3), 2.0, 2.0), X, y)
         ridge = np.linalg.solve(X.T @ X + c * np.eye(3), X.T @ y)
         assert np.allclose(post.mu_n, ridge, atol=1e-8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3))
+def test_predictive_params_match_the_written_out_forms(p, seed, scale):
+    # Both predictive forms are built on the posteriors' shared pair
+    # (x'mu_n, x'inv(Lambda_n)x); they must equal, bit for bit, the closed
+    # forms written out with the same operations in the same order.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((p, p))
+    lam = a @ a.T + 0.1 * np.eye(p)
+    mu, x = rng.standard_normal(p), scale * rng.standard_normal(p)
+    sigma2, a_n, b_n = rng.uniform(0.1, 5.0, 3)
+    quad = x @ spd_solve(lam, x, "Lambda_n")
+    m, v = ppd_normal_params(GaussianPosterior(mu, lam, sigma2), x)
+    assert (m, v) == (float(x @ mu), float(x @ spd_solve(lam, x, "Lambda_n") + sigma2))
+    t = ppd_t_params(NigPosterior(mu, lam, a_n, b_n), x)
+    assert (t.df, t.loc, t.scale) == (2.0 * a_n, float(x @ mu),
+                                      float((b_n / a_n) * (1.0 + quad)))
 
 
 def test_singular_precision_rejected():

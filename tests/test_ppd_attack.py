@@ -31,6 +31,7 @@ from ppdattack.bayes.backends import ExactConjugate, SampleBank
 from ppdattack.bayes.conjugate import TPredictive, gaussian_update, ppd_normal_params
 from ppdattack.bayes.draws import DrawBatch
 from ppdattack.bayes.likelihoods import GaussianLinear
+from ppdattack.exceptions import NonFiniteGradientError
 from ppdattack.harness.data import gen_synthetic
 
 
@@ -395,3 +396,24 @@ def test_objective_recording_optional(small_posterior):
                            np.random.default_rng(32))
     assert np.all(np.isnan(trace.objectives))
     assert np.isnan(trace.final_residual)
+
+
+class NanScoreLinear(GaussianLinear):
+    """Gaussian linear likelihood whose covariate scores are all NaN."""
+
+    def score_x(self, x, y, gamma):
+        return np.full_like(super().score_x(x, y, gamma), np.nan)
+
+
+def test_nonfinite_multilevel_gradient_raises(small_posterior):
+    # The first multilevel gradient is NaN, so the attack stops before its
+    # first step and reports the iterate it was at: the ball centre.
+    post, backend, _ = small_posterior
+    x0 = clean_point(post)
+    m0, v0 = ppd_normal_params(post, x0)
+    cfg = config(x0, T=5, record_objective=False)
+    with pytest.raises(NonFiniteGradientError) as err:
+        run_ppd_attack(NanScoreLinear(2), NormalAppd(m0, v0), cfg, backend,
+                       np.random.default_rng(33))
+    assert err.value.iteration == 1
+    assert np.array_equal(err.value.x, x0)
