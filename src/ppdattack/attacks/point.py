@@ -27,13 +27,19 @@ by replicate, one joint sample of N + M rows (``backend.draw`` then
 :func:`estimate_mu`, :func:`estimate_grad_mu` and :func:`reparam_grad_mu` are
 arithmetic on already-drawn samples with a leading replicate axis, so K
 replicates cost one ``g.value``/``score_x`` evaluation over all their rows.
-A single estimate is one replicate, as in the attack loop.  Because every
-replicate draws exactly as one of K successive one-replicate calls would, a
-K-replicate call gives the same numbers bit for bit whenever each likelihood
-call of a one-replicate call sees at least two rows.  Batches of one row, and
-gray-box mixture members that get one row, agree to round-off only: numpy
-rounds a one-row matrix-vector product through BLAS ``dot``, a longer one
-through ``gemv``.
+A single estimate is one replicate, as in the attack loop.  When the backend
+and the likelihood both declare ``normals_per_row`` (the known-variance
+``ExactConjugate`` and ``GaussianLinear``), a K-replicate call draws all K
+replicates' normals in one ``rng.standard_normal`` block and passes them to
+one ``backend.draw`` and one ``sample_y`` through a
+:class:`~ppdattack.bayes.draws.NormalSource`, reordered so that each
+replicate gets the normals its own call would have drawn; any other pair is
+drawn replicate by replicate.  Because every replicate draws exactly as one
+of K successive one-replicate calls would, a K-replicate call gives the same
+numbers bit for bit whenever each likelihood call of a one-replicate call
+sees at least two rows.  Batches of one row, and gray-box mixture members
+that get one row, agree to round-off only: numpy rounds a one-row
+matrix-vector product through BLAS ``dot``, a longer one through ``gemv``.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import NonFiniteGradientError
+from ..bayes.draws import DrawBatch, NormalSource, normals_per_row
 from ..bayes.likelihoods import require_gaussian_linear
 from .feasible import FeasibleSet
 from .functionals import Functional
@@ -158,18 +165,41 @@ def reparam_grad_mu(prob, x, draws, ys):
     return grad
 
 
+def _normal_block_sample(prob, x, backend, rng, replicates, rows, per_row):
+    # The normals of ``replicates`` successive joint samples, drawn as one block:
+    # each replicate's rows * b for the backend, then its rows * l for the
+    # outcomes.  Reordered so that all backend normals come first, they feed one
+    # draw of every replicate's rows and one sample_y, in replicate order.
+    cut = rows * per_row[0]
+    block = rng.standard_normal((replicates, rows * sum(per_row)))
+    with NormalSource(np.concatenate((block[:, :cut], block[:, cut:]), axis=None)) as source:
+        draws, ys = _joint_sample(prob, x, backend, source, replicates * rows)
+    return draws, ys.reshape(replicates, rows)
+
+
 def _mu_and_jacobian(prob, x, backend, rng, replicates, grad_mu, shared_batch):
-    # Replicate by replicate, as successive one-replicate calls draw: one joint
-    # sample of N + M iid rows (N with a shared batch) whose first N feed mu and
-    # last M, an independent batch, the Jacobian.  Then one arithmetic pass.
+    # As successive one-replicate calls draw: per replicate one joint sample of
+    # N + M iid rows (N with a shared batch) whose first N feed mu and last M,
+    # an independent batch, the Jacobian; as one normal block where both sides
+    # declare their normals, else replicate by replicate.  Then one arithmetic
+    # pass.
     n = prob.N
-    ys = np.empty((replicates, n if shared_batch else n + prob.M))
-    draws = []
-    for r in range(replicates):
-        d, ys[r] = _joint_sample(prob, x, backend, rng, ys.shape[1])
-        draws.append(d if shared_batch else d[n:])
-    # One replicate, as in the attack loop, needs no copy of its draws.
-    draws = draws[0] if replicates == 1 else type(draws[0]).concat(draws)
+    rows = n if shared_batch else n + prob.M
+    per_row = replicates > 1 and normals_per_row(backend, prob.model)
+    if per_row:
+        draws, ys = _normal_block_sample(prob, x, backend, rng, replicates, rows, per_row)
+        if not shared_batch:  # each replicate's last M rows, by a strided copy
+            k = draws.beta.shape[1]
+            draws = DrawBatch(draws.beta.reshape(replicates, rows, k)[:, n:].reshape(-1, k),
+                              draws.phi.reshape(replicates, rows)[:, n:].ravel())
+    else:
+        ys = np.empty((replicates, rows))
+        draws = []
+        for r in range(replicates):
+            d, ys[r] = _joint_sample(prob, x, backend, rng, rows)
+            draws.append(d if shared_batch else d[n:])
+        # One replicate, as in the attack loop, needs no copy of its draws.
+        draws = draws[0] if replicates == 1 else type(draws[0]).concat(draws)
     jac_ys = ys if shared_batch else ys[:, n:]
     return estimate_mu(prob, x, ys[:, :n]), grad_mu(prob, x, draws, jac_ys)
 

@@ -23,7 +23,13 @@ pass over those draws: :func:`delta_level` scores the batch with one
 and :func:`ratio_grad` forms every full-batch and half-batch ratio by
 segment reductions.  A call for K replicate gradients repeats the three
 blocks K times and scores the pairs of all K in the same single pass; its
-gradients equal those of K successive one-replicate calls bit for bit.
+gradients equal those of K successive one-replicate calls bit for bit.  The
+level draws interleave uniforms with the other blocks, so the replicates
+stay a loop; but a backend that declares ``normals_per_row`` (the
+known-variance ``ExactConjugate``) has each replicate's posterior normals
+drawn in the loop with ``rng.standard_normal`` and turned into rows by one
+``backend.draw`` over all of them, through a
+:class:`~ppdattack.bayes.draws.NormalSource`.
 (Gray-box mixtures agree to round-off only: a member can get a single row in
 one call, and numpy scores a one-row batch through BLAS ``dot``, not
 ``gemv``.)
@@ -35,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..bayes.draws import NormalSource, normals_per_row
 from ..bayes.likelihoods import _sample_categorical, logsumexp, normal_logpdf, normal_sample
 from ..exceptions import DegenerateLikelihoodError, NonFiniteGradientError
 from .feasible import FeasibleSet
@@ -210,20 +217,31 @@ def mlmc_grad(model, x, appd, config, backend, rng, replicates=1):
     per predictive outcome and ``B`` outcomes sampled from the adversarial
     target.  Replicate by replicate, as successive one-replicate calls would,
     it draws the outcomes, the ``B * R`` levels and one posterior batch for
-    all pairs; one :func:`delta_level` call then scores them all.  Returns
+    all pairs (for a backend that declares ``normals_per_row``, the batch's
+    normals, all made rows by one ``backend.draw`` after the loop); one
+    :func:`delta_level` call then scores them all.  Returns
     ``(grads, levels, draws)``: the gradients, shape ``(replicates, dim)``,
     the level of each (outcome, repeat) pair in draw order, and the number of
     posterior draws consumed.
     """
+    # A backend that draws only normals has each replicate's drawn in turn and
+    # turns them all into rows in one draw after the loop.
+    per_row = replicates > 1 and normals_per_row(backend)
     ys, drawn = [], []
     for _ in range(replicates):  # the stream order: outcomes, levels, draws
         ys.append(np.atleast_1d(appd.sample(config.B, rng)))
         level, prob = _sample_level(config, rng, config.B * config.R)
-        drawn.append((level, prob, backend.draw(int((config.M0 << level).sum()), rng)))
+        count = int((config.M0 << level).sum())
+        drawn.append((level, prob, rng.standard_normal(count * per_row[0]) if per_row
+                      else backend.draw(count, rng)))
     levels, probs, batches = zip(*drawn)
-    # One replicate, as in the attack loop, needs no copy of its draws.
-    draws = batches[0] if replicates == 1 else type(batches[0]).concat(batches)
     levels = np.concatenate(levels)
+    if per_row:
+        with NormalSource(np.concatenate(batches)) as source:
+            draws = backend.draw(int((config.M0 << levels).sum()), source)
+    else:
+        # One replicate, as in the attack loop, needs no copy of its draws.
+        draws = batches[0] if replicates == 1 else type(batches[0]).concat(batches)
     deltas = delta_level(model, x, np.repeat(np.concatenate(ys), config.R), levels, draws,
                          config)
     terms = (deltas / np.concatenate(probs)[:, None]).reshape(replicates, config.B, config.R, -1)

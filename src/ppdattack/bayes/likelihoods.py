@@ -10,7 +10,8 @@ of ``(beta, phi)`` rows):
 
 Every method takes a ``DrawBatch`` and returns one row per draw; a single draw
 is a one-row batch.  ``y`` may be a scalar (evaluated under every draw) or
-one value per draw.
+one value per draw.  A family whose ``sample_y`` draws nothing but standard
+normals says how many per row in ``normals_per_row`` (``GaussianLinear``: 1).
 
 Each outcome law is written once, as a module-level head the families (and
 the attack targets) call on their per-draw outputs: ``normal_*`` on a mean
@@ -128,7 +129,12 @@ def categorical_score(logits, y, jac):
 
 
 class GaussianLinear:
-    """Gaussian linear regression likelihood: y | x, gamma ~ N(beta^T x, phi)."""
+    """Gaussian linear regression likelihood: y | x, gamma ~ N(beta^T x, phi).
+
+    ``sample_y`` consumes one standard normal per row and nothing else.
+    """
+
+    normals_per_row = 1
 
     def __init__(self, dim):
         self.dim = int(dim)

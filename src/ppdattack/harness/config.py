@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from ..attacks.feasible import NORMS
@@ -104,8 +105,9 @@ class ModelSpec(_Spec):
     def validate(self):
         if self.kind not in ("gaussian_linear", "nig_linear"):
             raise ValueError("model.kind must be 'gaussian_linear' or 'nig_linear'")
-        if self.sigma2 <= 0 or self.prior_precision <= 0:
-            raise ValueError("model.sigma2 and model.prior_precision must be positive")
+        if not all(0 < v < math.inf for v in (self.sigma2, self.prior_precision)):
+            raise ValueError(
+                "model.sigma2 and model.prior_precision must be positive and finite")
         if self.a0 <= 0 or self.b0 <= 0:
             raise ValueError("model.a0 and model.b0 must be positive")
 
@@ -234,7 +236,14 @@ class GradCheckSpec(_Spec):
     include_control: bool = True
     mlmc: MlmcSpec = field(default_factory=MlmcSpec)
 
+    def model(self):
+        """The known-variance Gaussian model the testbed fits."""
+        return ModelSpec(sigma2=self.sigma2, prior_precision=self.prior_precision)
+
     def validate(self):
+        self.model().validate()
+        if not (math.isfinite(self.target) and math.isfinite(self.clean_mean)):
+            raise ValueError("target and clean_mean must be finite")
         if self.replicates < 100:
             raise ValueError("gradcheck needs at least 100 replicates")
         if min(self.N, self.M, self.control_batch) < 2:

@@ -16,9 +16,13 @@ small batch size) serves as a negative control: validation only counts if the
 broken estimator is actually flagged.
 
 Replicates are computed in chunks of ``CHUNK``: one :func:`grad_J` or
-:func:`mlmc_grad` call per chunk draws replicate after replicate as
-one-replicate calls would (an N + M joint sample; or outcomes, levels and
-posterior rows, one call each), then scores the chunk in one pass.  So the
+:func:`mlmc_grad` call per chunk draws what one-replicate calls would draw,
+replicate after replicate (an N + M joint sample; or outcomes, levels and
+posterior rows), then scores the chunk in one pass.  The testbed's
+known-variance backend and Gaussian likelihood draw only standard normals,
+so a point-estimator chunk draws its normals as one block and makes one
+``backend.draw`` and one ``sample_y``, and an MLMC chunk one
+``backend.draw`` after its per-replicate outcome and level draws.  The
 samples are bit-identical whatever the chunk size, which only bounds how
 many draws are held at once.
 """
@@ -37,7 +41,7 @@ from ..attacks.functionals import response_functional
 from ..attacks.point import PointAttackProblem, grad_J, reparam_grad_mu
 from ..attacks.ppd import NormalAppd, mlmc_grad
 from ..attacks.trace import format_float, write_csv
-from .config import GradCheckSpec, ModelSpec
+from .config import GradCheckSpec
 from .data import gen_synthetic
 from .predictor import fit_predictor
 from .sep import aim_at_mean, mlmc_config
@@ -124,8 +128,7 @@ def validate_gradients(spec: GradCheckSpec) -> GradCheckReport:
         np.random.default_rng(c) for c in ss.spawn(5)
     )
     train = gen_synthetic(spec.n, spec.beta, spec.sigma2, rng_data)
-    fitted = fit_predictor(
-        ModelSpec(sigma2=spec.sigma2, prior_precision=spec.prior_precision), train)
+    fitted = fit_predictor(spec.model(), train)
     post, model, backend = fitted.posterior, fitted.likelihood, fitted.backend
     x0 = aim_at_mean(post.mu_n, spec.clean_mean)
     feasible = FeasibleSet(center=x0, epsilon=1.0, norm="l2")

@@ -198,6 +198,17 @@ def test_validate_gradients_exit_codes(tmp_path, capsys):
     assert "validation FAILED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field, value", [("prior_precision", 0.0), ("sigma2", 0.0),
+                                          ("target", float("nan")),
+                                          ("clean_mean", float("nan"))])
+def test_validate_gradients_bad_testbed_exits_2_and_writes_nothing(tmp_path, capsys, field,
+                                                                    value):
+    cfg = write_config(tmp_path, dict(GRADCHECK_DOC, **{field: value}))
+    assert main(["validate-gradients", cfg, "--output-dir", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "gradcheck.csv").exists()
+
+
 def test_validate_gradients_writes_samples_by_default(tmp_path):
     cfg = write_config(tmp_path, GRADCHECK_DOC)
     assert main(["validate-gradients", cfg, "--output-dir", str(tmp_path)]) == 0

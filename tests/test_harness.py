@@ -221,6 +221,18 @@ def test_specs_reject_empty_populations_and_a_nonpositive_target_variance():
             GradCheckSpec.from_dict({"appd_var_factor": factor})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("prior_precision", 0.0, "prior_precision"), ("prior_precision", -1.0, "prior_precision"),
+    ("sigma2", 0.0, "sigma2"), ("sigma2", float("nan"), "sigma2"),
+    ("target", float("nan"), "target"), ("clean_mean", float("nan"), "clean_mean"),
+    ("target", float("inf"), "target")])
+def test_gradcheck_spec_rejects_an_unusable_testbed(field, value, message):
+    # Caught at load with the model spec's messages: not an improper prior that
+    # runs to the end, a failure mid-run, or z = inf on every coordinate.
+    with pytest.raises(ValueError, match=message):
+        GradCheckSpec.from_dict({field: value})
+
+
 @pytest.mark.parametrize("mlmc, field", [({"eta": 0.0}, "mlmc.eta"), ({"eta": -0.1}, "mlmc.eta"),
                                          ({"M0": 7}, "mlmc.M0")])
 def test_mlmc_spec_rejects_what_mlmc_config_rejects(mlmc, field):

@@ -13,6 +13,18 @@ and leave the generator in the same state; and ``grad_J`` must return what a
 reference that draws and splits the joint sample replicate by replicate
 returns, up to summation order.
 
+Where the backend and the likelihood draw nothing but standard normals (the
+known-variance conjugate backend with ``GaussianLinear``: the "gaussian" case
+below), a K-replicate ``grad_J`` draws all K replicates' normals as one block
+and makes one ``backend.draw`` and one ``sample_y`` through a
+:class:`~ppdattack.bayes.draws.NormalSource`; ``mlmc_grad`` draws each
+replicate's posterior normals in its loop and makes one ``backend.draw``
+after it.  The same properties cover that path unchanged: they are the oracle
+that the block hands each replicate exactly its own normals.  The
+source itself is checked to hand out normals in generator order and to raise
+on an overrun, on leftovers, and for a backend or likelihood that declares the
+wrong count.
+
 Bit identity needs every likelihood evaluation of a one-replicate call to
 see at least two rows: numpy evaluates a one-row ``beta @ x`` through BLAS
 ``dot`` and a longer one through ``gemv``, and the two can differ in the last
@@ -42,7 +54,7 @@ from ppdattack.attacks.point import (
 from ppdattack.attacks.ppd import CategoricalAppd, MlmcConfig, NormalAppd, mlmc_grad
 from ppdattack.bayes.backends import ExactConjugate, SampleBank
 from ppdattack.bayes.conjugate import NigPrior, gaussian_update, nig_update
-from ppdattack.bayes.draws import DrawBatch
+from ppdattack.bayes.draws import DrawBatch, NormalSource
 from ppdattack.bayes.likelihoods import CategoricalSoftmax, FeatureSubsetModel, GaussianLinear
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -173,3 +185,72 @@ def test_grad_J_draws_one_joint_sample_per_replicate(case, K, N, M, shared, seed
                                       for _ in range(K))))
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * bound.max())
     assert ours.random() == theirs.random()
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=st.lists(st.one_of(st.integers(1, 5), st.tuples(st.integers(1, 4),
+                                                           st.integers(1, 4))),
+                      min_size=1, max_size=5), seed=SEEDS)
+def test_normal_source_hands_out_normals_in_generator_order(sizes, seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    total = sum(int(np.prod(size)) for size in sizes)
+    with NormalSource(ours.standard_normal(total)) as source:
+        for size in sizes:
+            assert np.array_equal(source.standard_normal(size), theirs.standard_normal(size))
+    assert ours.random() == theirs.random()
+
+
+def test_normal_source_raises_on_overrun_and_on_leftovers():
+    source = NormalSource(np.zeros(5))
+    source.standard_normal(3)
+    with pytest.raises(RuntimeError, match="overrun"):
+        source.standard_normal((1, 3))
+    with pytest.raises(RuntimeError, match="left over"):
+        with NormalSource(np.zeros(5)) as source:
+            source.standard_normal(4)
+    with pytest.raises(ZeroDivisionError):  # an error inside the block is not masked
+        with NormalSource(np.zeros(5)):
+            1 / 0
+
+
+class Declaring:
+    """A backend or likelihood with an overridden ``normals_per_row``."""
+
+    def __init__(self, inner, per_row):
+        self.inner, self.normals_per_row = inner, per_row
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_block_path_draws_once_per_call():
+    model, backend, g, appd = gaussian_case()
+    assert backend.normals_per_row == 2 and model.normals_per_row == 1
+    calls = []
+    counted = Declaring(backend, 2)
+    counted.draw = lambda count, rng: calls.append(count) or backend.draw(count, rng)
+    prob = PointAttackProblem(g, np.full(1, 0.2), model, FeasibleSet(X0, 1.0, "l2"), N=3, M=4)
+    grad_J(prob, X0, counted, np.random.default_rng(0), 5)
+    assert calls == [5 * 7]
+    config = MlmcConfig(FeasibleSet(X0, 1.0, "l2"), M0=2, Lmax=2)
+    _, _, cost = mlmc_grad(model, X0, appd, config, counted, np.random.default_rng(0), 5)
+    assert calls[1:] == [cost]
+    assert ExactConjugate(nig_case()[1].posterior).normals_per_row is None
+
+
+@pytest.mark.parametrize("part, per_row", [("backend", 1), ("backend", 3), ("model", 2)])
+def test_a_wrong_normal_count_fails_loudly(part, per_row):
+    # Too few declared normals overrun the block, too many are left over; either
+    # way the call raises instead of handing a replicate another's normals.
+    model, backend, g, appd = gaussian_case()
+    if part == "backend":
+        backend = Declaring(backend, per_row)
+    else:
+        model = Declaring(model, per_row)
+    prob = PointAttackProblem(g, np.full(1, 0.2), model, FeasibleSet(X0, 1.0, "l2"), N=3, M=4)
+    with pytest.raises(RuntimeError, match="normal source"):
+        grad_J(prob, X0, backend, np.random.default_rng(0), 2)
+    if part == "backend":
+        config = MlmcConfig(FeasibleSet(X0, 1.0, "l2"), M0=2, Lmax=2)
+        with pytest.raises(RuntimeError, match="normal source"):
+            mlmc_grad(model, X0, appd, config, backend, np.random.default_rng(0), 2)

@@ -52,7 +52,7 @@ def test_workload_fires_every_required_span(name, tmp_path):
     assert not missing, "spans that never fired: %s" % sorted(missing)
 
 
-def test_gradcheck_draws_per_replicate_and_scores_per_chunk(tmp_path, monkeypatch):
+def test_gradcheck_draws_and_scores_per_chunk(tmp_path, monkeypatch):
     tracer, workloads = _perfbench("tracer"), _perfbench("workloads")
     workload = workloads.WORKLOADS["gradcheck"]
     spec = workload.build(0, "tiny", str(tmp_path))
@@ -60,14 +60,14 @@ def test_gradcheck_draws_per_replicate_and_scores_per_chunk(tmp_path, monkeypatc
     with tracer.Tracer() as t:
         workload.run(spec)
     calls = Counter(s.name for s in t.spans)
-    # Per replicate, one backend draw each: an N + M joint sample for the
-    # score and for the reparameterised estimator, one shared batch for the
-    # control, and one block holding all B * R pairs' draws for MLMC; the
-    # three point estimators draw their outcomes with one sample_y each.
+    # The known-variance testbed's backend and likelihood draw only standard
+    # normals, so per chunk there is one backend draw for each of the score,
+    # reparameterised and control estimators and one for all MLMC replicates'
+    # pairs; the three point estimators draw their outcomes with one sample_y.
     assert spec.replicates == 100
-    assert calls["bayes.backends.ExactConjugate.draw"] == 4 * 100
-    assert calls["bayes.likelihoods.GaussianLinear.sample_y"] == 3 * 100
     chunks = 4  # 100 replicates in chunks of 30
+    assert calls["bayes.backends.ExactConjugate.draw"] == 4 * chunks
+    assert calls["bayes.likelihoods.GaussianLinear.sample_y"] == 3 * chunks
     assert calls["bayes.likelihoods.GaussianLinear.loglik"] == chunks  # MLMC only
     assert calls["bayes.likelihoods.GaussianLinear.score_x"] == 3 * chunks  # score, control, MLMC
 
