@@ -20,14 +20,24 @@ chain rule through the family's output Jacobian ``jac``.  ``BernoulliLogit``
 keeps its own law, which nothing else uses.
 
 Every softmax and log-normaliser in the library goes through this module's
-:func:`logsumexp`.  ``scipy.special.logsumexp`` is generic over array APIs;
-on the small arrays passed here (192 draws by 3 classes in the attacks,
-3 classes by 75 rows in the entropy experiment's MCMC log posterior) it
-costs 80-100 us per call on a 2-vCPU Xeon host, which made it most of an
-entropy experiment's time.  The local version runs the same numpy operations
-in the same order as scipy's real-input path (scipy 1.17.1), so its results
-are bit-identical and no sampled class or accept/reject decision changes;
-it costs a fifth to a third as much.
+:func:`logsumexp`, except one: the Metropolis log posterior of the entropy
+experiment's bank fit (``harness.entropy.fit_softmax_bank``) writes its own
+max-shifted normaliser, because its values only feed accept decisions and
+round-off there changes no bank.  ``scipy.special.logsumexp`` is generic over
+array APIs; on the small arrays passed here (192 draws by 3 classes in the
+attacks) it costs 80-100 us per call on a 2-vCPU Xeon host.  The local
+version runs the same numpy operations in the same order as scipy's
+real-input path (scipy 1.17.1), so its results are bit-identical on every
+input and no sampled class changes.  It reduces a short axis (fewer than
+eight entries, such as a class axis) as the leading axis of a contiguous
+copy, where numpy's inner loop runs along the long axis instead of once per
+row; below eight terms numpy sums left to right in either layout, so the
+result is the same.  ``CategoricalSoftmax`` forms its (m, k) logits as one
+2-D product over every draw's class rows and ``_sample_categorical`` takes
+its cumulative sum down the leading axis of ``probs.T``, for the same
+reason.  Both equal the stacked ``(m, k, dim) @ x`` and row-wise ``cumsum``
+bit for bit at dim 2-7; from dim 8 the BLAS ``gemv`` kernel may round the
+2-D product's last place differently.
 """
 
 from __future__ import annotations
@@ -36,6 +46,9 @@ import numpy as np
 from scipy.special import expit
 
 from ..exceptions import UnsupportedModelError
+
+# Axes shorter than this are summed left to right by numpy in any layout.
+_SHORT_AXIS = 8
 
 
 def logsumexp(a, axis=None, keepdims=False):
@@ -48,9 +61,23 @@ def logsumexp(a, axis=None, keepdims=False):
     maximum, an all ``-inf`` slice, a nan), the direct ``log(sum(exp(a)))``.
     A 0-d input is treated as 1-d, a 0-d result is returned as a scalar.
     The slices reduced must not be empty.
+
+    An integer ``axis`` shorter than ``_SHORT_AXIS`` is reduced as the leading
+    axis of a contiguous copy, so numpy's inner loop runs along the long axes
+    and not once per slice.  Below that length numpy sums left to right in
+    either layout, so the result is still bit for bit scipy's.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    axis = tuple(range(a.ndim)) if axis is None else axis
+    shape, out_shape = a.shape, None
+    if (isinstance(axis, (int, np.integer)) and -a.ndim <= axis < a.ndim
+            and shape[axis] < _SHORT_AXIS):
+        axis = int(axis) % a.ndim
+        # the short axis first, the others in their order
+        a = np.ascontiguousarray(a.transpose([axis] + [i for i in range(a.ndim) if i != axis]))
+        out_shape = shape[:axis] + ((1,) if keepdims else ()) + shape[axis + 1:]
+        axis = 0
+    elif axis is None:
+        axis = tuple(range(a.ndim))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # ufunc.reduce is what np.max/np.sum call, without their wrapper.
         a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
@@ -62,7 +89,9 @@ def logsumexp(a, axis=None, keepdims=False):
         if not finite.all():
             direct = np.log(np.add.reduce(np.exp(a), axis=axis, keepdims=True))
             out = np.where(finite, out, direct)
-    if not keepdims:
+    if out_shape is not None:
+        out = out.reshape(out_shape)
+    elif not keepdims:
         out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
 
@@ -90,9 +119,13 @@ def _labels(y, m, n_classes):
 
 
 def _sample_categorical(probs, rng):
-    """One inverse-CDF class draw per row of an (m, k) probability array, as floats."""
-    u = rng.random(probs.shape[0])[:, None]
-    return (np.cumsum(probs, axis=1) < u).sum(axis=1).astype(float)
+    """One inverse-CDF class draw per row of an (m, k) probability array, as floats.
+
+    The cumulative sum runs down the leading axis of ``probs.T``: the same
+    left-to-right sums as along each row, without a k-long inner loop per row.
+    """
+    u = rng.random(probs.shape[0])
+    return (np.cumsum(probs.T, axis=0) < u).sum(axis=0).astype(float)
 
 
 def normal_logpdf(y, mean, var):
@@ -207,20 +240,20 @@ class CategoricalSoftmax:
             )
         return batch.beta.reshape(len(batch), self.n_classes, self.dim)
 
+    def _logits(self, x, W):
+        """(m, n_classes) logits ``W x``, one 2-D product over every draw's class rows."""
+        return (W.reshape(-1, self.dim) @ _check_x(x, self.dim)).reshape(W.shape[:2])
+
     def class_probs(self, x, gamma):
         """Per-draw softmax class probabilities at ``x``."""
-        x = _check_x(x, self.dim)
-        logits = self._weights(gamma) @ x
-        return _softmax(logits)
+        return _softmax(self._logits(x, self._weights(gamma)))
 
     def loglik(self, x, y, gamma):
-        x = _check_x(x, self.dim)
-        return categorical_logpmf(self._weights(gamma) @ x, y)
+        return categorical_logpmf(self._logits(x, self._weights(gamma)), y)
 
     def score_x(self, x, y, gamma):
-        x = _check_x(x, self.dim)
         W = self._weights(gamma)
-        return categorical_score(W @ x, y, W)
+        return categorical_score(self._logits(x, W), y, W)
 
     def sample_y(self, x, gamma, rng):
         return _sample_categorical(self.class_probs(x, gamma), rng)

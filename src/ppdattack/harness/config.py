@@ -15,6 +15,16 @@ from dataclasses import dataclass, field
 from ..attacks.feasible import NORMS
 
 
+def _positive(*values):
+    """True when every value is positive and finite (NaN is neither)."""
+    return all(0 < v < math.inf for v in values)
+
+
+def _nondecreasing(grid):
+    """True when each entry is at most the next (NaN compares false)."""
+    return all(a <= b for a, b in zip(grid, grid[1:]))
+
+
 def _tuples(value):
     if isinstance(value, (list, tuple)):
         return tuple(_tuples(v) for v in value)
@@ -78,8 +88,8 @@ class DatasetSpec(_Spec):
         if self.kind == "synthetic":
             if self.n < 1:
                 raise ValueError("dataset.n must be >= 1")
-            if self.sigma2 <= 0:
-                raise ValueError("dataset.sigma2 must be positive")
+            if not _positive(self.sigma2):
+                raise ValueError("dataset.sigma2 must be positive and finite")
             if self.mode not in ("independent", "correlated"):
                 raise ValueError("dataset.mode must be 'independent' or 'correlated'")
         else:
@@ -105,11 +115,11 @@ class ModelSpec(_Spec):
     def validate(self):
         if self.kind not in ("gaussian_linear", "nig_linear"):
             raise ValueError("model.kind must be 'gaussian_linear' or 'nig_linear'")
-        if not all(0 < v < math.inf for v in (self.sigma2, self.prior_precision)):
+        if not _positive(self.sigma2, self.prior_precision):
             raise ValueError(
                 "model.sigma2 and model.prior_precision must be positive and finite")
-        if self.a0 <= 0 or self.b0 <= 0:
-            raise ValueError("model.a0 and model.b0 must be positive")
+        if not _positive(self.a0, self.b0):
+            raise ValueError("model.a0 and model.b0 must be positive and finite")
 
 
 @dataclass
@@ -123,7 +133,7 @@ class OptimizerSpec(_Spec):
     eta_decay: bool = True
 
     def validate(self):
-        if self.eta <= 0 or min(self.T, self.N, self.M) < 1:
+        if not _positive(self.eta) or min(self.T, self.N, self.M) < 1:
             raise ValueError("optimizer needs eta > 0 and T, N, M >= 1")
 
 
@@ -142,14 +152,14 @@ class MlmcSpec(_Spec):
     eta_decay: bool = True
 
     def validate(self):
-        if self.tau <= 1.0:
-            raise ValueError("mlmc.tau must exceed 1 (finite expected cost)")
+        if not 1.0 < self.tau < math.inf:
+            raise ValueError("mlmc.tau must exceed 1 (finite expected cost) and be finite")
         if min(self.M0, self.R, self.B, self.T) < 1 or self.Lmax < 0:
             raise ValueError("mlmc sizes must be positive")
         if self.M0 % 2 != 0:
             raise ValueError("mlmc.M0 must be even so batches can be halved antithetically")
-        if self.eta <= 0:
-            raise ValueError("mlmc.eta must be positive")
+        if not _positive(self.eta):
+            raise ValueError("mlmc.eta must be positive and finite")
 
 
 @dataclass
@@ -181,7 +191,7 @@ class AttackSpec(_Spec):
         if self.norm not in NORMS:
             raise ValueError("attack.norm must be one of %s" % (NORMS,))
         grid = tuple(float(e) for e in self.eps_grid)
-        if not grid or any(e < 0 for e in grid) or list(grid) != sorted(grid):
+        if not grid or not grid[0] >= 0 or not _nondecreasing(grid):
             raise ValueError("attack.eps_grid must be a nondecreasing grid of nonnegative values")
         if self.repeats < 1:
             raise ValueError("attack.repeats must be >= 1")
@@ -189,6 +199,9 @@ class AttackSpec(_Spec):
             raise ValueError("attack.x0_mode must be explicit | clean_mean | test_sample")
         if self.x0_mode == "explicit" and self.x0 is None:
             raise ValueError("attack.x0 is required when x0_mode='explicit'")
+        if not (_positive(self.appd_var_factor) and math.isfinite(self.appd_mean_shift)):
+            raise ValueError("attack.appd_var_factor must be positive and finite, "
+                             "attack.appd_mean_shift finite")
         if self.target_mode not in ("absolute", "times_mean_response"):
             raise ValueError("attack.target_mode must be absolute | times_mean_response")
         if self.metric_mode not in ("mc", "exact"):
@@ -248,10 +261,10 @@ class GradCheckSpec(_Spec):
             raise ValueError("gradcheck needs at least 100 replicates")
         if min(self.N, self.M, self.control_batch) < 2:
             raise ValueError("batch sizes must be >= 2")
-        if self.z_threshold <= 0:
+        if not self.z_threshold > 0:
             raise ValueError("z_threshold must be positive")
-        if self.appd_var_factor <= 0:
-            raise ValueError("appd_var_factor must be positive")
+        if not _positive(self.appd_var_factor):
+            raise ValueError("appd_var_factor must be positive and finite")
 
 
 @dataclass
@@ -292,12 +305,15 @@ class EntropySpec(_Spec):
         if self.n_id < 1 or self.n_ood < 1:
             raise ValueError("entropy.n_id and entropy.n_ood must be >= 1")
         grid = tuple(float(e) for e in self.eps_grid)
-        if not grid or grid[0] != 0.0 or list(grid) != sorted(grid):
+        if not grid or grid[0] != 0.0 or not _nondecreasing(grid):
             raise ValueError("entropy.eps_grid must start at 0 and be nondecreasing")
         if any(not 0 < f <= 1 for f in self.retention_grid):
             raise ValueError("retention fractions must lie in (0, 1]")
-        if self.eta <= 0:
-            raise ValueError("entropy.eta must be positive")
-        for name in ("T", "N", "M", "entropy_draws"):
+        for name in ("eta", "prior_sd", "chain_step"):
+            if not _positive(getattr(self, name)):
+                raise ValueError("entropy.%s must be positive and finite" % name)
+        for name in ("T", "N", "M", "entropy_draws", "bank_size", "chain_thin"):
             if getattr(self, name) < 1:
                 raise ValueError("entropy.%s must be >= 1" % name)
+        if self.chain_burn_in < 0:
+            raise ValueError("entropy.chain_burn_in must be >= 0")

@@ -217,6 +217,17 @@ def test_validate_gradients_writes_samples_by_default(tmp_path):
     assert len(rows) == 1 + 3 * 600 * 2  # estimators x replicates x coordinates
 
 
+@pytest.mark.parametrize("field, value", [("prior_sd", 0.0), ("prior_sd", -1.0),
+                                          ("chain_step", float("nan")), ("chain_thin", 0),
+                                          ("chain_burn_in", -1), ("bank_size", 0)])
+def test_entropy_bad_bank_fit_exits_2_and_writes_nothing(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, dict(ENTROPY_DOC, **{field: value}))
+    assert main(["entropy", cfg, "--output-dir", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "entropy.csv").exists()
+    assert not (tmp_path / "entropy_summary.csv").exists()
+
+
 def test_entropy_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, ENTROPY_DOC)
     assert main(["entropy", cfg, "--output-dir", str(tmp_path)]) == 0

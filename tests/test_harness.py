@@ -19,7 +19,9 @@ from scipy import stats
 
 from ppdattack.attacks.feasible import FeasibleSet
 from ppdattack.attacks.ppd import MlmcConfig, _objective_estimate
+from ppdattack.bayes.backends import adaptive_rwm
 from ppdattack.bayes.conjugate import GaussianPosterior, NigPosterior, ppd_normal_params
+from ppdattack.bayes.likelihoods import logsumexp
 from ppdattack.harness import gradcheck, sep
 from ppdattack.harness.config import (
     AttackSpec,
@@ -36,6 +38,7 @@ from ppdattack.harness.entropy import (
     class_directions,
     entropy_experiment,
     entropy_of,
+    fit_softmax_bank,
     make_blob_data,
     make_eval_points,
     selective_accuracy,
@@ -219,6 +222,45 @@ def test_specs_reject_empty_populations_and_a_nonpositive_target_variance():
     for factor in (0.0, -1.0):
         with pytest.raises(ValueError, match="appd_var_factor"):
             GradCheckSpec.from_dict({"appd_var_factor": factor})
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("cls, doc, message", [
+    (GradCheckSpec, {"z_threshold": NAN}, "z_threshold"),
+    (GradCheckSpec, {"appd_var_factor": NAN}, "appd_var_factor"),
+    (ModelSpec, {"kind": "nig_linear", "a0": NAN}, "a0"),
+    (ModelSpec, {"kind": "nig_linear", "b0": NAN}, "b0"),
+    (DatasetSpec, {"sigma2": NAN}, "sigma2"),
+    (MlmcSpec, {"eta": NAN}, "mlmc.eta"),
+    (MlmcSpec, {"tau": NAN}, "mlmc.tau"),
+    (EntropySpec, {"eta": NAN}, "entropy.eta"),
+    (EntropySpec, {"eps_grid": [0.0, NAN, 1.0]}, "eps_grid"),
+    (EntropySpec, {"eps_grid": [0.0, 0.5, NAN]}, "eps_grid"),
+    (AttackSpec, {"x0": [0.0, 0.0], "eps_grid": [0.0, NAN]}, "eps_grid"),
+    (AttackSpec, {"x0": [0.0, 0.0], "appd_var_factor": NAN}, "appd_var_factor"),
+    (AttackSpec, {"x0": [0.0, 0.0], "appd_mean_shift": NAN}, "appd_mean_shift"),
+    (OptimizerSpec, {"eta": NAN}, "eta"),
+])
+def test_specs_reject_nan_at_load(cls, doc, message):
+    # A `<=` test lets NaN through; each field is checked as `not x > 0` or
+    # as positive and finite.  A NaN ppd target variance would otherwise load
+    # and abort the sweep with a DegenerateLikelihoodError.
+    with pytest.raises(ValueError, match=message):
+        cls.from_dict(doc)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("prior_sd", 0.0), ("prior_sd", -1.0), ("prior_sd", NAN), ("chain_step", 0.0),
+    ("chain_step", NAN), ("chain_step", float("inf")), ("chain_thin", 0),
+    ("chain_burn_in", -1), ("bank_size", 0)])
+def test_entropy_spec_rejects_an_unusable_bank_fit(field, value):
+    # Caught at load: otherwise a zero prior_sd divides by zero mid-run, a
+    # negative one acts as its absolute value, and a NaN step rejects every
+    # proposal and keeps a bank of zero vectors.
+    with pytest.raises(ValueError, match="entropy.%s " % field):
+        EntropySpec.from_dict({field: value})
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -589,6 +631,30 @@ def test_entropy_of_reference_values():
     uniform = np.full(3, 1.0 / 3.0)
     hs = [entropy_of((1 - t) * onehot + t * uniform) for t in np.linspace(0, 1, 11)]
     assert all(h2 > h1 for h1, h2 in zip(hs, hs[1:]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_softmax_bank_matches_the_logsumexp_log_posterior_bit_for_bit(seed):
+    # The bank fit's log posterior is w @ s minus a plain log-sum-exp; the
+    # Metropolis accept test reads it only through a difference, so the bank
+    # and acceptance rate equal those of the observed-logit form below.
+    spec = EntropySpec(seed=seed)
+    X, y = make_blob_data(spec, np.random.default_rng(seed))
+    Xt, idx = X.T, np.arange(y.size)
+
+    def reference_log_post(w):
+        logits = w.reshape(spec.n_classes, spec.dim) @ Xt
+        ll = logits[y, idx] - logsumexp(logits, axis=0)
+        return float(ll.sum()) - 0.5 / spec.prior_sd**2 * float(w @ w)
+
+    rng, ref_rng = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+    bank, rate = fit_softmax_bank(spec, X, y, rng)
+    states, ref_rate = adaptive_rwm(
+        reference_log_post, np.zeros(spec.n_classes * spec.dim), spec.bank_size, ref_rng,
+        step=spec.chain_step, burn_in=spec.chain_burn_in, thin=spec.chain_thin)
+    assert np.array_equal(bank.batch.beta, states)
+    assert rate == ref_rate
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_selective_accuracy_orders_by_entropy():

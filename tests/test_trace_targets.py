@@ -84,3 +84,28 @@ def test_ppd_sweep_draws_once_per_iteration(tmp_path):
     T = cfg.attack.mlmc.T
     assert calls["attacks.ppd.level_sample"] == T
     assert calls["bayes.backends.ExactConjugate.draw"] == T
+
+
+def test_entropy_bank_fit_calls_no_logsumexp(tmp_path):
+    tracer, workloads = _perfbench("tracer"), _perfbench("workloads")
+    workload = workloads.WORKLOADS["entropy"]
+    spec = workload.build(0, "tiny", str(tmp_path))
+    with tracer.Tracer() as t:
+        workload.run(spec)
+    spans = t.spans
+
+    def under_bank_fit(span):
+        while span.parent >= 0:
+            span = spans[span.parent]
+            if span.name == "harness.fit_softmax_bank":
+                return True
+        return False
+
+    # The Metropolis log posterior has its own max-shifted normaliser; the
+    # attack loop's softmaxes are the only logsumexp calls.
+    lse = [s for s in spans if s.name == "bayes.likelihoods.logsumexp"]
+    assert lse and not any(under_bank_fit(s) for s in lse)
+    # one evaluation at the initial state, then one per proposal
+    calls = Counter(s.name for s in spans)
+    assert calls["bayes.backends.log_post"] == (
+        1 + spec.chain_burn_in + spec.bank_size * spec.chain_thin) == 701
