@@ -14,29 +14,37 @@ def project_l1_ball(v, radius):
 
     Sort-and-threshold algorithm (Duchi et al., ICML 2008): project the
     absolute values onto the simplex of size ``radius`` and restore signs.
-    O(p log p).
+    O(p log p).  A (K, p) array is projected row by row, each row rounded as
+    its own 1-D projection is.
     """
     v = np.asarray(v, dtype=float)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if np.abs(v).sum() <= radius:
+    a = np.abs(v)
+    inside = np.add.reduce(a, axis=-1, keepdims=True) <= radius
+    if inside.all():
         return v.copy()
     if radius == 0:
-        return np.zeros_like(v)
-    u = np.sort(np.abs(v))[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, v.size + 1)
-    # Exactly, index 0 always qualifies; a radius below the rounding of
-    # css[0] can leave none, and index 0 is then the answer.
-    active = np.flatnonzero(u * k > (css - radius))
-    rho = active[-1] if active.size else 0
-    theta = (css[rho] - radius) / (rho + 1.0)
-    return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
+        return np.where(inside, v, 0.0)
+    u = np.sort(a, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    active = u * np.arange(1, v.shape[-1] + 1) > (css - radius)
+    # The last active index per row.  Exactly, index 0 always qualifies; a
+    # radius below the rounding of css[0] can leave none, and index 0 is then
+    # the answer.
+    rho = np.where(active.any(axis=-1), v.shape[-1] - 1 - np.argmax(active[..., ::-1], axis=-1),
+                   0)[..., None]
+    theta = (np.take_along_axis(css, rho, axis=-1) - radius) / (rho + 1.0)
+    return np.where(inside, v, np.sign(v) * np.maximum(a - theta, 0.0))
 
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """Ball ``{x : ||x - center||_norm <= epsilon}`` with a projection operator."""
+    """Ball ``{x : ||x - center||_norm <= epsilon}`` with a projection operator.
+
+    ``center`` is one point (p,), or K points (K, p): K balls of one radius
+    and norm, one per attack instance, for attacks run in lockstep.
+    """
 
     center: np.ndarray
     epsilon: float
@@ -44,8 +52,8 @@ class FeasibleSet:
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float)
-        if center.ndim != 1:
-            raise ValueError("center must be a vector")
+        if center.ndim not in (1, 2) or (center.ndim == 2 and not len(center)):
+            raise ValueError("center must be a vector, or a (K, p) array of K >= 1 centres")
         if not np.all(np.isfinite(center)):
             raise ValueError("center must be finite")
         if self.epsilon < 0:
@@ -56,31 +64,43 @@ class FeasibleSet:
 
     @property
     def dim(self):
-        return self.center.size
+        return self.center.shape[-1]
 
     def perturbation_norm(self, x):
+        """``||x - center||``, one per row for points (K, p)."""
         d = np.asarray(x, dtype=float) - self.center
         if self.norm == "l2":
-            return float(np.linalg.norm(d))
-        if self.norm == "linf":
-            return float(np.abs(d).max()) if d.size else 0.0
-        return float(np.abs(d).sum())
+            out = np.sqrt(np.vecdot(d, d))
+        elif self.norm == "linf":
+            out = np.abs(d).max(axis=-1, initial=0.0)
+        else:
+            out = np.abs(d).sum(axis=-1)
+        return float(out) if out.ndim == 0 else out
 
     def contains(self, x, tol=1e-9):
         return self.perturbation_norm(x) <= self.epsilon + tol
 
     def project(self, x):
-        """Euclidean projection of ``x`` onto the ball."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.center.shape:
-            raise ValueError("x must have shape %s" % (self.center.shape,))
-        d = x - self.center
-        if self.norm == "l2":
-            nrm = np.linalg.norm(d)
-            if nrm <= self.epsilon:
-                return x.copy()
-            return self.center + (self.epsilon / nrm) * d
-        if self.norm == "linf":
-            return self.center + np.clip(d, -self.epsilon, self.epsilon)
-        return self.center + project_l1_ball(d, self.epsilon)
+        """Euclidean projection of ``x`` onto the ball, one ball per row.
 
+        ``x`` and the centre broadcast as rows of p: each row of ``x`` goes
+        onto its ball, rounded as a one-point projection of that row is.  The
+        L2 norm is ``sqrt(vecdot(d, d))``, which rounds as the 1-D
+        ``np.linalg.norm`` does; ``norm(axis=-1)`` may not.
+        """
+        x = np.asarray(x, dtype=float)
+        c = self.center
+        if x.shape[-1:] != c.shape[-1:] or x.ndim > 2:
+            raise ValueError("x must have shape (%d,) or (K, %d)" % (self.dim, self.dim))
+        d = x - c
+        if self.norm == "linf":
+            return c + np.clip(d, -self.epsilon, self.epsilon)
+        if self.norm == "l1":
+            return c + project_l1_ball(d, self.epsilon)
+        nrm = np.sqrt(np.vecdot(d, d))
+        if d.ndim == 1:  # scalar arithmetic, at a third of the cost of the row form
+            return x.copy() if nrm <= self.epsilon else c + (self.epsilon / nrm) * d
+        far = (nrm > self.epsilon)[:, None]
+        if not far.any():
+            return x.copy()
+        return np.where(far, c + (self.epsilon / np.where(far, nrm[:, None], 1.0)) * d, x)

@@ -8,7 +8,9 @@ supplied; for the common cases below they are zeros/ones/identity.
 
 Batched evaluation: ``ys`` has one outcome per posterior draw, so ``value``
 returns shape (m, out_dim).  ``grad_x`` may return (out_dim, dim) when the
-gradient does not depend on ``y``, or (m, out_dim, dim) otherwise.
+gradient does not depend on ``y``, or (m, out_dim, dim) otherwise.  ``x`` is
+one point (dim,), or K points (K, dim) for attack instances run in lockstep,
+with ``ys`` in K equal blocks, block k drawn at x[k].
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class Functional:
 
     def grad_x(self, x, ys):
         if self._grad_x is None:
-            return np.zeros((self.out_dim, np.asarray(x).size))
+            return np.zeros((self.out_dim, np.shape(x)[-1]))
         return np.asarray(self._grad_x(x, ys), dtype=float)
 
     def grad_y(self, x, ys):
@@ -56,7 +58,7 @@ def response_functional():
     return Functional(
         value_fn=lambda x, ys: np.asarray(ys, dtype=float).reshape(-1, 1),
         out_dim=1,
-        grad_x_fn=lambda x, ys: np.zeros((1, np.asarray(x).size)),
+        grad_x_fn=lambda x, ys: np.zeros((1, np.shape(x)[-1])),
         grad_y_fn=lambda x, ys: np.ones((np.asarray(ys).size, 1)),
     )
 
@@ -74,14 +76,18 @@ def onehot_functional(n_classes):
     return Functional(
         value_fn=value,
         out_dim=int(n_classes),
-        grad_x_fn=lambda x, ys: np.zeros((int(n_classes), np.asarray(x).size)),
+        grad_x_fn=lambda x, ys: np.zeros((int(n_classes), np.shape(x)[-1])),
     )
 
 
 def covariate_functional(dim):
     """g(x, y) = x: a degenerate functional useful for sanity checks."""
+    def value(x, ys):
+        x = np.array(x, dtype=float, ndmin=2)  # each point once per outcome of its block
+        return np.repeat(x, np.asarray(ys).shape[0] // len(x), axis=0)
+
     return Functional(
-        value_fn=lambda x, ys: np.tile(np.asarray(x, dtype=float), (np.asarray(ys).shape[0], 1)),
+        value_fn=value,
         out_dim=int(dim),
         grad_x_fn=lambda x, ys: np.eye(int(dim)),
         grad_y_fn=lambda x, ys: np.zeros((np.asarray(ys).shape[0], int(dim))),

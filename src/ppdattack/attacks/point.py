@@ -40,6 +40,21 @@ numbers bit for bit whenever each likelihood call of a one-replicate call
 sees at least two rows.  Batches of one row, and gray-box mixture members
 that get one row, agree to round-off only: numpy rounds a one-row
 matrix-vector product through BLAS ``dot``, a longer one through ``gemv``.
+
+Instances are not replicates.  Given K ball centres (K, p) and a list of K
+generators, :func:`run_point_attack` advances K independent attacks in
+lockstep, with one forward and score pass over all K (N + M) rows per
+iteration; :func:`estimate_mu` and the Jacobian estimators then read x
+(K, p) as one point per row of outcomes.  Each instance draws from its own
+generator what its one-instance attack draws, in the same order, and every
+reduction is made per instance as one attack makes it, so it follows that
+attack bit for bit: logits by a batched ``matmul`` (``gemv`` per block, as
+for one point), mu as ``sum / N``, the gradient as a batched ``matmul`` of
+``2 (mu - g_star)`` with the Jacobian, the L2 projection norm as
+``sqrt(vecdot(d, d))``.  An ``einsum`` forward pass or an axis norm
+(``np.linalg.norm(d, axis=1)``) rounds some rows differently in the last
+place, and the attacks drift apart.  ``CategoricalSoftmax`` and
+``GaussianLinear`` take K points; the other likelihoods serve one instance.
 """
 
 from __future__ import annotations
@@ -93,9 +108,11 @@ class PointAttackProblem:
 
     def __post_init__(self):
         self.g_star = np.atleast_1d(np.asarray(self.g_star, dtype=float))
-        if self.g_star.shape != (self.g.out_dim,):
+        q = (self.g.out_dim,)
+        if self.g_star.shape not in (q, self.feasible.center.shape[:-1] + q):
             raise ValueError(
-                "g_star must have shape (%d,), got %s" % (self.g.out_dim, self.g_star.shape)
+                "g_star must have shape (%d,), or one row per ball centre, got %s"
+                % (self.g.out_dim, self.g_star.shape)
             )
         if self.eta <= 0 or self.T < 1 or self.N < 1 or self.M < 1:
             raise ValueError("need eta > 0 and T, N, M >= 1")
@@ -108,8 +125,24 @@ class PointAttackProblem:
 
 
 def _joint_sample(prob, x, backend, rng, count):
-    draws = backend.draw(count, rng)
+    # One point x (p,) and one generator, or K points (K, p) and a list of K
+    # generators: each instance draws its ``count`` rows from its own
+    # generator, backend then outcomes, as its one-instance call would.
+    if x.ndim == 1:
+        draws = backend.draw(count, rng)
+    else:
+        draws = [backend.draw(count, r) for r in rng]
+        draws = type(draws[0]).concat(draws)
     return draws, prob.model.sample_y(x, draws, rng)
+
+
+def _block_tails(draws, blocks, start):
+    # Rows ``start:`` of each of ``blocks`` equal blocks of a batch, as one batch.
+    if blocks == 1:
+        return draws[start:]
+    k = draws.beta.shape[1]
+    return DrawBatch(draws.beta.reshape(blocks, -1, k)[:, start:].reshape(-1, k),
+                     draws.phi.reshape(blocks, -1)[:, start:].ravel())
 
 
 def _mean_grad_x(prob, x, ys):
@@ -122,7 +155,8 @@ def _mean_grad_x(prob, x, ys):
 def estimate_mu(prob, x, ys):
     """Monte-Carlo estimates of mu(x) = E[g(x, y)], one per row of outcomes.
 
-    ``ys`` has shape (K, n): replicate k's n joint predictive outcomes.
+    ``ys`` has shape (K, n): the n joint predictive outcomes of replicate k at
+    one point x (p,), or of instance k at x[k] for K points (K, p).
     Returns shape (K, q).
     """
     ys = np.asarray(ys)
@@ -134,8 +168,9 @@ def estimate_mu(prob, x, ys):
 def estimate_grad_mu(prob, x, draws, ys):
     """Score-function estimates of the Jacobian of mu(x), one per replicate.
 
-    ``draws`` holds the K replicates' posterior draws one after another and
-    ``ys`` (K, m) their outcomes.  Each sample contributes
+    ``draws`` holds the K replicates' (or instances') posterior draws one
+    after another and ``ys`` (K, m) their outcomes; x is as in
+    :func:`estimate_mu`.  Each sample contributes
     ``grad_x g + g * score_x`` so the estimator stays unbiased for models whose
     predictive density depends on ``x``.  Returns shape (K, q, p).
     """
@@ -188,10 +223,8 @@ def _mu_and_jacobian(prob, x, backend, rng, replicates, grad_mu, shared_batch):
     per_row = replicates > 1 and normals_per_row(backend, prob.model)
     if per_row:
         draws, ys = _normal_block_sample(prob, x, backend, rng, replicates, rows, per_row)
-        if not shared_batch:  # each replicate's last M rows, by a strided copy
-            k = draws.beta.shape[1]
-            draws = DrawBatch(draws.beta.reshape(replicates, rows, k)[:, n:].reshape(-1, k),
-                              draws.phi.reshape(replicates, rows)[:, n:].ravel())
+        if not shared_batch:
+            draws = _block_tails(draws, replicates, n)
     else:
         ys = np.empty((replicates, rows))
         draws = []
@@ -220,38 +253,72 @@ def grad_J(prob, x, backend, rng, replicates=1, grad_mu=None, shared_batch=False
 
 
 def run_point_attack(prob, backend, rng, grad_mu=None) -> AttackTrace:
-    """Projected SGD on the point-attack objective.
+    """Projected SGD on the point-attack objective, for one or K instances.
 
     ``grad_mu`` estimates the Jacobian factor of each step's gradient, as in
     :func:`grad_J`: :func:`estimate_grad_mu` (score function, the default) or
     :func:`reparam_grad_mu` (reparameterised, Gaussian linear only).
+
+    With one ball centre (p,), ``rng`` is a generator and the trace is one
+    instance's.  With K centres (K, p), ``rng`` is a list of K generators and
+    the K instances advance in lockstep, each from its own centre towards its
+    own row of ``g_star`` (or the one shared target).  The trace then has an
+    instance axis: iterates (n+1, K, p), objectives (n, K) over the n
+    lockstep iterations, NaN after an instance stopped early, ``final_x``
+    (K, p) and ``final_residual`` (K,); :meth:`AttackTrace.instance` cuts one
+    instance out.  A stopped instance draws nothing more until the final
+    residual.  If an instance's gradient is not finite, the whole call raises
+    ``NonFiniteGradientError`` with that instance's iterate.
     """
     grad_mu = grad_mu or estimate_grad_mu
-    x = prob.feasible.center.astype(float).copy()
-    iterates = [x.copy()]
-    objectives = np.empty(prob.T)
-    n_done = 0
+    ball = prob.feasible
+    single = ball.center.ndim == 1
+    gens = [rng] if single else list(rng)
+    x = np.array(ball.center, dtype=float, ndmin=2)  # (K, p), a copy
+    K = len(x)
+    if len(gens) != K:
+        raise ValueError("need one generator per instance: %d instances, %d generators"
+                         % (K, len(gens)))
+    g_star = np.broadcast_to(prob.g_star, (K, prob.g.out_dim))
+    n, rows, w, tol = prob.N, prob.N + prob.M, prob.smooth_window, prob.early_stop_tol
+    iterates = np.empty((prob.T + 1,) + x.shape)
+    iterates[0] = x
+    objectives = np.full((K, prob.T), np.nan)  # one row per instance: its window is contiguous
+    # The instances still iterating: all of them, then an index array once one stops.
+    live, ids, live_gens, live_ball = slice(None), np.arange(K), gens, ball
     for t in range(1, prob.T + 1):
-        mu_hat, jac = _mu_and_jacobian(prob, x, backend, rng, 1, grad_mu, False)
-        resid = mu_hat[0] - prob.g_star
-        gJ = 2.0 * resid @ jac[0]
-        if not np.all(np.isfinite(gJ)):
+        xl = x[live]
+        k = len(xl)
+        # One live instance steps as a one-instance attack: one point (p,) and
+        # one generator.
+        at, r = (xl[0], live_gens[0]) if k == 1 else (xl, live_gens)
+        draws, ys = _joint_sample(prob, at, backend, r, rows)
+        ys = ys.reshape(k, rows)
+        resid = estimate_mu(prob, at, ys[:, :n]) - g_star[live]
+        jac = grad_mu(prob, at, _block_tails(draws, k, n), ys[:, n:])
+        gJ = np.matmul((2.0 * resid)[:, None, :], jac)[:, 0]
+        if not np.isfinite(gJ).all():
+            bad = ids[np.argmin(np.isfinite(gJ).all(axis=1))]
             raise NonFiniteGradientError(
-                "non-finite gradient estimate at iteration %d" % t, iteration=t, x=x.copy()
+                "non-finite gradient estimate at iteration %d" % t
+                + ("" if single else " of instance %d" % bad), iteration=t, x=x[bad].copy()
             )
-        objectives[t - 1] = resid @ resid
-        n_done = t
+        objectives[live, t - 1] = np.vecdot(resid, resid)
         step = prob.eta / np.sqrt(t) if prob.eta_decay else prob.eta
-        x = prob.feasible.project(x - step * gJ)
-        iterates.append(x.copy())
-        if prob.early_stop_tol is not None and t >= prob.smooth_window:
-            if objectives[t - prob.smooth_window : t].mean() < prob.early_stop_tol:
-                break
-    _, ys = _joint_sample(prob, x, backend, rng, prob.N)
-    mu_final = estimate_mu(prob, x, ys[None])[0]
-    return AttackTrace(
-        iterates=np.asarray(iterates),
-        objectives=objectives[:n_done],
-        final_x=x,
-        final_residual=float(np.linalg.norm(mu_final - prob.g_star)),
-    )
+        x[live] = live_ball.project(at - step * gJ.reshape(at.shape))
+        iterates[t] = x
+        if tol is not None and t >= w:
+            going = np.add.reduce(objectives[live, t - w : t], axis=1) / w >= tol
+            if not going.all():
+                if not going.any():
+                    break
+                live = ids = ids[going]
+                live_gens = [gens[i] for i in ids]
+                live_ball = FeasibleSet(ball.center[ids], ball.epsilon, ball.norm)
+    at, r = (x[0], gens[0]) if K == 1 else (x, gens)
+    _, ys = _joint_sample(prob, at, backend, r, n)
+    resid = estimate_mu(prob, at, ys.reshape(K, n)) - g_star
+    residual = np.sqrt(np.vecdot(resid, resid))
+    one = 0 if single else slice(None)  # a one-instance trace has no instance axis
+    return AttackTrace(iterates=iterates[: t + 1, one], objectives=objectives[one, :t].T,
+                       final_x=x[one], final_residual=float(residual[0]) if single else residual)

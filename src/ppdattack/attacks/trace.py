@@ -43,6 +43,16 @@ class AttackTrace:
     def n_iters(self):
         return len(self.objectives)
 
+    def instance(self, k):
+        """Instance ``k`` of a lockstep point attack, as its one-instance trace.
+
+        A lockstep trace's objectives are NaN after an instance stopped, so
+        instance k ran as many iterations as its column has numbers.
+        """
+        n = int(np.count_nonzero(~np.isnan(self.objectives[:, k])))
+        return AttackTrace(iterates=self.iterates[: n + 1, k], objectives=self.objectives[:n, k],
+                           final_x=self.final_x[k], final_residual=float(self.final_residual[k]))
+
     def total_sample_cost(self):
         return int(np.sum(self.sample_cost)) if self.sample_cost is not None else 0
 

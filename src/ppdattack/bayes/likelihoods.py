@@ -10,7 +10,10 @@ of ``(beta, phi)`` rows):
 
 Every method takes a ``DrawBatch`` and returns one row per draw; a single draw
 is a one-row batch.  ``y`` may be a scalar (evaluated under every draw) or
-one value per draw.  A family whose ``sample_y`` draws nothing but standard
+one value per draw.  ``CategoricalSoftmax`` and ``GaussianLinear`` also take
+K points x (K, dim) for K equal blocks of draws, block k at x[k], and then
+draw block k's outcomes from the k-th of a list of K generators: K attack
+instances in one call, each rounded and drawn as its one-point call.  A family whose ``sample_y`` draws nothing but standard
 normals says how many per row in ``normals_per_row`` (``GaussianLinear``: 1).
 
 Each outcome law is written once, as a module-level head the families (and
@@ -108,23 +111,59 @@ def _check_x(x, dim):
     return x
 
 
+def _check_points(x, dim, m):
+    """One point (dim,), or K points (K, dim) for ``m`` draws in K equal blocks."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (dim,) or x.ndim > 2 or (x.ndim == 2 and (not len(x) or m % len(x))):
+        raise ValueError("x must have shape (%d,), or (K, %d) with K dividing the %d draws;"
+                         " got %s" % (dim, dim, m, x.shape))
+    return x
+
+
+def _linear(A, x):
+    """``A @ x``, or for K points the rows of ``A`` in K equal blocks, block k times x[k].
+
+    The batched product rounds each block as the one-point product rounds it
+    (both run BLAS ``gemv``); ``einsum`` would not.
+    """
+    if x.ndim == 1:
+        return A @ x
+    return np.matmul(A.reshape(len(x), -1, x.shape[1]), x[:, :, None]).ravel()
+
+
+def _by_instance(rng, method, size):
+    """``size`` values from ``rng.method``; from a list of K generators, size/K from each in turn."""
+    if isinstance(rng, list):
+        return np.concatenate([getattr(r, method)(size // len(rng)) for r in rng])
+    return getattr(rng, method)(size)
+
+
 def _labels(y, m, n_classes):
+    """Integer labels, one per draw, validated in one reduction."""
     y = np.asarray(y)
-    if not np.issubdtype(y.dtype, np.number) or np.any(y != np.floor(y)):
+    kind = y.dtype.kind
+    if kind == "f":
+        ok = (y == np.floor(y)) & (y >= 0) & (y < n_classes)
+    elif kind in "iu":
+        ok = (y >= 0) & (y < n_classes)
+    else:
         raise ValueError("class labels must be integers")
-    y = np.broadcast_to(y.astype(int), (m,))
-    if np.any(y < 0) or np.any(y >= n_classes):
+    if not np.logical_and.reduce(ok, axis=None):
+        if kind == "f" and not np.logical_and.reduce(y == np.floor(y), axis=None):
+            raise ValueError("class labels must be integers")
         raise ValueError("class label out of range [0, %d)" % n_classes)
-    return y
+    return np.broadcast_to(y.astype(int), (m,))
 
 
 def _sample_categorical(probs, rng):
     """One inverse-CDF class draw per row of an (m, k) probability array, as floats.
 
-    The cumulative sum runs down the leading axis of ``probs.T``: the same
-    left-to-right sums as along each row, without a k-long inner loop per row.
+    ``rng`` is one generator, or a list of K generators for K equal blocks of
+    rows, each block's uniforms drawn from its own generator.  The cumulative
+    sum runs down the leading axis of ``probs.T``: the same left-to-right sums
+    as along each row, without a k-long inner loop per row.
     """
-    u = rng.random(probs.shape[0])
+    u = _by_instance(rng, "random", probs.shape[0])
     return (np.cumsum(probs.T, axis=0) < u).sum(axis=0).astype(float)
 
 
@@ -144,8 +183,11 @@ def normal_score(y, mean, var, jac):
 
 
 def normal_sample(mean, var, size, rng):
-    """``size`` draws of N(mean, var) from one standard-normal block."""
-    return mean + np.sqrt(var) * rng.standard_normal(size)
+    """``size`` draws of N(mean, var) from one standard-normal block.
+
+    ``rng`` may be a list of K generators, one per equal block of draws.
+    """
+    return mean + np.sqrt(var) * _by_instance(rng, "standard_normal", size)
 
 
 def categorical_logpmf(logits, y):
@@ -173,16 +215,16 @@ class GaussianLinear:
         self.dim = int(dim)
 
     def loglik(self, x, y, gamma):
-        x = _check_x(x, self.dim)
-        return normal_logpdf(y, gamma.beta @ x, gamma.phi)
+        x = _check_points(x, self.dim, len(gamma))
+        return normal_logpdf(y, _linear(gamma.beta, x), gamma.phi)
 
     def score_x(self, x, y, gamma):
-        x = _check_x(x, self.dim)
-        return normal_score(y, gamma.beta @ x, gamma.phi, gamma.beta)
+        x = _check_points(x, self.dim, len(gamma))
+        return normal_score(y, _linear(gamma.beta, x), gamma.phi, gamma.beta)
 
     def sample_y(self, x, gamma, rng):
-        x = _check_x(x, self.dim)
-        return normal_sample(gamma.beta @ x, gamma.phi, len(gamma), rng)
+        x = _check_points(x, self.dim, len(gamma))
+        return normal_sample(_linear(gamma.beta, x), gamma.phi, len(gamma), rng)
 
 
 class BernoulliLogit:
@@ -220,6 +262,12 @@ class CategoricalSoftmax:
 
     The flattened parameter vector per draw is ``W.ravel()`` for a
     (n_classes, dim) weight matrix; labels are integers in [0, n_classes).
+
+    ``x`` is one point (dim,), or K points (K, dim) for K equal blocks of
+    draws, with a list of K generators for ``sample_y``.  Block k's logits
+    come from one batched ``matmul`` at x[k], rounded as its one-point call
+    rounds them (an ``einsum`` would not), and its uniforms from the k-th
+    generator.
     """
 
     def __init__(self, dim, n_classes):
@@ -242,7 +290,8 @@ class CategoricalSoftmax:
 
     def _logits(self, x, W):
         """(m, n_classes) logits ``W x``, one 2-D product over every draw's class rows."""
-        return (W.reshape(-1, self.dim) @ _check_x(x, self.dim)).reshape(W.shape[:2])
+        x = _check_points(x, self.dim, len(W))
+        return _linear(W.reshape(-1, self.dim), x).reshape(W.shape[:2])
 
     def class_probs(self, x, gamma):
         """Per-draw softmax class probabilities at ``x``."""

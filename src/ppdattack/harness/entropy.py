@@ -15,6 +15,12 @@ probabilities:
 * entropy deflation on OOD points targets the one-hot vector of the clean
   modal class.
 
+Each epsilon's n_id + n_ood attacks run as one lockstep ``run_point_attack``
+call, and each readout as one ``predictive_probs`` call over all points.
+Every attack and readout keeps its own generator and draws what it would
+alone, in the same order, so the records equal those of attacks run one at
+a time, bit for bit.  The epsilon = 0 column draws no attack.
+
 ``entropy_experiment`` emits per-instance predictive-entropy records along
 the epsilon grid and a selective-prediction accuracy curve (retain the
 fraction ``f`` of lowest-entropy inputs, score accuracy; OOD inputs count as
@@ -33,6 +39,7 @@ from ..attacks.feasible import FeasibleSet
 from ..attacks.functionals import onehot_functional
 from ..attacks.point import PointAttackProblem, run_point_attack
 from ..bayes.backends import McmcChain, SampleBank
+from ..bayes.draws import DrawBatch
 from ..bayes.likelihoods import CategoricalSoftmax
 from .config import EntropySpec
 from .sep import SepRecord
@@ -105,9 +112,17 @@ def fit_softmax_bank(spec: EntropySpec, X, y, rng):
 
 
 def predictive_probs(model, backend, x, n, rng):
-    """Monte-Carlo posterior-predictive class probabilities at ``x``."""
-    batch = backend.draw(n, rng)
-    return model.class_probs(x, batch).mean(axis=0)
+    """Monte-Carlo posterior-predictive class probabilities at ``x``.
+
+    ``x`` is one point with one generator, or K points (K, p) with a list of
+    K generators (the same generator may repeat): point k's ``n`` draws come
+    from the k-th, in point order, and one ``class_probs`` call scores all.
+    """
+    x = np.asarray(x, dtype=float)
+    gens = [rng] if x.ndim == 1 else rng
+    batch = DrawBatch.concat([backend.draw(n, r) for r in gens])
+    probs = model.class_probs(x, batch).reshape(len(gens), n, -1).mean(axis=1)
+    return probs[0] if x.ndim == 1 else probs
 
 
 def entropy_of(probs):
@@ -124,15 +139,16 @@ def selective_accuracy(entropies, correct, retention):
     return float(correct[order[:k]].mean())
 
 
-def _attack_to_target(spec, model, backend, x0, target, eps, rng):
-    if eps == 0.0:  # the feasible set is the singleton {x0}
-        return np.asarray(x0, dtype=float).copy()
+def _attack(spec, model, backend, points, targets, eps, rngs):
+    """Final points of the lockstep attacks of ``points`` towards ``targets``."""
+    if eps == 0.0:  # each feasible set is the singleton {x0}
+        return points
     prob = PointAttackProblem(
-        g=onehot_functional(spec.n_classes), g_star=target, model=model,
-        feasible=FeasibleSet(center=x0, epsilon=eps, norm=spec.norm),
+        g=onehot_functional(spec.n_classes), g_star=targets, model=model,
+        feasible=FeasibleSet(center=points, epsilon=eps, norm=spec.norm),
         eta=spec.eta, T=spec.T, N=spec.N, M=spec.M, eta_decay=spec.eta_decay,
     )
-    return run_point_attack(prob, backend, rng).final_x
+    return run_point_attack(prob, backend, rngs).final_x
 
 
 @dataclass
@@ -159,32 +175,32 @@ def entropy_experiment(spec: EntropySpec) -> EntropyResult:
 
     p = spec.n_classes
     # Deflation target per OOD point: one-hot of its clean modal class.
-    modal = np.array([np.argmax(predictive_probs(model, bank, x, spec.entropy_draws, rng_modal))
-                      for x in X_ood], dtype=int)
-    # (name, points, targets, labels): inflation on ID, deflation on unlabelled OOD
-    tasks = [("id", X_id, np.full((spec.n_id, p), 1.0 / p), y_id),
-             ("ood", X_ood, np.eye(p)[modal], None)]
+    modal = np.argmax(predictive_probs(model, bank, X_ood, spec.entropy_draws,
+                                       [rng_modal] * spec.n_ood), axis=1)
+    # Inflation on ID points, deflation on unlabelled OOD points, as one set of instances.
+    points = np.vstack([X_id, X_ood])
+    targets = np.vstack([np.full((spec.n_id, p), 1.0 / p), np.eye(p)[modal]])
+    tasks = [(0, "id", i, y_id[i]) for i in range(spec.n_id)] + [
+        (1, "ood", i, None) for i in range(spec.n_ood)]  # (kind, name, index, label)
 
     grid = [float(e) for e in spec.eps_grid]
     records = []
     mean_entropy = {"id": {}, "ood": {}}
     selective = {}
     for ei, eps in enumerate(grid):
-        pool_entropy, pool_correct = [], []
-        for kind, (name, points, targets, labels) in enumerate(tasks):
-            vals = []
-            for i, (x0, target) in enumerate(zip(points, targets)):
-                task = np.random.SeedSequence((int(spec.seed), 31337, ei, kind, i))
-                rng_a, rng_e = (np.random.default_rng(c) for c in task.spawn(2))
-                x_adv = _attack_to_target(spec, model, bank, x0, target, eps, rng_a)
-                probs = predictive_probs(model, bank, x_adv, spec.entropy_draws, rng_e)
-                h = entropy_of(probs)
-                vals.append(h)
-                records.append(SepRecord(eps, i, "sgd", "predictive-entropy-" + name, h))
-                pool_entropy.append(h)
-                # an accepted OOD input is always an error
-                pool_correct.append(float(labels is not None and np.argmax(probs) == labels[i]))
-            mean_entropy[name][eps] = float(np.mean(vals))
+        # Per instance, one generator for its attack and one for its readout.
+        gens = [[np.random.default_rng(c) for c in np.random.SeedSequence(
+            (int(spec.seed), 31337, ei, kind, i)).spawn(2)] for kind, _, i, _ in tasks]
+        x_adv = _attack(spec, model, bank, points, targets, eps, [g[0] for g in gens])
+        probs = predictive_probs(model, bank, x_adv, spec.entropy_draws, [g[1] for g in gens])
+        pool_entropy = [entropy_of(q) for q in probs]
+        # an accepted OOD input is always an error
+        pool_correct = [float(label is not None and np.argmax(q) == label)
+                        for q, (_, _, _, label) in zip(probs, tasks)]
+        for (_, name, i, _), h in zip(tasks, pool_entropy):
+            records.append(SepRecord(eps, i, "sgd", "predictive-entropy-" + name, h))
+        mean_entropy["id"][eps] = float(np.mean(pool_entropy[:spec.n_id]))
+        mean_entropy["ood"][eps] = float(np.mean(pool_entropy[spec.n_id:]))
         for f in spec.retention_grid:
             acc = selective_accuracy(pool_entropy, pool_correct, float(f))
             selective[(eps, float(f))] = acc

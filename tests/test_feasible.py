@@ -89,8 +89,11 @@ def test_validation_errors():
         FeasibleSet(np.zeros(2), -1.0, "l2")
     with pytest.raises(ValueError):
         FeasibleSet(np.zeros(2), 1.0, "l3")
+    # A (K, p) centre is K balls; anything else that is not a vector is rejected.
     with pytest.raises(ValueError):
-        FeasibleSet(np.array([[1.0]]), 1.0, "l2")
+        FeasibleSet(np.array([[[1.0]]]), 1.0, "l2")
+    with pytest.raises(ValueError):
+        FeasibleSet(np.zeros((0, 2)), 1.0, "l2")
     with pytest.raises(ValueError):
         project_l1_ball(np.ones(2), -0.5)
 
@@ -128,3 +131,24 @@ def test_l1_projection_meets_kkt_conditions(v, radius):
     assert theta.min() >= -tol
     assert np.ptp(theta) <= tol
     assert np.all(np.abs(v[~active]) <= theta.max() + tol)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 12), p=st.integers(1, 9),
+       norm=st.sampled_from(["l2", "linf", "l1"]), eps=st.sampled_from([0.0, 0.1, 1.0, 5.0]),
+       shared=st.booleans())
+def test_rows_project_as_one_point_projections(seed, K, p, norm, eps, shared):
+    # K points onto K balls (or one shared ball), row k rounded as the
+    # one-point projection of row k is, bit for bit.
+    r = np.random.default_rng(seed)
+    centres = r.standard_normal((K, p))
+    x = centres + r.standard_normal((K, p)) * r.uniform(0.0, 3.0, (K, 1))
+    if shared:
+        centres = centres[0]
+    rows = FeasibleSet(centres, eps, norm).project(x)
+    for k in range(K):
+        one = FeasibleSet(centres if shared else centres[k], eps, norm).project(x[k])
+        assert np.array_equal(rows[k], one)
+    assert np.array_equal(FeasibleSet(centres, eps, norm).perturbation_norm(x),
+                          [FeasibleSet(centres if shared else centres[k], eps, norm)
+                           .perturbation_norm(x[k]) for k in range(K)])

@@ -156,6 +156,34 @@ def test_label_validation():
     gamma = DrawBatch(np.zeros((1, 6)))
     with pytest.raises(ValueError):
         model.loglik(np.zeros(2), 7, gamma)
+
+
+@pytest.mark.parametrize("method", ["loglik", "score_x"])
+@pytest.mark.parametrize("labels, message", [
+    (np.array([0.0, 1.5]), "must be integers"),       # non-integer floats
+    (np.array([0.0, np.nan]), "must be integers"),
+    (np.array([1, -1]), "out of range"),              # negative
+    (np.array([-1.0, 2.0]), "out of range"),
+    (np.array([0, 3]), "out of range"),               # >= n_classes
+    (np.array([0.0, np.inf]), "out of range"),
+    (7, "out of range"),
+    (np.array(["0", "1"]), "must be integers"),       # non-numeric dtypes
+    (np.array([True, False]), "must be integers"),
+    (np.array([0, 1], dtype=object), "must be integers"),
+])
+def test_label_validation_rejects(method, labels, message):
+    model = CategoricalSoftmax(2, 3)
+    gamma = DrawBatch(np.zeros((2, 6)))
+    with pytest.raises(ValueError, match=message):
+        getattr(model, method)(np.zeros(2), labels, gamma)
+
+
+def test_valid_labels_pass_in_any_integer_form():
+    model = CategoricalSoftmax(2, 3)
+    gamma = DrawBatch(np.arange(12.0).reshape(2, 6) / 10.0)
+    want = model.loglik(np.ones(2), np.array([0, 2]), gamma)
+    for labels in (np.array([0.0, 2.0]), np.array([0, 2], dtype=np.uint8), [0, 2]):
+        assert np.array_equal(model.loglik(np.ones(2), labels, gamma), want)
     with pytest.raises(ValueError):
         BernoulliLogit(2).loglik(np.zeros(2), 0.5, DrawBatch(np.zeros((1, 2))))
 

@@ -6,6 +6,10 @@ resolves.  Installing it here makes a rename or removal of a wrapped name
 fail this suite, not only the benchmark.  Running every workload at its tiny
 size under the tracer makes a refactor that stops calling a traced name fail
 here too.
+
+The entropy workload's attacks run in lockstep: the counts below pin one
+forward and score pass per lockstep iteration, and its output digests, taken
+before the attacks were batched, pin that batching changed no number.
 """
 
 import sys
@@ -109,3 +113,52 @@ def test_entropy_bank_fit_calls_no_logsumexp(tmp_path):
     calls = Counter(s.name for s in spans)
     assert calls["bayes.backends.log_post"] == (
         1 + spec.chain_burn_in + spec.bank_size * spec.chain_thin) == 701
+
+
+def _entropy_traced(tmp_path):
+    tracer, workloads = _perfbench("tracer"), _perfbench("workloads")
+    workload = workloads.WORKLOADS["entropy"]
+    spec = workload.build(0, "tiny", str(tmp_path))
+    with tracer.Tracer() as t:
+        workload.run(spec)
+    return workload, spec, t.spans
+
+
+def test_entropy_attacks_score_once_per_lockstep_iteration(tmp_path):
+    workload, spec, spans = _entropy_traced(tmp_path)
+    calls = Counter(s.name for s in spans)
+    attacked = sum(1 for e in spec.eps_grid if e > 0.0)  # eps = 0 draws no attack
+    K = spec.n_id + spec.n_ood  # one lockstep call per eps over every point
+    assert calls["attacks.point.run_point_attack"] == attacked
+    # one score pass over all K instances' rows per iteration, not one per instance
+    assert calls["bayes.likelihoods.CategoricalSoftmax.score_x"] == attacked * spec.T
+    # one outcome draw per iteration and one for the final residual
+    assert calls["bayes.likelihoods.CategoricalSoftmax.sample_y"] == attacked * (spec.T + 1)
+    # each instance draws its own bank rows: per iteration and for the final residual
+    in_attacks = [s for s in spans if s.name == "bayes.backends.SampleBank.draw"
+                  and spans[s.parent].name == "attacks.point.run_point_attack"]
+    assert len(in_attacks) == attacked * K * (spec.T + 1)
+    # readouts: the modal pass draws per OOD point, each eps's pass per point,
+    # and each pass scores all its points in one class_probs call
+    readouts = spec.n_ood + len(spec.eps_grid) * K
+    assert calls["bayes.backends.SampleBank.draw"] == len(in_attacks) + readouts
+    assert calls["bayes.likelihoods.CategoricalSoftmax.class_probs"] == (
+        attacked * (spec.T + 1) + 1 + len(spec.eps_grid))
+    missing = set(workload.spans) - set(calls)
+    assert not missing, "spans that never fired: %s" % sorted(missing)
+
+
+# SHA-256 of the entropy records in the benchmark's digest format, as the
+# attacks gave them one at a time before they ran in lockstep.
+ENTROPY_DIGESTS = {
+    ("tiny", 0): "6af6e93b5b3939d1e90ba1de0b58ffd98e55938c89b32fe39187d68f3426ac0c",
+    ("bench", 0): "053e666532a30505401d3dae7b431850300d0b072575b7b94da8e0c48ae4ae99",
+}
+
+
+@pytest.mark.parametrize("size, seed", sorted(ENTROPY_DIGESTS))
+def test_entropy_records_match_their_digest(size, seed, tmp_path):
+    workload = _perfbench("workloads").WORKLOADS["entropy"]
+    spec = workload.build(seed, size, str(tmp_path))
+    outcome = workload.check(spec, workload.run(spec), [])
+    assert outcome.digest == ENTROPY_DIGESTS[size, seed]
