@@ -114,7 +114,7 @@ class PointAttackProblem:
                 "g_star must have shape (%d,), or one row per ball centre, got %s"
                 % (self.g.out_dim, self.g_star.shape)
             )
-        if self.eta <= 0 or self.T < 1 or self.N < 1 or self.M < 1:
+        if not self.eta > 0 or self.T < 1 or self.N < 1 or self.M < 1:
             raise ValueError("need eta > 0 and T, N, M >= 1")
         if self.smooth_window < 1:
             raise ValueError("smooth_window must be >= 1")

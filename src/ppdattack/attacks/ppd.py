@@ -21,18 +21,12 @@ cut into M0 * 2^level per pair in pair order.  The arithmetic runs in one
 pass over those draws: :func:`delta_level` scores the batch with one
 ``loglik`` and one ``score_x`` call, each row carrying its pair's outcome,
 and :func:`ratio_grad` forms every full-batch and half-batch ratio by
-segment reductions.  A call for K replicate gradients repeats the three
-blocks K times and scores the pairs of all K in the same single pass; its
-gradients equal those of K successive one-replicate calls bit for bit.  The
-level draws interleave uniforms with the other blocks, so the replicates
-stay a loop; but a backend that declares ``normals_per_row`` (the
-known-variance ``ExactConjugate``) has each replicate's posterior normals
-drawn in the loop with ``rng.standard_normal`` and turned into rows by one
-``backend.draw`` over all of them, through a
-:class:`~ppdattack.bayes.draws.NormalSource`.
-(Gray-box mixtures agree to round-off only: a member can get a single row in
-one call, and numpy scores a one-row batch through BLAS ``dot``, not
-``gemv``.)
+segment reductions.  A call for K replicate gradients draws the same three
+blocks once for all K replicates, on any backend and likelihood: K * B
+outcomes, then K * B * R levels, then the rows of every pair, which one
+:func:`delta_level` pass scores.  The replicates are iid, so their law does
+not depend on K; but their numbers are not those of K successive
+one-replicate calls.
 """
 
 from __future__ import annotations
@@ -41,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bayes.draws import NormalSource, normals_per_row
 from ..bayes.likelihoods import _sample_categorical, logsumexp, normal_logpdf, normal_sample
 from ..exceptions import DegenerateLikelihoodError, NonFiniteGradientError
 from .feasible import FeasibleSet
@@ -116,7 +109,7 @@ class MlmcConfig:
     max_level_draws: int = 1 << 22
 
     def __post_init__(self):
-        if self.tau <= 1.0:
+        if not self.tau > 1.0:
             raise ValueError(
                 "tau must exceed 1: the randomised-level estimator has divergent "
                 "expected cost for tau <= 1"
@@ -125,7 +118,7 @@ class MlmcConfig:
             raise ValueError("M0, R, B, T must be >= 1 and Lmax >= 0")
         if self.M0 % 2 != 0:
             raise ValueError("M0 must be even so batches can be halved antithetically")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("eta must be positive")
         w = 2.0 ** (-self.tau * np.arange(self.Lmax + 1))
         w /= w.sum()
@@ -215,36 +208,19 @@ def mlmc_grad(model, x, appd, config, backend, rng, replicates=1):
 
     Each estimate averages ``R`` single-level draws ``delta_level / P(level)``
     per predictive outcome and ``B`` outcomes sampled from the adversarial
-    target.  Replicate by replicate, as successive one-replicate calls would,
-    it draws the outcomes, the ``B * R`` levels and one posterior batch for
-    all pairs (for a backend that declares ``normals_per_row``, the batch's
-    normals, all made rows by one ``backend.draw`` after the loop); one
-    :func:`delta_level` call then scores them all.  Returns
+    target.  The ``replicates`` estimates draw their randomness in three
+    blocks, in this order: all ``replicates * B`` outcomes, all
+    ``replicates * B * R`` levels in one call, and one posterior batch for
+    all pairs; one :func:`delta_level` call then scores them all.  Returns
     ``(grads, levels, draws)``: the gradients, shape ``(replicates, dim)``,
     the level of each (outcome, repeat) pair in draw order, and the number of
     posterior draws consumed.
     """
-    # A backend that draws only normals has each replicate's drawn in turn and
-    # turns them all into rows in one draw after the loop.
-    per_row = replicates > 1 and normals_per_row(backend)
-    ys, drawn = [], []
-    for _ in range(replicates):  # the stream order: outcomes, levels, draws
-        ys.append(np.atleast_1d(appd.sample(config.B, rng)))
-        level, prob = _sample_level(config, rng, config.B * config.R)
-        count = int((config.M0 << level).sum())
-        drawn.append((level, prob, rng.standard_normal(count * per_row[0]) if per_row
-                      else backend.draw(count, rng)))
-    levels, probs, batches = zip(*drawn)
-    levels = np.concatenate(levels)
-    if per_row:
-        with NormalSource(np.concatenate(batches)) as source:
-            draws = backend.draw(int((config.M0 << levels).sum()), source)
-    else:
-        # One replicate, as in the attack loop, needs no copy of its draws.
-        draws = batches[0] if replicates == 1 else type(batches[0]).concat(batches)
-    deltas = delta_level(model, x, np.repeat(np.concatenate(ys), config.R), levels, draws,
-                         config)
-    terms = (deltas / np.concatenate(probs)[:, None]).reshape(replicates, config.B, config.R, -1)
+    ys = np.atleast_1d(appd.sample(replicates * config.B, rng))
+    levels, probs = _sample_level(config, rng, replicates * config.B * config.R)
+    draws = backend.draw(int((config.M0 << levels).sum()), rng)
+    deltas = delta_level(model, x, np.repeat(ys, config.R), levels, draws, config)
+    terms = (deltas / probs[:, None]).reshape(replicates, config.B, config.R, -1)
     grads = (terms.sum(axis=2) / config.R).sum(axis=1) / config.B
     return grads, levels.tolist(), len(draws)
 

@@ -16,22 +16,23 @@ small batch size) serves as a negative control: validation only counts if the
 broken estimator is actually flagged.
 
 Replicates are computed in chunks of ``CHUNK``: one :func:`grad_J` or
-:func:`mlmc_grad` call per chunk draws what one-replicate calls would draw,
-replicate after replicate (an N + M joint sample; or outcomes, levels and
-posterior rows), then scores the chunk in one pass.  The testbed's
+:func:`mlmc_grad` call per chunk draws the chunk's randomness and then scores
+it in one pass.  A point-estimator chunk draws what one-replicate calls
+would draw, replicate after replicate (an N + M joint sample); the testbed's
 known-variance backend and Gaussian likelihood draw only standard normals,
-so a point-estimator chunk draws its normals as one block and makes one
-``backend.draw`` and one ``sample_y``, and an MLMC chunk one
-``backend.draw`` after its per-replicate outcome and level draws.  The
-samples are bit-identical whatever the chunk size, which only bounds how
-many draws are held at once.
+so it draws its normals as one block and makes one ``backend.draw`` and one
+``sample_y``.  Its samples are bit-identical whatever the chunk size.  An
+MLMC chunk draws three blocks for all its replicates: their outcomes, their
+levels, and one ``backend.draw`` for their posterior rows.  Its replicates
+are iid whatever the chunk size, but which numbers they are depends on it,
+so ``CHUNK`` is part of the gradient-check spec: changing it changes the MLMC
+samples, and the samples CSV with them.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from itertools import chain, cycle, repeat
 
 import numpy as np
 
@@ -50,7 +51,7 @@ POSITIVE_ESTIMATORS = ("score", "reparam", "mlmc")
 CONTROL_ESTIMATOR = "score-shared-batch"
 # Replicates per estimator call: large enough that per-call overhead vanishes,
 # small enough that a chunk's draws and scores stay within the memory of
-# the per-replicate loop.
+# the per-replicate loop.  The MLMC samples depend on it.
 CHUNK = 250
 CSV_SLICE = 1000  # replicates converted to Python floats at a time in the samples CSV
 
@@ -185,23 +186,22 @@ def write_gradcheck_samples_csv(report: GradCheckReport, path):
     """Histogram data: one row per (estimator, replicate, coordinate) gradient sample.
 
     The matching analytic value is repeated per row so a plotting script can
-    draw the reference line without joining against the summary table.
+    draw the reference line without joining against the summary table.  The
+    bytes are those ``csv.writer`` writes for these rows: every cell here
+    needs no quoting, a float is written as its repr (``%r`` of a Python
+    float), and rows end in ``\r\n``.
     """
-    def blocks():
+    with open(path, "w", newline="") as fh:
+        fh.write("estimator,replicate,coordinate,value,analytic\r\n")
         for name, arr in report.samples.items():
             arr = np.asarray(arr, dtype=float)
-            dim = arr.shape[1]
-            # csv writes a Python float as its repr, as format_float does; the
-            # few analytic values are formatted once.
-            oracle = [format_float(v) for v in report.oracles[name]]
+            # One row template per coordinate, its analytic cell formatted once.
+            rows = ["%s,%%d,%d,%%r,%s\r\n" % (name, j, format_float(v))
+                    for j, v in enumerate(report.oracles[name])]
             for start in range(0, arr.shape[0], CSV_SLICE):
-                block = arr[start:start + CSV_SLICE]
-                reps = np.repeat(np.arange(start, start + len(block)), dim).tolist()
-                yield zip(repeat(name), reps, cycle(range(dim)), block.ravel().tolist(),
-                          cycle(oracle))
-
-    write_csv(path, ["estimator", "replicate", "coordinate", "value", "analytic"],
-              chain.from_iterable(blocks()))
+                block = arr[start:start + CSV_SLICE].tolist()
+                fh.write("".join([row % (i, v) for i, values in enumerate(block, start)
+                                  for row, v in zip(rows, values)]))
 
 
 def run_gradcheck(spec: GradCheckSpec, write_samples=True):

@@ -259,8 +259,9 @@ def test_problem_validation(testbed):
     with pytest.raises(ValueError):
         PointAttackProblem(response_functional(), [1.0, 2.0], GaussianLinear(2),
                            FeasibleSet(x0, 1.0, "l2"))
-    with pytest.raises(ValueError):
-        problem(x0, eta=0.0)
+    for eta in (0.0, np.nan):
+        with pytest.raises(ValueError, match="eta > 0"):
+            problem(x0, eta=eta)
     # An empty smoothing window averages an empty slice every iteration and a
     # nan tolerance never fires: both would silently disable early stopping.
     for kw in ({"smooth_window": 0}, {"smooth_window": -5},

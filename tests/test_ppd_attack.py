@@ -325,6 +325,16 @@ def test_config_validation(testbed):
         config(x, eta=0.0)
 
 
+@pytest.mark.parametrize("field, message", [("tau", "tau must exceed 1"),
+                                            ("eta", "eta must be positive")])
+def test_config_rejects_nan(testbed, field, message):
+    # NaN passes a `tau <= 1` or `eta <= 0` test; a NaN tau makes every level
+    # weight NaN, and a NaN eta every step.
+    post, _, _ = testbed
+    with pytest.raises(ValueError, match=message):
+        config(clean_point(post), **{field: np.nan})
+
+
 # ---------------------------------------------------------------------------
 # attack loop
 # ---------------------------------------------------------------------------

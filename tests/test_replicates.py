@@ -1,29 +1,35 @@
-"""A call for K replicates equals K successive one-replicate calls.
+"""Replicate calls of ``grad_J`` and ``mlmc_grad`` against reference streams.
 
-``grad_J`` and ``mlmc_grad`` draw each replicate's randomness in turn, in
-blocks, and then score all K replicates in one pass.  A ``grad_J`` replicate
-makes one joint sample of N + M rows (one ``backend.draw`` and one
-``sample_y``): its first N rows estimate ``mu`` and its last M rows, an
-independent batch because the rows are iid, the Jacobian; the shared-batch
-control draws N rows that feed both.  An ``mlmc_grad`` replicate draws its
-target outcomes, then all B * R levels in one call, then the posterior rows
-of every (outcome, repeat) pair in one ``backend.draw``.  So the K-replicate
-call must return, bit for bit, what K successive one-replicate calls return,
-and leave the generator in the same state; and ``grad_J`` must return what a
-reference that draws and splits the joint sample replicate by replicate
-returns, up to summation order.
+A ``grad_J`` call for K replicates draws each replicate's randomness in turn
+and then scores all K replicates in one pass.  A replicate makes one joint
+sample of N + M rows (one ``backend.draw`` and one ``sample_y``): its first N
+rows estimate ``mu`` and its last M rows, an independent batch because the
+rows are iid, the Jacobian; the shared-batch control draws N rows that feed
+both.  So the K-replicate call must return, bit for bit, what K successive
+one-replicate calls return, and leave the generator in the same state; and
+it must return what a reference that draws and splits the joint sample
+replicate by replicate returns, up to summation order.
 
 Where the backend and the likelihood draw nothing but standard normals (the
 known-variance conjugate backend with ``GaussianLinear``: the "gaussian" case
 below), a K-replicate ``grad_J`` draws all K replicates' normals as one block
 and makes one ``backend.draw`` and one ``sample_y`` through a
-:class:`~ppdattack.bayes.draws.NormalSource`; ``mlmc_grad`` draws each
-replicate's posterior normals in its loop and makes one ``backend.draw``
-after it.  The same properties cover that path unchanged: they are the oracle
-that the block hands each replicate exactly its own normals.  The
-source itself is checked to hand out normals in generator order and to raise
-on an overrun, on leftovers, and for a backend or likelihood that declares the
-wrong count.
+:class:`~ppdattack.bayes.draws.NormalSource`.  The same properties cover that
+path unchanged: they are the oracle that the block hands each replicate
+exactly its own normals.  The source itself is checked to hand out normals
+in generator order and to raise on an overrun, on leftovers, and for a
+backend or likelihood that declares the wrong count.
+
+An ``mlmc_grad`` call for K replicates draws three blocks for all of them:
+K * B target outcomes, then K * B * R levels in one call, then the posterior
+rows of every (outcome, repeat) pair in one ``backend.draw``; one
+``delta_level`` pass scores them.  Its replicates are iid, like those of K
+successive calls, but come from a different stream.  It is held bit for bit
+to a reference that draws the same blocks (its levels through
+``rng.choice``, which draws them as ``_sample_level`` does) and averages
+each replicate's pairs separately; and a one-replicate call, as in the
+attack loop, to the outcome -> level -> draw stream with one ``rng.choice``
+per pair and one ``delta_level`` call per pair.
 
 Bit identity needs every likelihood evaluation of a one-replicate call to
 see at least two rows: numpy evaluates a one-row ``beta @ x`` through BLAS
@@ -51,7 +57,13 @@ from ppdattack.attacks.point import (
     grad_J,
     reparam_grad_mu,
 )
-from ppdattack.attacks.ppd import CategoricalAppd, MlmcConfig, NormalAppd, mlmc_grad
+from ppdattack.attacks.ppd import (
+    CategoricalAppd,
+    MlmcConfig,
+    NormalAppd,
+    delta_level,
+    mlmc_grad,
+)
 from ppdattack.bayes.backends import ExactConjugate, SampleBank
 from ppdattack.bayes.conjugate import NigPrior, gaussian_update, nig_update
 from ppdattack.bayes.draws import DrawBatch, NormalSource
@@ -135,20 +147,60 @@ def test_grad_J_replicates_equal_successive_calls(case, K, N, M, shared, reparam
     assert ours.random() == theirs.random()
 
 
+def reference_mlmc(model, x, appd, config, backend, rng, K):
+    """K replicates from three blocks (K * B outcomes, K * B * R levels through
+    ``rng.choice``, one ``backend.draw``) and one ``delta_level`` pass, each
+    replicate averaged over its own B * R pairs."""
+    ys = np.atleast_1d(appd.sample(K * config.B, rng))
+    w = config.level_weights
+    levels = rng.choice(w.size, K * config.B * config.R, p=w)
+    draws = backend.draw(int((config.M0 << levels).sum()), rng)
+    deltas = delta_level(model, x, np.repeat(ys, config.R), levels, draws, config)
+    terms = deltas / w[levels][:, None]
+    pairs = config.B * config.R
+    grads = [(terms[k * pairs:(k + 1) * pairs].reshape(config.B, config.R, -1).sum(axis=1)
+              / config.R).sum(axis=0) / config.B for k in range(K)]
+    return np.array(grads), levels.tolist(), len(draws)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 @settings(max_examples=10, deadline=None)
 @given(K=st.integers(1, 600), B=st.integers(1, 3), R=st.integers(1, 3),
        M0=st.sampled_from([2, 4, 8]), Lmax=st.integers(0, 4), seed=SEEDS)
-def test_mlmc_replicates_equal_successive_calls(case, K, B, R, M0, Lmax, seed):
+def test_mlmc_replicates_equal_a_block_order_reference(case, K, B, R, M0, Lmax, seed):
     model, backend, _, appd = CASES[case]()
     config = MlmcConfig(FeasibleSet(X0, 1.0, "l2"), M0=M0, R=R, Lmax=Lmax, B=B)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     got, levels, cost = mlmc_grad(model, X0, appd, config, backend, ours, K)
-    calls = [mlmc_grad(model, X0, appd, config, backend, theirs) for _ in range(K)]
+    want, want_levels, want_cost = reference_mlmc(model, X0, appd, config, backend, theirs, K)
     assert got.shape == (K, 2)
-    assert_same(got, np.concatenate([c[0] for c in calls]), exact=case != "mixture")
-    assert levels == [level for c in calls for level in c[1]]
-    assert cost == sum(c[2] for c in calls)
+    assert_same(got, want, exact=case != "mixture")
+    assert levels == want_levels
+    assert cost == want_cost == sum(M0 << level for level in levels)
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=15, deadline=None)
+@given(B=st.integers(1, 3), R=st.integers(1, 3), M0=st.sampled_from([2, 4, 8]),
+       Lmax=st.integers(0, 4), seed=SEEDS)
+def test_one_replicate_mlmc_keeps_the_outcome_level_draw_stream(case, B, R, M0, Lmax, seed):
+    model, backend, _, appd = CASES[case]()
+    config = MlmcConfig(FeasibleSet(X0, 1.0, "l2"), M0=M0, R=R, Lmax=Lmax, B=B)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, levels, cost = mlmc_grad(model, X0, appd, config, backend, ours)
+    w = config.level_weights
+    ys = np.atleast_1d(appd.sample(B, theirs))
+    want_levels = [int(theirs.choice(w.size, p=w)) for _ in range(B * R)]
+    sizes = [M0 << level for level in want_levels]
+    draws = backend.draw(sum(sizes), theirs)
+    ends = np.cumsum(sizes)
+    deltas = [delta_level(model, X0, ys[[i // R]], [level], draws[end - size:end], config)[0]
+              / w[level] for i, (level, size, end) in enumerate(zip(want_levels, sizes, ends))]
+    want = np.mean(np.mean(np.reshape(deltas, (B, R, -1)), axis=1), axis=0)
+    assert_same(got[0], want, exact=case != "mixture")
+    assert levels == want_levels
+    assert cost == sum(sizes)
     assert ours.random() == theirs.random()
 
 
@@ -232,9 +284,14 @@ def test_block_path_draws_once_per_call():
     prob = PointAttackProblem(g, np.full(1, 0.2), model, FeasibleSet(X0, 1.0, "l2"), N=3, M=4)
     grad_J(prob, X0, counted, np.random.default_rng(0), 5)
     assert calls == [5 * 7]
+    # mlmc_grad draws its rows in one call whether or not the backend declares
+    # normals_per_row.
     config = MlmcConfig(FeasibleSet(X0, 1.0, "l2"), M0=2, Lmax=2)
-    _, _, cost = mlmc_grad(model, X0, appd, config, counted, np.random.default_rng(0), 5)
-    assert calls[1:] == [cost]
+    for per_row in (2, None):
+        counted.normals_per_row = per_row
+        _, _, cost = mlmc_grad(model, X0, appd, config, counted, np.random.default_rng(0), 5)
+        assert calls.pop() == cost
+    assert calls == [5 * 7]
     assert ExactConjugate(nig_case()[1].posterior).normals_per_row is None
 
 
@@ -250,7 +307,3 @@ def test_a_wrong_normal_count_fails_loudly(part, per_row):
     prob = PointAttackProblem(g, np.full(1, 0.2), model, FeasibleSet(X0, 1.0, "l2"), N=3, M=4)
     with pytest.raises(RuntimeError, match="normal source"):
         grad_J(prob, X0, backend, np.random.default_rng(0), 2)
-    if part == "backend":
-        config = MlmcConfig(FeasibleSet(X0, 1.0, "l2"), M0=2, Lmax=2)
-        with pytest.raises(RuntimeError, match="normal source"):
-            mlmc_grad(model, X0, appd, config, backend, np.random.default_rng(0), 2)

@@ -66,11 +66,13 @@ def test_gradcheck_draws_and_scores_per_chunk(tmp_path, monkeypatch):
     calls = Counter(s.name for s in t.spans)
     # The known-variance testbed's backend and likelihood draw only standard
     # normals, so per chunk there is one backend draw for each of the score,
-    # reparameterised and control estimators and one for all MLMC replicates'
-    # pairs; the three point estimators draw their outcomes with one sample_y.
+    # reparameterised and control estimators; the three draw their outcomes
+    # with one sample_y.  An MLMC chunk draws all its replicates' levels in
+    # one call and all their pairs' rows in one backend draw.
     assert spec.replicates == 100
     chunks = 4  # 100 replicates in chunks of 30
     assert calls["bayes.backends.ExactConjugate.draw"] == 4 * chunks
+    assert calls["attacks.ppd.level_sample"] == chunks
     assert calls["bayes.likelihoods.GaussianLinear.sample_y"] == 3 * chunks
     assert calls["bayes.likelihoods.GaussianLinear.loglik"] == chunks  # MLMC only
     assert calls["bayes.likelihoods.GaussianLinear.score_x"] == 3 * chunks  # score, control, MLMC
