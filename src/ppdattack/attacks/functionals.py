@@ -69,7 +69,7 @@ def onehot_functional(n_classes):
 
     def value(x, ys):
         ys = np.asarray(ys).astype(int).reshape(-1)
-        if np.any(ys < 0) or np.any(ys >= n_classes):
+        if not np.logical_and.reduce((ys >= 0) & (ys < n_classes), axis=None):
             raise ValueError("class label out of range")
         return eye[ys]
 

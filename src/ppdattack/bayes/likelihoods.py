@@ -46,7 +46,6 @@ bit for bit at dim 2-7; from dim 8 the BLAS ``gemv`` kernel may round the
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from ..exceptions import UnsupportedModelError
 
@@ -228,7 +227,12 @@ class GaussianLinear:
 
 
 class BernoulliLogit:
-    """Bernoulli likelihood with logit link: P(y=1 | x, gamma) = expit(beta^T x)."""
+    """Bernoulli likelihood with logit link: P(y=1 | x, gamma) = expit(beta^T x).
+
+    ``expit`` is scipy's, imported on first use (as ``StudentT.logpdf``
+    imports ``gammaln``) so that importing the library does not load
+    ``scipy.special``.
+    """
 
     def __init__(self, dim):
         self.dim = int(dim)
@@ -246,12 +250,16 @@ class BernoulliLogit:
         return y * s - np.logaddexp(0.0, s)
 
     def score_x(self, x, y, gamma):
+        from scipy.special import expit
+
         x = _check_x(x, self.dim)
         s = gamma.beta @ x
         y = self._check_y(y, len(gamma))
         return (y - expit(s))[:, None] * gamma.beta
 
     def sample_y(self, x, gamma, rng):
+        from scipy.special import expit
+
         x = _check_x(x, self.dim)
         p = expit(gamma.beta @ x)
         return (rng.random(len(gamma)) < p).astype(float)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.special
 from scipy import stats
 
 from ppdattack.attacks.feasible import FeasibleSet
@@ -632,6 +633,20 @@ def test_entropy_of_reference_values():
     uniform = np.full(3, 1.0 / 3.0)
     hs = [entropy_of((1 - t) * onehot + t * uniform) for t in np.linspace(0, 1, 11)]
     assert all(h2 > h1 for h1, h2 in zip(hs, hs[1:]))
+
+
+# Entries of a probability vector: exact zeros, tiny (down to subnormal) and
+# ordinary weights, normalised by their sum.
+_weights = st.one_of(st.just(0.0), st.just(5e-324), st.floats(1e-310, 1e-300),
+                     st.floats(1e-12, 1e-6), st.floats(1e-3, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.lists(_weights, min_size=2, max_size=10).filter(lambda w: sum(w) > 0.0))
+def test_entropy_of_equals_scipy_xlogy_bit_for_bit(w):
+    p = np.array(w) / sum(w)
+    want = float(-scipy.special.xlogy(p, p).sum())
+    assert np.float64(entropy_of(p)).view(np.int64) == np.float64(want).view(np.int64)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

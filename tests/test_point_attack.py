@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 
 from ppdattack.analytic import analytic_point_l2
 from ppdattack.attacks.feasible import FeasibleSet
-from ppdattack.attacks.functionals import Functional, covariate_functional, response_functional
+from ppdattack.attacks.functionals import (
+    Functional,
+    covariate_functional,
+    onehot_functional,
+    response_functional,
+)
 from ppdattack.attacks.point import (
     NonFiniteGradientError,
     PointAttackProblem,
@@ -119,6 +124,14 @@ def test_grad_mu_matches_posterior_mean(testbed):
     reps = estimate_grad_mu(prob, x0, draws, ys)[:, 0]
     se = reps.std(axis=0, ddof=1) / np.sqrt(reps.shape[0])
     assert np.all(np.abs(reps.mean(axis=0) - mu_n) <= 3.0 * se)
+
+
+def test_onehot_functional_rejects_labels_out_of_range():
+    g = onehot_functional(3)
+    assert np.array_equal(g.value(np.zeros(2), np.array([2, 0, 1])), np.eye(3)[[2, 0, 1]])
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="class label out of range"):
+            g.value(np.zeros(2), np.array([0, bad, 1]))
 
 
 def test_grad_mu_of_covariate_functional_is_identity(testbed):
