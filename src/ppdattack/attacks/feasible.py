@@ -56,7 +56,7 @@ class FeasibleSet:
             raise ValueError("center must be a vector, or a (K, p) array of K >= 1 centres")
         if not np.all(np.isfinite(center)):
             raise ValueError("center must be finite")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
         if self.norm not in NORMS:
             raise ValueError("norm must be one of %s" % (NORMS,))

@@ -20,26 +20,16 @@ The Jacobian factor has two estimators, passed as ``grad_mu`` to both
 :func:`reparam_grad_mu` (differentiates through the outcome draw; Gaussian
 linear likelihoods only).
 
-Drawing and arithmetic are separate steps.  :func:`grad_J` draws, replicate
-by replicate, one joint sample of N + M rows (``backend.draw`` then
-``model.sample_y``); its rows are iid, so its first N rows form the batch for
-``mu`` and its last M rows the independent batch for the Jacobian.
-:func:`estimate_mu`, :func:`estimate_grad_mu` and :func:`reparam_grad_mu` are
-arithmetic on already-drawn samples with a leading replicate axis, so K
-replicates cost one ``g.value``/``score_x`` evaluation over all their rows.
-A single estimate is one replicate, as in the attack loop.  When the backend
-and the likelihood both declare ``normals_per_row`` (the known-variance
-``ExactConjugate`` and ``GaussianLinear``), a K-replicate call draws all K
-replicates' normals in one ``rng.standard_normal`` block and passes them to
-one ``backend.draw`` and one ``sample_y`` through a
-:class:`~ppdattack.bayes.draws.NormalSource`, reordered so that each
-replicate gets the normals its own call would have drawn; any other pair is
-drawn replicate by replicate.  Because every replicate draws exactly as one
-of K successive one-replicate calls would, a K-replicate call gives the same
-numbers bit for bit whenever each likelihood call of a one-replicate call
-sees at least two rows.  Batches of one row, and gray-box mixture members
-that get one row, agree to round-off only: numpy rounds a one-row
-matrix-vector product through BLAS ``dot``, a longer one through ``gemv``.
+Drawing and arithmetic are separate steps.  :func:`grad_J` draws one joint
+sample for all its K replicates (``backend.draw`` then ``model.sample_y``):
+K * N rows, replicate k's batch for ``mu`` being the k-th block of N, then
+K * M rows, its independent batch for the Jacobian the k-th block of M.  The
+rows are iid, so the replicates are iid and each has the law of a
+one-replicate call; for K = 1 the sample is the N + M rows the attack loop
+draws.  :func:`estimate_mu`, :func:`estimate_grad_mu` and
+:func:`reparam_grad_mu` are arithmetic on already-drawn samples with a
+leading replicate axis, so K replicates cost one ``g.value``/``score_x``
+evaluation over all their rows.
 
 Instances are not replicates.  Given K ball centres (K, p) and a list of K
 generators, :func:`run_point_attack` advances K independent attacks in
@@ -64,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import NonFiniteGradientError
-from ..bayes.draws import DrawBatch, NormalSource, normals_per_row
+from ..bayes.draws import DrawBatch
 from ..bayes.likelihoods import require_gaussian_linear
 from .feasible import FeasibleSet
 from .functionals import Functional
@@ -200,56 +190,25 @@ def reparam_grad_mu(prob, x, draws, ys):
     return grad
 
 
-def _normal_block_sample(prob, x, backend, rng, replicates, rows, per_row):
-    # The normals of ``replicates`` successive joint samples, drawn as one block:
-    # each replicate's rows * b for the backend, then its rows * l for the
-    # outcomes.  Reordered so that all backend normals come first, they feed one
-    # draw of every replicate's rows and one sample_y, in replicate order.
-    cut = rows * per_row[0]
-    block = rng.standard_normal((replicates, rows * sum(per_row)))
-    with NormalSource(np.concatenate((block[:, :cut], block[:, cut:]), axis=None)) as source:
-        draws, ys = _joint_sample(prob, x, backend, source, replicates * rows)
-    return draws, ys.reshape(replicates, rows)
-
-
-def _mu_and_jacobian(prob, x, backend, rng, replicates, grad_mu, shared_batch):
-    # As successive one-replicate calls draw: per replicate one joint sample of
-    # N + M iid rows (N with a shared batch) whose first N feed mu and last M,
-    # an independent batch, the Jacobian; as one normal block where both sides
-    # declare their normals, else replicate by replicate.  Then one arithmetic
-    # pass.
-    n = prob.N
-    rows = n if shared_batch else n + prob.M
-    per_row = replicates > 1 and normals_per_row(backend, prob.model)
-    if per_row:
-        draws, ys = _normal_block_sample(prob, x, backend, rng, replicates, rows, per_row)
-        if not shared_batch:
-            draws = _block_tails(draws, replicates, n)
-    else:
-        ys = np.empty((replicates, rows))
-        draws = []
-        for r in range(replicates):
-            d, ys[r] = _joint_sample(prob, x, backend, rng, rows)
-            draws.append(d if shared_batch else d[n:])
-        # One replicate, as in the attack loop, needs no copy of its draws.
-        draws = draws[0] if replicates == 1 else type(draws[0]).concat(draws)
-    jac_ys = ys if shared_batch else ys[:, n:]
-    return estimate_mu(prob, x, ys[:, :n]), grad_mu(prob, x, draws, jac_ys)
-
-
 def grad_J(prob, x, backend, rng, replicates=1, grad_mu=None, shared_batch=False):
     """Stochastic gradients of J(x) = ||mu(x) - g_star||^2, one per replicate.
 
-    Each replicate draws its own batches; ``grad_mu`` estimates the Jacobian
-    factor: :func:`estimate_grad_mu` (the default) or :func:`reparam_grad_mu`.
+    The replicates' batches are blocks of one joint sample (see the module
+    docstring); ``grad_mu`` estimates the Jacobian factor:
+    :func:`estimate_grad_mu` (the default) or :func:`reparam_grad_mu`.
     With ``shared_batch=False`` (the default) the two factors use independent
     batches of sizes N and M and the estimate is unbiased.  With
     ``shared_batch=True`` one batch of size N feeds both factors -- a biased
     negative control for gradient validation.  Returns shape (replicates, p).
     """
-    mu_hat, jac = _mu_and_jacobian(prob, x, backend, rng, replicates,
-                                   grad_mu or estimate_grad_mu, shared_batch)
-    return np.matmul((2.0 * (mu_hat - prob.g_star))[:, None, :], jac)[:, 0]
+    kn = replicates * prob.N
+    rows = kn if shared_batch else kn + replicates * prob.M
+    draws, ys = _joint_sample(prob, x, backend, rng, rows)
+    resid = estimate_mu(prob, x, ys[:kn].reshape(replicates, -1)) - prob.g_star
+    if not shared_batch:
+        draws, ys = draws[kn:], ys[kn:]
+    jac = (grad_mu or estimate_grad_mu)(prob, x, draws, ys.reshape(replicates, -1))
+    return np.matmul((2.0 * resid)[:, None, :], jac)[:, 0]
 
 
 def run_point_attack(prob, backend, rng, grad_mu=None) -> AttackTrace:

@@ -49,8 +49,8 @@ class NormalAppd:
     var: float
 
     def __post_init__(self):
-        if self.var <= 0:
-            raise ValueError("var must be positive")
+        if not (np.isfinite(self.mean) and 0 < self.var < np.inf):
+            raise ValueError("mean must be finite and var positive and finite")
 
     def sample(self, size, rng):
         return normal_sample(self.mean, self.var, size, rng)
@@ -67,7 +67,7 @@ class CategoricalAppd:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        if probs.ndim != 1 or not np.all(probs >= 0) or not abs(probs.sum() - 1.0) <= 1e-9:
             raise ValueError("probs must be a 1-D probability vector summing to 1")
         object.__setattr__(self, "probs", probs)
 
@@ -109,10 +109,10 @@ class MlmcConfig:
     max_level_draws: int = 1 << 22
 
     def __post_init__(self):
-        if not self.tau > 1.0:
+        if not 1.0 < self.tau < np.inf:
             raise ValueError(
-                "tau must exceed 1: the randomised-level estimator has divergent "
-                "expected cost for tau <= 1"
+                "tau must exceed 1 and be finite: the randomised-level estimator "
+                "has divergent expected cost for tau <= 1"
             )
         if min(self.M0, self.R, self.B, self.T) < 1 or self.Lmax < 0:
             raise ValueError("M0, R, B, T must be >= 1 and Lmax >= 0")
@@ -283,7 +283,7 @@ def run_ppd_attack(model, appd, config, backend, rng) -> AttackTrace:
             objectives[t - 1] = _objective_estimate(model, x, ys, config, backend, rng)
         else:
             objectives[t - 1] = np.nan
-        levels_used.append("|".join(str(l) for l in levels))
+        levels_used.append(levels)
         sample_cost.append(cost)
         step = config.eta / np.sqrt(t) if config.eta_decay else config.eta
         x = config.feasible.project(x - step * grad)

@@ -28,8 +28,8 @@ class AttackTrace:
 
     ``iterates`` has T+1 rows (the initial point plus one per iteration);
     ``objectives`` has one Monte-Carlo objective estimate per iteration.
-    Multilevel runs additionally carry ``levels_used`` (the levels drawn that
-    iteration, "|"-joined) and ``sample_cost`` (posterior draws consumed).
+    Multilevel runs additionally carry ``levels_used`` (per iteration, the
+    list of levels drawn) and ``sample_cost`` (posterior draws consumed).
     """
 
     iterates: np.ndarray
@@ -60,8 +60,8 @@ class AttackTrace:
         """Write the trace.
 
         Columns: ``iteration, objective, x_0..x_{p-1}`` plus ``levels, draws``
-        for multilevel runs.  Row 0 is the initial point with an empty
-        objective cell.
+        for multilevel runs, an iteration's levels joined by ``|``.  Row 0
+        is the initial point with an empty objective cell.
         """
         header = ["iteration", "objective"] + ["x_%d" % j for j in range(self.iterates.shape[1])]
         objectives = [""] + [format_float(v) for v in self.objectives]
@@ -71,5 +71,5 @@ class AttackTrace:
             header += ["levels", "draws"]
             rows[0] += ["", ""]
             for row, levels, cost in zip(rows[1:], self.levels_used, self.sample_cost):
-                row += [levels, int(cost)]
+                row += ["|".join(map(str, levels)), int(cost)]
         write_csv(path, header, rows)

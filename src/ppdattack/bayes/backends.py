@@ -2,8 +2,7 @@
 
 All backends expose ``draw(count, rng) -> DrawBatch`` and are deterministic
 given the generator state, so a fixed seed reproduces draw sequences
-bit-identically.  A backend whose ``draw`` consumes nothing but standard
-normals says how many per row in ``normals_per_row``.
+bit-identically.
 """
 
 from __future__ import annotations
@@ -24,10 +23,6 @@ class ExactConjugate:
     ``N(mu_n, sigma^2 inv(Lambda_n))``.  For a known-variance Gaussian
     posterior the coefficients are ``N(mu_n, inv(Lambda_n))`` with ``phi``
     pinned at the known ``sigma2``.
-
-    A known-variance draw consumes ``p`` standard normals per row and nothing
-    else, so ``normals_per_row`` is ``p`` there; the normal--inverse-gamma
-    branch also draws gammas and declares ``None``.
     """
 
     def __init__(self, posterior):
@@ -35,7 +30,6 @@ class ExactConjugate:
             raise TypeError("posterior must be NigPosterior or GaussianPosterior")
         self.posterior = posterior
         self._nig = isinstance(posterior, NigPosterior)
-        self.normals_per_row = None if self._nig else posterior.p
         # Transposed lower factor of inv(Lambda_n), so a draw is mu_n + z @ chol_t.
         self._chol_t = posterior.cov_chol().T
         # A finite mean and factor and a positive noise scale make every

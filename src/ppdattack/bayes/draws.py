@@ -15,11 +15,6 @@ posterior when it is built and each normal--inverse-gamma draw, whose
 inverse-gamma ``phi`` can overflow.  Batches cut or joined from checked
 batches need no further check, so the :class:`DrawBatch` constructor trusts
 its input.
-
-A backend or likelihood that consumes only standard normals declares how many
-per row as ``normals_per_row``.  A :class:`NormalSource` of normals drawn in
-advance then stands in for its generator, so a caller can draw the normals of
-many calls in one block and pass them to one call.
 """
 
 from __future__ import annotations
@@ -74,42 +69,3 @@ class DrawBatch:
         """The rows of ``batches`` one after another, as one batch."""
         return DrawBatch(np.concatenate([b.beta for b in batches]),
                          np.concatenate([b.phi for b in batches]))
-
-
-def normals_per_row(*parts):
-    """Each part's ``normals_per_row``, or None unless every part declares one."""
-    counts = tuple(getattr(part, "normals_per_row", None) for part in parts)
-    return None if None in counts else counts
-
-
-class NormalSource:
-    """Standard normals drawn in advance, handed out in order as a generator would.
-
-    Passed as ``rng`` to a call that draws only through ``standard_normal``:
-    ``standard_normal(size)`` returns the next ``size`` values, and asking for
-    more than are left raises ``RuntimeError``.  Used as a context manager it
-    also raises on leaving the block if values are left over, so a caller that
-    counted wrong cannot silently misread its normals.
-    """
-
-    def __init__(self, normals):
-        self._normals = np.asarray(normals, dtype=float).ravel()
-        self._used = 0
-
-    def standard_normal(self, size):
-        start = self._used
-        end = start + int(np.prod(size))
-        if end > self._normals.size:
-            raise RuntimeError("normal source overrun: %d values asked, %d left"
-                               % (end - start, self._normals.size - start))
-        self._used = end
-        return self._normals[start:end].reshape(size)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None and self._used != self._normals.size:
-            raise RuntimeError("normal source has %d of %d values left over"
-                               % (self._normals.size - self._used, self._normals.size))
-        return False

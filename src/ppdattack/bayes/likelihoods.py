@@ -13,8 +13,7 @@ is a one-row batch.  ``y`` may be a scalar (evaluated under every draw) or
 one value per draw.  ``CategoricalSoftmax`` and ``GaussianLinear`` also take
 K points x (K, dim) for K equal blocks of draws, block k at x[k], and then
 draw block k's outcomes from the k-th of a list of K generators: K attack
-instances in one call, each rounded and drawn as its one-point call.  A family whose ``sample_y`` draws nothing but standard
-normals says how many per row in ``normals_per_row`` (``GaussianLinear``: 1).
+instances in one call, each rounded and drawn as its one-point call.
 
 Each outcome law is written once, as a module-level head the families (and
 the attack targets) call on their per-draw outputs: ``normal_*`` on a mean
@@ -203,12 +202,7 @@ def categorical_score(logits, y, jac):
 
 
 class GaussianLinear:
-    """Gaussian linear regression likelihood: y | x, gamma ~ N(beta^T x, phi).
-
-    ``sample_y`` consumes one standard normal per row and nothing else.
-    """
-
-    normals_per_row = 1
+    """Gaussian linear regression likelihood: y | x, gamma ~ N(beta^T x, phi)."""
 
     def __init__(self, dim):
         self.dim = int(dim)

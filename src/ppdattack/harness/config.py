@@ -230,7 +230,12 @@ class ExperimentConfig(_Spec):
 
 @dataclass
 class GradCheckSpec(_Spec):
-    """Config for the ``validate-gradients`` subcommand."""
+    """Config for the ``validate-gradients`` subcommand.
+
+    ``target`` is the point objective's target for the positive estimators
+    only; the shared-batch control, at batch size ``control_batch``, aims at
+    the clean predictive mean (see :mod:`ppdattack.harness.gradcheck`).
+    """
 
     seed: int = 0
     output_dir: str = "."

@@ -13,20 +13,21 @@ per-coordinate z-scores of the replicate mean against the oracle, and reports
 pass/fail at a configurable |z| threshold.  A deliberately biased variant
 (the two factors of the product estimator fed from one shared batch, at a
 small batch size) serves as a negative control: validation only counts if the
-broken estimator is actually flagged.
+broken estimator is actually flagged.  The control is aimed at the clean
+predictive mean, where the true gradient is zero.  Its bias
+2 Cov(mu_hat, grad mu_hat) does not depend on the target, but the spread of
+its replicates grows with (mu - target)^2, and at the positives' target it
+would hide the bias.
 
 Replicates are computed in chunks of ``CHUNK``: one :func:`grad_J` or
-:func:`mlmc_grad` call per chunk draws the chunk's randomness and then scores
-it in one pass.  A point-estimator chunk draws what one-replicate calls
-would draw, replicate after replicate (an N + M joint sample); the testbed's
-known-variance backend and Gaussian likelihood draw only standard normals,
-so it draws its normals as one block and makes one ``backend.draw`` and one
-``sample_y``.  Its samples are bit-identical whatever the chunk size.  An
-MLMC chunk draws three blocks for all its replicates: their outcomes, their
-levels, and one ``backend.draw`` for their posterior rows.  Its replicates
-are iid whatever the chunk size, but which numbers they are depends on it,
-so ``CHUNK`` is part of the gradient-check spec: changing it changes the MLMC
-samples, and the samples CSV with them.
+:func:`mlmc_grad` call per chunk draws the chunk's randomness as blocks for
+all its replicates and then scores it in one pass.  A point-estimator chunk
+draws one joint sample (one ``backend.draw``, one ``sample_y``); an MLMC
+chunk draws three blocks: its outcomes, its levels, and one
+``backend.draw`` for its posterior rows.  The replicates are iid whatever
+the chunk size, but which numbers they are depends on it, so ``CHUNK`` is
+part of the gradient-check spec: changing it changes the samples, and the
+samples CSV with them.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ POSITIVE_ESTIMATORS = ("score", "reparam", "mlmc")
 CONTROL_ESTIMATOR = "score-shared-batch"
 # Replicates per estimator call: large enough that per-call overhead vanishes,
 # small enough that a chunk's draws and scores stay within the memory of
-# the per-replicate loop.  The MLMC samples depend on it.
+# the per-replicate loop.  Every estimator's samples depend on it.
 CHUNK = 250
 CSV_SLICE = 1000  # replicates converted to Python floats at a time in the samples CSV
 
@@ -160,12 +161,15 @@ def validate_gradients(spec: GradCheckSpec) -> GradCheckReport:
         checks.extend(_checks_for(name, "positive", samples[name], oracles[name], spec.z_threshold))
 
     if spec.include_control:
-        prob_ctrl = replace(prob, N=spec.control_batch, M=spec.control_batch)
+        # Aimed at the clean predictive mean, where the true gradient is zero.
+        prob_ctrl = replace(prob, g_star=np.array([m0]), N=spec.control_batch,
+                            M=spec.control_batch)
+        ctrl_oracle = np.zeros_like(point_oracle)
         ctrl = _replicated(
             lambda k: grad_J(prob_ctrl, x0, backend, rng_control, k, shared_batch=True), reps)
         samples[CONTROL_ESTIMATOR] = ctrl
-        oracles[CONTROL_ESTIMATOR] = point_oracle
-        checks.extend(_checks_for(CONTROL_ESTIMATOR, "control", ctrl, point_oracle, spec.z_threshold))
+        oracles[CONTROL_ESTIMATOR] = ctrl_oracle
+        checks.extend(_checks_for(CONTROL_ESTIMATOR, "control", ctrl, ctrl_oracle, spec.z_threshold))
 
     return GradCheckReport(
         checks=checks, z_threshold=spec.z_threshold, samples=samples,

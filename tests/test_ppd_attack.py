@@ -104,6 +104,22 @@ def test_appd_validation():
         CategoricalAppd(np.array([0.5, 0.6]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: NormalAppd(0.0, np.nan),
+    lambda: NormalAppd(np.nan, 1.0),
+    lambda: NormalAppd(0.0, np.inf),
+    lambda: CategoricalAppd(np.array([np.nan, np.nan])),
+    lambda: MlmcConfig(FeasibleSet(np.zeros(2), 1.0), tau=np.inf),
+    lambda: FeasibleSet(np.zeros(2), np.nan),
+], ids=["appd-var-nan", "appd-mean-nan", "appd-var-inf", "categorical-nan", "tau-inf",
+        "epsilon-nan"])
+def test_non_finite_settings_are_rejected(make):
+    # Each slips past a plain `<` or `>` test: an infinite tau makes every level
+    # weight NaN, a NaN target or radius every gradient or projection.
+    with pytest.raises(ValueError):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # ratio gradient
 # ---------------------------------------------------------------------------
@@ -388,7 +404,7 @@ def test_trace_bookkeeping_and_feasibility(small_posterior):
     assert len(trace.levels_used) == 40
     assert len(trace.sample_cost) == 40
     # B*R level draws per iteration, each costing at least M0 draws.
-    assert all(len(s.split("|")) == 4 for s in trace.levels_used)
+    assert all(len(levels) == 4 for levels in trace.levels_used)
     assert all(cost >= 4 * cfg.M0 for cost in trace.sample_cost)
     assert np.all(np.isfinite(trace.objectives))
     # The plug-in cross entropy can never drop below the target's entropy

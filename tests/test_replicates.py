@@ -1,24 +1,19 @@
-"""Replicate calls of ``grad_J`` and ``mlmc_grad`` against reference streams.
+"""Replicate calls of ``grad_J`` and ``mlmc_grad`` against block-order references.
 
-A ``grad_J`` call for K replicates draws each replicate's randomness in turn
-and then scores all K replicates in one pass.  A replicate makes one joint
-sample of N + M rows (one ``backend.draw`` and one ``sample_y``): its first N
-rows estimate ``mu`` and its last M rows, an independent batch because the
-rows are iid, the Jacobian; the shared-batch control draws N rows that feed
-both.  So the K-replicate call must return, bit for bit, what K successive
-one-replicate calls return, and leave the generator in the same state; and
-it must return what a reference that draws and splits the joint sample
-replicate by replicate returns, up to summation order.
-
-Where the backend and the likelihood draw nothing but standard normals (the
-known-variance conjugate backend with ``GaussianLinear``: the "gaussian" case
-below), a K-replicate ``grad_J`` draws all K replicates' normals as one block
-and makes one ``backend.draw`` and one ``sample_y`` through a
-:class:`~ppdattack.bayes.draws.NormalSource`.  The same properties cover that
-path unchanged: they are the oracle that the block hands each replicate
-exactly its own normals.  The source itself is checked to hand out normals
-in generator order and to raise on an overrun, on leftovers, and for a
-backend or likelihood that declares the wrong count.
+A ``grad_J`` call for K replicates draws one joint sample for all of them
+(one ``backend.draw`` and one ``sample_y``) on any backend and likelihood:
+K * N rows, replicate k's batch for ``mu`` the k-th block of N, then K * M
+rows, its independent batch for the Jacobian the k-th block of M; the
+shared-batch control draws K * N rows, replicate k's block of N feeding
+both.  One pass then scores all replicates.  The replicates are iid, like
+those of K successive calls, but come from a different stream; a
+one-replicate call, as in the attack loop, is the N + M rows it always drew.
+The call is held bit for bit to a reference that draws the same sample and
+scores each replicate's blocks on their own, and to K successive
+one-replicate calls, the attack loop's path, each handed one replicate's
+blocks as its N + M rows; and, up to round-off, to the score-function
+formula written out on each replicate's blocks.  It must leave the generator
+in the same state as a draw of the same sample.
 
 An ``mlmc_grad`` call for K replicates draws three blocks for all of them:
 K * B target outcomes, then K * B * R levels in one call, then the posterior
@@ -31,12 +26,15 @@ each replicate's pairs separately; and a one-replicate call, as in the
 attack loop, to the outcome -> level -> draw stream with one ``rng.choice``
 per pair and one ``delta_level`` call per pair.
 
-Bit identity needs every likelihood evaluation of a one-replicate call to
+Bit identity needs every likelihood evaluation of a reference replicate to
 see at least two rows: numpy evaluates a one-row ``beta @ x`` through BLAS
 ``dot`` and a longer one through ``gemv``, and the two can differ in the last
 place.  Batch sizes below 2 and mixtures (whose members can get a single row
 in one replicate) are therefore held to round-off instead.
 """
+
+import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,6 +52,7 @@ from ppdattack.attacks.graybox import (
 from ppdattack.attacks.point import (
     PointAttackProblem,
     estimate_grad_mu,
+    estimate_mu,
     grad_J,
     reparam_grad_mu,
 )
@@ -66,7 +65,7 @@ from ppdattack.attacks.ppd import (
 )
 from ppdattack.bayes.backends import ExactConjugate, SampleBank
 from ppdattack.bayes.conjugate import NigPrior, gaussian_update, nig_update
-from ppdattack.bayes.draws import DrawBatch, NormalSource
+from ppdattack.bayes.draws import DrawBatch
 from ppdattack.bayes.likelihoods import CategoricalSoftmax, FeatureSubsetModel, GaussianLinear
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -127,11 +126,45 @@ def assert_same(got, want, exact):
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * np.abs(want).max())
 
 
+def joint_sample(prob, x, backend, rng, K, shared):
+    """The rows a K-replicate ``grad_J`` call draws: K * N, then K * M more
+    unless the batch is shared, with their outcomes."""
+    draws = backend.draw(K * prob.N if shared else K * (prob.N + prob.M), rng)
+    return draws, prob.model.sample_y(x, draws, rng)
+
+
+def replicate_rows(prob, draws, ys, K, k, shared):
+    """Replicate k's rows of a K-replicate joint sample, as a one-replicate
+    call draws them: its block of N, then its block of M unless shared."""
+    N, M = prob.N, prob.M
+    head = slice(k * N, (k + 1) * N)
+    if shared:
+        return draws[head], ys[head]
+    tail = slice(K * N + k * M, K * N + (k + 1) * M)
+    return type(draws).concat([draws[head], draws[tail]]), np.concatenate([ys[head], ys[tail]])
+
+
+def reference_grad_J(prob, x, backend, rng, K, grad_mu, shared):
+    """K replicates from one joint sample of K * N rows, then K * M more unless
+    the batch is shared, each replicate scored on its own blocks alone."""
+    N, M = prob.N, prob.N if shared else prob.M
+    kn = K * N
+    draws, ys = joint_sample(prob, x, backend, rng, K, shared)
+    tail, tail_ys = (draws, ys) if shared else (draws[kn:], ys[kn:])
+    grads = []
+    for k in range(K):
+        resid = estimate_mu(prob, x, ys[k * N:(k + 1) * N][None]) - prob.g_star
+        rows = slice(k * M, (k + 1) * M)
+        jac = grad_mu(prob, x, tail[rows], tail_ys[rows][None])
+        grads.append(np.matmul((2.0 * resid)[:, None, :], jac)[0, 0])
+    return np.array(grads)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 @settings(max_examples=15, deadline=None)
 @given(K=st.integers(1, 600), N=st.integers(1, 12), M=st.integers(1, 12), shared=st.booleans(),
        reparam=st.booleans(), seed=SEEDS)
-def test_grad_J_replicates_equal_successive_calls(case, K, N, M, shared, reparam, seed):
+def test_grad_J_replicates_equal_a_block_layout_reference(case, K, N, M, shared, reparam, seed):
     model, backend, g, _ = CASES[case]()
     # the reparameterised Jacobian exists for Gaussian linear likelihoods only
     reparam = reparam and isinstance(model, GaussianLinear)
@@ -140,9 +173,51 @@ def test_grad_J_replicates_equal_successive_calls(case, K, N, M, shared, reparam
                               N=N, M=M)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     got = grad_J(prob, X0, backend, ours, K, grad_mu, shared)
-    want = np.concatenate([grad_J(prob, X0, backend, theirs, 1, grad_mu, shared)
-                           for _ in range(K)])
+    want = reference_grad_J(prob, X0, backend, theirs, K, grad_mu, shared)
     assert got.shape == (K, 2)
+    assert_same(got, want, exact=min(N, M) >= 2 and case != "mixture")
+    assert ours.random() == theirs.random()
+
+
+class Replay:
+    """A backend that hands back fixed rows, for a call that asks for all of them."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def draw(self, count, rng):
+        assert count == len(self.rows)
+        return self.rows
+
+
+def replaying(prob, ys):
+    """``prob`` with a copy of its model whose ``sample_y`` hands back ``ys``."""
+    model = copy.copy(prob.model)
+    model.sample_y = lambda x, draws, rng: ys
+    return replace(prob, model=model)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=15, deadline=None)
+@given(K=st.integers(1, 600), N=st.integers(1, 12), M=st.integers(1, 12), shared=st.booleans(),
+       reparam=st.booleans(), seed=SEEDS)
+def test_grad_J_replicates_equal_successive_calls(case, K, N, M, shared, reparam, seed):
+    # K successive one-replicate calls, each handed one replicate's blocks of
+    # the K-replicate call's joint sample, return that call's K replicates.
+    model, backend, g, _ = CASES[case]()
+    reparam = reparam and isinstance(model, GaussianLinear)
+    grad_mu = reparam_grad_mu if reparam else estimate_grad_mu
+    prob = PointAttackProblem(g, np.full(g.out_dim, 0.2), model, FeasibleSet(X0, 1.0, "l2"),
+                              N=N, M=M)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = grad_J(prob, X0, backend, ours, K, grad_mu, shared)
+    draws, ys = joint_sample(prob, X0, backend, theirs, K, shared)
+    want = []
+    for k in range(K):
+        rows, rows_ys = replicate_rows(prob, draws, ys, K, k, shared)
+        want.append(grad_J(replaying(prob, rows_ys), X0, Replay(rows), None, 1, grad_mu, shared))
+    want = np.concatenate(want)
+    assert got.shape == want.shape == (K, 2)
     assert_same(got, want, exact=min(N, M) >= 2 and case != "mixture")
     assert ours.random() == theirs.random()
 
@@ -204,12 +279,9 @@ def test_one_replicate_mlmc_keeps_the_outcome_level_draw_stream(case, B, R, M0, 
     assert ours.random() == theirs.random()
 
 
-def reference_grad_J(prob, x, backend, rng, shared):
-    """One replicate: draw N + M rows (N if shared), sample their outcomes,
-    split, and form the score-function gradient; also a bound on its terms."""
-    n = prob.N if shared else prob.N + prob.M
-    draws = backend.draw(n, rng)
-    ys = prob.model.sample_y(x, draws, rng)
+def formula_grad_J(prob, x, draws, ys, shared):
+    """One replicate's gradient from its joint sample (N rows, then M unless
+    shared) by the score-function formula written out; also a bound on its terms."""
     head = ys[:prob.N]
     tail, tail_draws = (ys, draws) if shared else (ys[prob.N:], draws[prob.N:])
     resid = prob.g.value(x, head).mean(axis=0) - prob.g_star
@@ -228,82 +300,42 @@ def reference_grad_J(prob, x, backend, rng, shared):
 @given(K=st.integers(1, 40), N=st.integers(1, 12), M=st.integers(1, 12), shared=st.booleans(),
        seed=SEEDS)
 def test_grad_J_draws_one_joint_sample_per_replicate(case, K, N, M, shared, seed):
+    # Each replicate's joint sample is its blocks of the call's one draw; the
+    # formula scores it with no help from the estimator's own functions.
     model, backend, g, _ = CASES[case]()
     prob = PointAttackProblem(g, np.full(g.out_dim, 0.2), model, FeasibleSet(X0, 1.0, "l2"),
                               N=N, M=M)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     got = grad_J(prob, X0, backend, ours, K, shared_batch=shared)
-    want, bound = map(np.array, zip(*(reference_grad_J(prob, X0, backend, theirs, shared)
-                                      for _ in range(K))))
+    draws, ys = joint_sample(prob, X0, backend, theirs, K, shared)
+    want, bound = map(np.array, zip(*(
+        formula_grad_J(prob, X0, *replicate_rows(prob, draws, ys, K, k, shared), shared)
+        for k in range(K))))
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * bound.max())
     assert ours.random() == theirs.random()
 
 
-@settings(max_examples=30, deadline=None)
-@given(sizes=st.lists(st.one_of(st.integers(1, 5), st.tuples(st.integers(1, 4),
-                                                           st.integers(1, 4))),
-                      min_size=1, max_size=5), seed=SEEDS)
-def test_normal_source_hands_out_normals_in_generator_order(sizes, seed):
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    total = sum(int(np.prod(size)) for size in sizes)
-    with NormalSource(ours.standard_normal(total)) as source:
-        for size in sizes:
-            assert np.array_equal(source.standard_normal(size), theirs.standard_normal(size))
-    assert ours.random() == theirs.random()
+class Counted:
+    """A backend that records the row count of each ``draw``."""
 
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
 
-def test_normal_source_raises_on_overrun_and_on_leftovers():
-    source = NormalSource(np.zeros(5))
-    source.standard_normal(3)
-    with pytest.raises(RuntimeError, match="overrun"):
-        source.standard_normal((1, 3))
-    with pytest.raises(RuntimeError, match="left over"):
-        with NormalSource(np.zeros(5)) as source:
-            source.standard_normal(4)
-    with pytest.raises(ZeroDivisionError):  # an error inside the block is not masked
-        with NormalSource(np.zeros(5)):
-            1 / 0
-
-
-class Declaring:
-    """A backend or likelihood with an overridden ``normals_per_row``."""
-
-    def __init__(self, inner, per_row):
-        self.inner, self.normals_per_row = inner, per_row
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+    def draw(self, count, rng):
+        self.calls.append(count)
+        return self.inner.draw(count, rng)
 
 
 def test_block_path_draws_once_per_call():
-    model, backend, g, appd = gaussian_case()
-    assert backend.normals_per_row == 2 and model.normals_per_row == 1
-    calls = []
-    counted = Declaring(backend, 2)
-    counted.draw = lambda count, rng: calls.append(count) or backend.draw(count, rng)
-    prob = PointAttackProblem(g, np.full(1, 0.2), model, FeasibleSet(X0, 1.0, "l2"), N=3, M=4)
-    grad_J(prob, X0, counted, np.random.default_rng(0), 5)
-    assert calls == [5 * 7]
-    # mlmc_grad draws its rows in one call whether or not the backend declares
-    # normals_per_row.
-    config = MlmcConfig(FeasibleSet(X0, 1.0, "l2"), M0=2, Lmax=2)
-    for per_row in (2, None):
-        counted.normals_per_row = per_row
+    # One backend.draw per grad_J or mlmc_grad call, for all its replicates, on
+    # every backend.
+    for case in sorted(CASES):
+        model, backend, g, appd = CASES[case]()
+        counted = Counted(backend)
+        prob = PointAttackProblem(g, np.full(g.out_dim, 0.2), model,
+                                  FeasibleSet(X0, 1.0, "l2"), N=3, M=4)
+        grad_J(prob, X0, counted, np.random.default_rng(0), 5)
+        grad_J(prob, X0, counted, np.random.default_rng(0), 5, shared_batch=True)
+        config = MlmcConfig(FeasibleSet(X0, 1.0, "l2"), M0=2, Lmax=2)
         _, _, cost = mlmc_grad(model, X0, appd, config, counted, np.random.default_rng(0), 5)
-        assert calls.pop() == cost
-    assert calls == [5 * 7]
-    assert ExactConjugate(nig_case()[1].posterior).normals_per_row is None
-
-
-@pytest.mark.parametrize("part, per_row", [("backend", 1), ("backend", 3), ("model", 2)])
-def test_a_wrong_normal_count_fails_loudly(part, per_row):
-    # Too few declared normals overrun the block, too many are left over; either
-    # way the call raises instead of handing a replicate another's normals.
-    model, backend, g, appd = gaussian_case()
-    if part == "backend":
-        backend = Declaring(backend, per_row)
-    else:
-        model = Declaring(model, per_row)
-    prob = PointAttackProblem(g, np.full(1, 0.2), model, FeasibleSet(X0, 1.0, "l2"), N=3, M=4)
-    with pytest.raises(RuntimeError, match="normal source"):
-        grad_J(prob, X0, backend, np.random.default_rng(0), 2)
+        assert counted.calls == [5 * (3 + 4), 5 * 3, cost], case

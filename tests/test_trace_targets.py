@@ -64,11 +64,10 @@ def test_gradcheck_draws_and_scores_per_chunk(tmp_path, monkeypatch):
     with tracer.Tracer() as t:
         workload.run(spec)
     calls = Counter(s.name for s in t.spans)
-    # The known-variance testbed's backend and likelihood draw only standard
-    # normals, so per chunk there is one backend draw for each of the score,
-    # reparameterised and control estimators; the three draw their outcomes
-    # with one sample_y.  An MLMC chunk draws all its replicates' levels in
-    # one call and all their pairs' rows in one backend draw.
+    # Per chunk there is one backend draw for each of the score,
+    # reparameterised and control estimators, and one sample_y for their
+    # outcomes.  An MLMC chunk draws all its replicates' levels in one call
+    # and all their pairs' rows in one backend draw.
     assert spec.replicates == 100
     chunks = 4  # 100 replicates in chunks of 30
     assert calls["bayes.backends.ExactConjugate.draw"] == 4 * chunks
