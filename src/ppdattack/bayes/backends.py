@@ -80,13 +80,41 @@ class SampleBank:
         return DrawBatch(self.batch.beta[idx], self.batch.phi[idx])
 
 
+# Proposals scored per ``log_post`` call, and steps of randomness drawn per
+# block (a 1024 x dim block of normals and 1024 uniforms).
+_PREFETCH = 6
+_BLOCK = 1024
+
+
+def _log_posts(log_post, states):
+    lps = np.asarray(log_post(states), dtype=float)
+    if lps.shape != (len(states),):
+        raise ValueError("log_post must map (k, dim) states to shape (k,), got %s for k = %d"
+                         % (lps.shape, len(states)))
+    return lps
+
+
 def adaptive_rwm(log_post, x0, n_keep, rng, step=0.5, burn_in=1000, thin=5,
                  target_accept=0.3):
-    """Adaptive random-walk Metropolis sampler.
+    """Adaptive random-walk Metropolis sampler with prefetched proposals.
 
     The global proposal scale is adapted during burn-in by Robbins--Monro
     updates towards ``target_accept``; it is frozen afterwards so the kept
     states target the exact posterior.
+
+    ``log_post`` is batched: it maps a (k, dim) array of states to k
+    unnormalised log posteriors, and any other shape raises ``ValueError``.
+    Each step draws ``standard_normal(dim)``
+    and then ``random()`` whatever the chain does, so the stream is drawn
+    ahead in that order, in blocks of at most 1024 steps.  From the current
+    state the next ``_PREFETCH`` proposals are formed as if each were
+    rejected (during burn-in their scales shrink by the rejection updates)
+    and scored in one ``log_post`` call (Brockwell 2006); the chain walks
+    them to the first acceptance and starts the next batch there.  Each
+    proposal is formed by the same operations as in a one-at-a-time loop,
+    and the values feed only ``log(u) < lp' - lp``, so the states,
+    acceptance rate and final generator state are those of that loop with a
+    log posterior that gives each row's value.
 
     Returns
     -------
@@ -96,33 +124,66 @@ def adaptive_rwm(log_post, x0, n_keep, rng, step=0.5, burn_in=1000, thin=5,
     """
     if burn_in < 0 or thin < 1 or n_keep < 1:
         raise ValueError("need burn_in >= 0, thin >= 1, n_keep >= 1")
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError("step must be finite and positive")
+    if not 0.0 < target_accept < 1.0:
+        raise ValueError("target_accept must lie in (0, 1)")
     x = np.asarray(x0, dtype=float).copy()
     dim = x.size
-    lp = float(log_post(x))
+    lp = float(_log_posts(log_post, x[None])[0])
     if not np.isfinite(lp):
         raise ValueError("log posterior is not finite at the initial state")
     scale = float(step)
     states = np.empty((n_keep, dim))
     kept = 0
     accepted_post = 0
-    total_post = 0
+    keep_at = burn_in + thin - 1  # the next step whose state is kept
     total = burn_in + n_keep * thin
-    for t in range(total):
-        prop = x + scale * rng.standard_normal(dim)
-        lp_prop = float(log_post(prop))
-        accept = np.log(rng.random()) < lp_prop - lp
-        if accept:
-            x, lp = prop, lp_prop
-        if t < burn_in:
-            gain = (t + 1.0) ** -0.6
-            scale *= np.exp(gain * ((1.0 if accept else 0.0) - target_accept))
-        else:
-            total_post += 1
-            accepted_post += int(accept)
-            if (t - burn_in) % thin == thin - 1:
+    for start in range(0, total, _BLOCK):
+        z = np.empty((min(_BLOCK, total - start), dim))
+        u = np.empty(len(z))
+        for i, z_i in enumerate(z):
+            rng.standard_normal(out=z_i)
+            u[i] = rng.random()
+        log_u = np.log(u)  # numpy's log takes one kernel for arrays and scalars
+        i = 0
+        while i < len(z):
+            t = start + i
+            k = min(_PREFETCH, len(z) - i)
+            if t < burn_in:
+                # The scale at each step if every proposal before it is rejected.
+                scales = np.empty(k)
+                for j in range(k):
+                    scales[j] = scale
+                    if t + j < burn_in:
+                        scale *= np.exp((t + j + 1.0) ** -0.6 * (0.0 - target_accept))
+                props = x + scales[:, None] * z[i:i + k]
+            else:
+                props = x + scale * z[i:i + k]
+            lps = _log_posts(log_post, props)
+            accept = log_u[i:i + k] < lps - lp
+            j = int(accept.argmax())
+            if accept[j]:
+                a = t + j
+                if t < burn_in:
+                    scale = scales[j]
+                if a < burn_in:
+                    scale *= np.exp((a + 1.0) ** -0.6 * (1.0 - target_accept))
+                else:
+                    accepted_post += 1
+                while keep_at < a:
+                    states[kept] = x
+                    kept += 1
+                    keep_at += thin
+                x, lp = props[j], float(lps[j])
+                i += j + 1
+            else:
+                i += k
+            while keep_at < start + i:
                 states[kept] = x
                 kept += 1
-    rate = accepted_post / max(total_post, 1)
+                keep_at += thin
+    rate = accepted_post / (n_keep * thin)
     if not 0.05 <= rate <= 0.95:
         warnings.warn(
             "MCMC acceptance rate %.3f outside [0.05, 0.95] after adaptation; "
@@ -143,7 +204,8 @@ class McmcChain:
     Parameters
     ----------
     log_post : callable
-        Maps a flat parameter vector to the unnormalised log posterior.
+        Batched unnormalised log posterior: maps a (k, dim) array of
+        parameter vectors to k values (see ``adaptive_rwm``).
     initial : ndarray
         Chain starting state.
     step, burn_in, thin, target_accept

@@ -24,8 +24,9 @@ keeps its own law, which nothing else uses.
 Every softmax and log-normaliser in the library goes through this module's
 :func:`logsumexp`, except one: the Metropolis log posterior of the entropy
 experiment's bank fit (``harness.entropy.fit_softmax_bank``) writes its own
-max-shifted normaliser, because its values only feed accept decisions and
-round-off there changes no bank.  ``scipy.special.logsumexp`` is generic over
+max-shifted normaliser over a batch of proposals, because its values only
+feed accept decisions and round-off there, from the normaliser or the
+batching, changes no bank.  ``scipy.special.logsumexp`` is generic over
 array APIs; on the small arrays passed here (192 draws by 3 classes in the
 attacks) it costs 80-100 us per call on a 2-vCPU Xeon host.  The local
 version runs the same numpy operations in the same order as scipy's

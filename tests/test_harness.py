@@ -21,7 +21,6 @@ from scipy import stats
 from ppdattack.attacks.feasible import FeasibleSet
 from ppdattack.attacks.point import grad_J
 from ppdattack.attacks.ppd import MlmcConfig, _objective_estimate
-from ppdattack.bayes.backends import adaptive_rwm
 from ppdattack.bayes.conjugate import GaussianPosterior, NigPosterior, ppd_normal_params
 from ppdattack.bayes.likelihoods import logsumexp
 from ppdattack.harness import gradcheck, sep
@@ -64,6 +63,7 @@ from ppdattack.harness.sep import (
     write_sep_csv,
     write_sep_summary_csv,
 )
+from rwm_reference import sequential_rwm
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +652,10 @@ def test_entropy_of_equals_scipy_xlogy_bit_for_bit(w):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_softmax_bank_matches_the_logsumexp_log_posterior_bit_for_bit(seed):
-    # The bank fit's log posterior is w @ s minus a plain log-sum-exp; the
-    # Metropolis accept test reads it only through a difference, so the bank
-    # and acceptance rate equal those of the observed-logit form below.
+    # The bank fit's log posterior is w @ s minus a plain log-sum-exp, scored
+    # for a batch of proposals at once; the Metropolis accept test reads it
+    # only through a difference, so the bank and acceptance rate equal those
+    # of a one-proposal-at-a-time chain on the observed-logit form below.
     spec = EntropySpec(seed=seed)
     X, y = make_blob_data(spec, np.random.default_rng(seed))
     Xt, idx = X.T, np.arange(y.size)
@@ -666,7 +667,7 @@ def test_softmax_bank_matches_the_logsumexp_log_posterior_bit_for_bit(seed):
 
     rng, ref_rng = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
     bank, rate = fit_softmax_bank(spec, X, y, rng)
-    states, ref_rate = adaptive_rwm(
+    states, ref_rate = sequential_rwm(
         reference_log_post, np.zeros(spec.n_classes * spec.dim), spec.bank_size, ref_rng,
         step=spec.chain_step, burn_in=spec.chain_burn_in, thin=spec.chain_thin)
     assert np.array_equal(bank.batch.beta, states)
