@@ -75,6 +75,8 @@ class TaggedBatch:
         Member k's rows in the slice are a contiguous run of its sub-batch,
         starting after its rows before the slice, so each is a view.
         """
+        if not isinstance(rows, slice):
+            raise TypeError("a tagged batch takes step-1 slices only, not %s" % type(rows).__name__)
         start, stop, step = rows.indices(len(self))
         if step != 1:
             raise ValueError("a tagged batch slices with step 1 only")

@@ -20,23 +20,32 @@ The Jacobian factor has two estimators, passed as ``grad_mu`` to both
 :func:`reparam_grad_mu` (differentiates through the outcome draw; Gaussian
 linear likelihoods only).
 
-Drawing and arithmetic are separate steps.  :func:`grad_J` draws one joint
-sample for all its K replicates (``backend.draw`` then ``model.sample_y``):
-K * N rows, replicate k's batch for ``mu`` being the k-th block of N, then
-K * M rows, its independent batch for the Jacobian the k-th block of M.  The
-rows are iid, so the replicates are iid and each has the law of a
-one-replicate call; for K = 1 the sample is the N + M rows the attack loop
-draws.  :func:`estimate_mu`, :func:`estimate_grad_mu` and
+One sampler and one gradient serve every caller.  A joint sample
+(``backend.draw`` then ``model.sample_y``) holds, per replicate or instance,
+N outcomes for ``mu`` and an independent batch of M draws and outcomes for
+the Jacobian.  :func:`grad_J`, each iteration of :func:`run_point_attack`
+and its final residual (N rows only) all draw through it, and :func:`grad_J`
+and the loop form ``2 (mu - g_star)^T grad mu`` by the same code, so one
+iteration is a one-replicate :func:`grad_J` call, bit for bit.  Replicates
+of one point share one generator: K * N rows, replicate k's batch for ``mu``
+being the k-th block of N, then K * M rows, its Jacobian batch the k-th
+block of M; with ``shared_batch`` the K * N rows feed both factors.  The rows
+are iid, so the replicates are iid and each has the law of a one-replicate
+call.  :func:`estimate_mu`, :func:`estimate_grad_mu` and
 :func:`reparam_grad_mu` are arithmetic on already-drawn samples with a
 leading replicate axis, so K replicates cost one ``g.value``/``score_x``
-evaluation over all their rows.
+evaluation over all their rows.  Both Jacobian estimators are one average of
+per-sample products ``a b^T`` plus the mean of ``grad_x g`` (Mohamed, Rosca,
+Figurnov & Mnih, JMLR 2020): ``(g, score_x)`` for the score function,
+``(grad_y g, beta)`` for the reparameterised estimator.
 
 Instances are not replicates.  Given K ball centres (K, p) and a list of K
 generators, :func:`run_point_attack` advances K independent attacks in
 lockstep, with one forward and score pass over all K (N + M) rows per
 iteration; :func:`estimate_mu` and the Jacobian estimators then read x
-(K, p) as one point per row of outcomes.  Each instance draws from its own
-generator what its one-instance attack draws, in the same order, and every
+(K, p) as one point per row of outcomes.  Each instance draws its N + M rows
+from its own generator, as its one-instance attack draws them, and the
+sampler cuts every instance's M Jacobian rows out in one reshape.  Every
 reduction is made per instance as one attack makes it, so it follows that
 attack bit for bit: logits by a batched ``matmul`` (``gemv`` per block, as
 for one point), mu as ``sum / N``, the gradient as a batched ``matmul`` of
@@ -114,32 +123,49 @@ class PointAttackProblem:
             raise ValueError("early_stop_tol must be None or a finite number >= 0")
 
 
-def _joint_sample(prob, x, backend, rng, count):
-    # One point x (p,) and one generator, or K points (K, p) and a list of K
-    # generators: each instance draws its ``count`` rows from its own
-    # generator, backend then outcomes, as its one-instance call would.
+def _joint_sample(prob, x, backend, rng, k, shared=False):
+    # The one row layout: the outcomes for mu (k, N) and the Jacobian's draws
+    # and outcomes (k, M), or with ``shared`` the same N rows, uncut, for
+    # both.  One point (p,) and one generator: k * N rows, then k * M.  K
+    # points (K, p) and K generators: each instance's N + M rows from its own.
+    n = prob.N
+    rows = n if shared else n + prob.M
     if x.ndim == 1:
-        draws = backend.draw(count, rng)
+        draws = backend.draw(k * rows, rng)
     else:
-        draws = [backend.draw(count, r) for r in rng]
-        draws = type(draws[0]).concat(draws)
-    return draws, prob.model.sample_y(x, draws, rng)
+        draws = DrawBatch.concat([backend.draw(rows, r) for r in rng])
+    ys = prob.model.sample_y(x, draws, rng)
+    if shared:
+        ys = ys.reshape(k, n)
+        return ys, draws, ys
+    if x.ndim == 1:
+        return ys[:k * n].reshape(k, n), draws[k * n:], ys[k * n:].reshape(k, -1)
+    # Lockstep sees DrawBatch only, so each instance's M tail rows are cut
+    # out by one reshape, which costs less than an index gather.
+    ys, p = ys.reshape(k, rows), draws.beta.shape[1]
+    tail = DrawBatch(draws.beta.reshape(k, rows, p)[:, n:].reshape(-1, p),
+                     draws.phi.reshape(k, rows)[:, n:].ravel())
+    return ys[:, :n], tail, ys[:, n:]
 
 
-def _block_tails(draws, blocks, start):
-    # Rows ``start:`` of each of ``blocks`` equal blocks of a batch, as one batch.
-    if blocks == 1:
-        return draws[start:]
-    k = draws.beta.shape[1]
-    return DrawBatch(draws.beta.reshape(blocks, -1, k)[:, start:].reshape(-1, k),
-                     draws.phi.reshape(blocks, -1)[:, start:].ravel())
-
-
-def _mean_grad_x(prob, x, ys):
+def _jacobian(prob, x, ys, a, b):
+    # The mean of a b^T over each row of outcomes ys (K, m), with a and b one
+    # row per outcome, plus the mean of grad_x g.
+    K, m = ys.shape
+    grad = np.einsum("...mq,...mp->...qp", a.reshape(K, m, -1), b.reshape(K, m, -1)) / m
     gx = prob.g.grad_x(x, ys.ravel())
     if gx.ndim == 3:  # one (q, p) gradient per outcome
-        return gx.reshape(ys.shape + gx.shape[1:]).sum(axis=1) / ys.shape[1]
-    return gx
+        gx = gx.reshape(ys.shape + gx.shape[1:]).sum(axis=1) / m
+    return grad + gx
+
+
+def _gradient(prob, x, sample, g_star, grad_mu):
+    # mu - g_star and 2 (mu - g_star)^T grad mu, one row per replicate or
+    # instance of a ``_joint_sample``.
+    ys, draws, jac_ys = sample
+    resid = estimate_mu(prob, x, ys) - g_star
+    jac = (grad_mu or estimate_grad_mu)(prob, x, draws, jac_ys)
+    return resid, np.matmul((2.0 * resid)[:, None, :], jac)[:, 0]
 
 
 def estimate_mu(prob, x, ys):
@@ -164,13 +190,8 @@ def estimate_grad_mu(prob, x, draws, ys):
     ``grad_x g + g * score_x`` so the estimator stays unbiased for models whose
     predictive density depends on ``x``.  Returns shape (K, q, p).
     """
-    K, m = ys.shape
     flat = ys.ravel()
-    vals = prob.g.value(x, flat).reshape(K, m, -1)
-    scores = prob.model.score_x(x, flat, draws).reshape(K, m, -1)
-    grad = np.einsum("...mq,...mp->...qp", vals, scores) / m
-    grad += _mean_grad_x(prob, x, ys)
-    return grad
+    return _jacobian(prob, x, ys, prob.g.value(x, flat), prob.model.score_x(x, flat, draws))
 
 
 def reparam_grad_mu(prob, x, draws, ys):
@@ -183,11 +204,7 @@ def reparam_grad_mu(prob, x, draws, ys):
     ``grad_x g + grad_y g * beta``.
     """
     require_gaussian_linear(prob.model)
-    K, m = ys.shape
-    gy = prob.g.grad_y(x, ys.ravel()).reshape(K, m, -1)
-    grad = np.einsum("...mq,...mp->...qp", gy, draws.beta.reshape(K, m, -1)) / m
-    grad += _mean_grad_x(prob, x, ys)
-    return grad
+    return _jacobian(prob, x, ys, prob.g.grad_y(x, ys.ravel()), draws.beta)
 
 
 def grad_J(prob, x, backend, rng, replicates=1, grad_mu=None, shared_batch=False):
@@ -201,14 +218,8 @@ def grad_J(prob, x, backend, rng, replicates=1, grad_mu=None, shared_batch=False
     ``shared_batch=True`` one batch of size N feeds both factors -- a biased
     negative control for gradient validation.  Returns shape (replicates, p).
     """
-    kn = replicates * prob.N
-    rows = kn if shared_batch else kn + replicates * prob.M
-    draws, ys = _joint_sample(prob, x, backend, rng, rows)
-    resid = estimate_mu(prob, x, ys[:kn].reshape(replicates, -1)) - prob.g_star
-    if not shared_batch:
-        draws, ys = draws[kn:], ys[kn:]
-    jac = (grad_mu or estimate_grad_mu)(prob, x, draws, ys.reshape(replicates, -1))
-    return np.matmul((2.0 * resid)[:, None, :], jac)[:, 0]
+    sample = _joint_sample(prob, x, backend, rng, replicates, shared_batch)
+    return _gradient(prob, x, sample, prob.g_star, grad_mu)[1]
 
 
 def run_point_attack(prob, backend, rng, grad_mu=None) -> AttackTrace:
@@ -229,7 +240,6 @@ def run_point_attack(prob, backend, rng, grad_mu=None) -> AttackTrace:
     residual.  If an instance's gradient is not finite, the whole call raises
     ``NonFiniteGradientError`` with that instance's iterate.
     """
-    grad_mu = grad_mu or estimate_grad_mu
     ball = prob.feasible
     single = ball.center.ndim == 1
     gens = [rng] if single else list(rng)
@@ -239,7 +249,7 @@ def run_point_attack(prob, backend, rng, grad_mu=None) -> AttackTrace:
         raise ValueError("need one generator per instance: %d instances, %d generators"
                          % (K, len(gens)))
     g_star = np.broadcast_to(prob.g_star, (K, prob.g.out_dim))
-    n, rows, w, tol = prob.N, prob.N + prob.M, prob.smooth_window, prob.early_stop_tol
+    w, tol = prob.smooth_window, prob.early_stop_tol
     iterates = np.empty((prob.T + 1,) + x.shape)
     iterates[0] = x
     objectives = np.full((K, prob.T), np.nan)  # one row per instance: its window is contiguous
@@ -251,11 +261,8 @@ def run_point_attack(prob, backend, rng, grad_mu=None) -> AttackTrace:
         # One live instance steps as a one-instance attack: one point (p,) and
         # one generator.
         at, r = (xl[0], live_gens[0]) if k == 1 else (xl, live_gens)
-        draws, ys = _joint_sample(prob, at, backend, r, rows)
-        ys = ys.reshape(k, rows)
-        resid = estimate_mu(prob, at, ys[:, :n]) - g_star[live]
-        jac = grad_mu(prob, at, _block_tails(draws, k, n), ys[:, n:])
-        gJ = np.matmul((2.0 * resid)[:, None, :], jac)[:, 0]
+        resid, gJ = _gradient(prob, at, _joint_sample(prob, at, backend, r, k), g_star[live],
+                              grad_mu)
         if not np.isfinite(gJ).all():
             bad = ids[np.argmin(np.isfinite(gJ).all(axis=1))]
             raise NonFiniteGradientError(
@@ -275,8 +282,7 @@ def run_point_attack(prob, backend, rng, grad_mu=None) -> AttackTrace:
                 live_gens = [gens[i] for i in ids]
                 live_ball = FeasibleSet(ball.center[ids], ball.epsilon, ball.norm)
     at, r = (x[0], gens[0]) if K == 1 else (x, gens)
-    _, ys = _joint_sample(prob, at, backend, r, n)
-    resid = estimate_mu(prob, at, ys.reshape(K, n)) - g_star
+    resid = estimate_mu(prob, at, _joint_sample(prob, at, backend, r, K, shared=True)[0]) - g_star
     residual = np.sqrt(np.vecdot(resid, resid))
     one = 0 if single else slice(None)  # a one-instance trace has no instance axis
     return AttackTrace(iterates=iterates[: t + 1, one], objectives=objectives[one, :t].T,

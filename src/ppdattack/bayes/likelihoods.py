@@ -15,6 +15,12 @@ K points x (K, dim) for K equal blocks of draws, block k at x[k], and then
 draw block k's outcomes from the k-th of a list of K generators: K attack
 instances in one call, each rounded and drawn as its one-point call.
 
+``SmallBnn``, ``BernoulliLogit`` and ``FeatureSubsetModel`` are library-only:
+no harness path, CLI config kind, benchmark workload or demo reaches them, and
+only the tests exercise them.  The harness fits ``GaussianLinear`` (Gaussian
+and NIG sweeps, gradient checks, gray-box study) and ``CategoricalSoftmax``
+(entropy study).
+
 Each outcome law is written once, as a module-level head the families (and
 the attack targets) call on their per-draw outputs: ``normal_*`` on a mean
 and variance, ``categorical_*`` on class logits.  A score head applies the

@@ -2,7 +2,10 @@
 
 Each CLI subcommand takes a single JSON config file; ``--seed`` on the command
 line overrides the ``seed`` field.  Unknown keys are rejected so typos fail
-loudly instead of silently running defaults.
+loudly instead of silently running defaults, and numeric fields are
+type-checked at load: an ``int`` field takes an integer, a ``float`` field an
+integer or a float, neither a bool, and a field whose default is None also
+takes None.
 """
 
 from __future__ import annotations
@@ -23,6 +26,11 @@ def _positive(*values):
 def _nondecreasing(grid):
     """True when each entry is at most the next (NaN compares false)."""
     return all(a <= b for a, b in zip(grid, grid[1:]))
+
+
+# The JSON values a field annotated with the key accepts, and their name; a
+# bool never counts as a number, although Python makes it an int.
+_NUMBERS = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
 
 
 def _tuples(value):
@@ -48,10 +56,15 @@ class _Spec:
             raise ValueError("unknown config keys in '%s': %s" % (path or "<root>", ", ".join(unknown)))
         kwargs = {}
         for k, v in data.items():
-            section = fields[k].default_factory
+            f, name = fields[k], "%s.%s" % (path, k) if path else k
+            section = f.default_factory
             if isinstance(section, type) and issubclass(section, _Spec):
-                v = section.from_dict(v, "%s.%s" % (path, k) if path else k)
-            elif fields[k].type == "tuple":
+                v = section.from_dict(v, name)
+            elif f.type in _NUMBERS and not (v is None and f.default is None):
+                kinds, what = _NUMBERS[f.type]
+                if isinstance(v, bool) or not isinstance(v, kinds):
+                    raise ValueError("config field '%s' must be %s, got %r" % (name, what, v))
+            elif f.type == "tuple":
                 # JSON has no tuples: lists in tuple-typed fields become (nested)
                 # tuples, so a spec survives a round trip through asdict and json.
                 v = _tuples(v)

@@ -261,6 +261,29 @@ def test_bad_configs_exit_2(tmp_path, capsys):
     assert not (tmp_path / "sep.csv").exists()
 
 
+@pytest.mark.parametrize("command, doc, field", [
+    ("sweep", dict(POINT_DOC, attack=dict(POINT_DOC["attack"], optimizer={"N": 16.5})),
+     "attack.optimizer.N"),
+    ("sweep", dict(POINT_DOC, attack=dict(POINT_DOC["attack"], repeats=1.5)), "attack.repeats"),
+    ("sweep", dict(POINT_DOC, attack=dict(POINT_DOC["attack"], optimizer={"T": True})),
+     "attack.optimizer.T"),
+    ("sweep", dict(POINT_DOC, attack=dict(POINT_DOC["attack"], optimizer={"eta": "0.1"})),
+     "attack.optimizer.eta"),
+    ("sweep", dict(POINT_DOC, seed=1.5), "seed"),
+    ("sweep", dict(POINT_DOC, attack=dict(POINT_DOC["attack"], epsilon=False)), "attack.epsilon"),
+    ("entropy", dict(ENTROPY_DOC, n_id=2.0), "n_id"),
+    ("entropy", dict(ENTROPY_DOC, eta=None), "eta"),
+])
+def test_mistyped_config_fields_exit_2(tmp_path, capsys, command, doc, field):
+    # Caught at load with the field's name: not a TypeError or IndexError
+    # traceback mid-run, nor a float seed silently truncated.
+    cfg = write_config(tmp_path, doc)
+    assert main([command, cfg, "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'%s'" % field in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main([])

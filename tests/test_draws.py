@@ -119,6 +119,17 @@ def test_tagged_slice_matches_per_row_reference(tagged, data):
             tagged[start:stop:bad]
 
 
+@pytest.mark.parametrize("rows", [0, -1, np.int64(1), [0, 1], np.array([0, 1]),
+                                  np.array([True, False, True, False])])
+def test_tagged_batch_rejects_an_index_that_is_not_a_slice(rows):
+    # An int, a list or an index array is a TypeError naming what a tagged
+    # batch takes, not an AttributeError from inside the slice arithmetic.
+    tagged = TaggedBatch([0, 1, 0, 1], {0: random_batch(np.random.default_rng(0), 2, 2),
+                                        1: random_batch(np.random.default_rng(1), 2, 2)})
+    with pytest.raises(TypeError, match="step-1 slices only"):
+        tagged[rows]
+
+
 @PROPERTY
 @given(parts=st.lists(tagged_batches(n_members=3), min_size=1, max_size=4))
 def test_tagged_concat_matches_per_row_reference(parts):

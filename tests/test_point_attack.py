@@ -35,6 +35,7 @@ from ppdattack.bayes.conjugate import gaussian_update
 from ppdattack.bayes.draws import DrawBatch
 from ppdattack.bayes.likelihoods import BernoulliLogit, GaussianLinear, UnsupportedModelError
 from ppdattack.harness.data import gen_synthetic
+from test_replicates import X0, mixture_case, softmax_case
 
 TARGET = 3.0
 
@@ -256,6 +257,27 @@ def test_early_stopping_truncates_trace(testbed):
     trace = run_point_attack(prob, backend, np.random.default_rng(7))
     assert trace.objectives.size < 500
     assert trace.iterates.shape[0] == trace.objectives.size + 1
+
+
+@pytest.mark.parametrize("case", ["score", "reparam", "softmax", "mixture"])
+def test_one_loop_step_is_one_grad_J_call(testbed, case):
+    # The loop and grad_J share one sampler and one gradient: with T = 1 and
+    # a fixed step, the first iterate is the projected step along grad_J's
+    # one-replicate gradient from the same generator state, bit for bit.
+    grad_mu = reparam_grad_mu if case == "reparam" else None
+    if case in ("score", "reparam"):
+        _, backend, _, x0 = testbed
+        prob = problem(x0, eps=0.5, eta=0.3, T=1, N=8, M=8)
+    else:  # a SampleBank, and a two-member MixtureBackend of TaggedBatch draws
+        model, backend, g, _ = softmax_case() if case == "softmax" else mixture_case()
+        x0 = X0
+        prob = PointAttackProblem(g, np.full(g.out_dim, 0.2), model, FeasibleSet(x0, 0.5, "l2"),
+                                  eta=0.3, T=1, N=8, M=8)
+    for seed in range(5):
+        trace = run_point_attack(prob, backend, np.random.default_rng(seed), grad_mu)
+        gJ = grad_J(prob, x0, backend, np.random.default_rng(seed), 1, grad_mu)[0]
+        assert not np.array_equal(trace.iterates[1], x0)
+        assert np.array_equal(trace.iterates[1], prob.feasible.project(x0 - prob.eta * gJ))
 
 
 def test_nonfinite_gradient_raises(testbed):

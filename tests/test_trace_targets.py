@@ -93,6 +93,37 @@ def test_ppd_sweep_draws_once_per_iteration(tmp_path):
     assert calls["bayes.backends.ExactConjugate.draw"] == T
 
 
+def test_graybox_draws_and_scores_once_per_iteration(tmp_path):
+    tracer, workloads = _perfbench("tracer"), _perfbench("workloads")
+    workload = workloads.WORKLOADS["graybox"]
+    inputs = workload.build(0, "tiny", str(tmp_path))
+    with tracer.Tracer() as t:
+        workload.run(inputs)
+    calls = Counter(s.name for s in t.spans)
+    # Each (seed, eps) cell runs a white-box attack on the defender's
+    # ExactConjugate and a gray-box one on a one-member MixtureBackend over
+    # another ExactConjugate, both for T iterations without early stopping.
+    T = inputs["kwargs"]["T"]
+    cells = len(inputs["seeds"]) * len(inputs["kwargs"]["eps_grid"])
+    assert (cells, T) == (2, 5)
+    attacks = 2 * cells
+    # Each attack draws once per iteration and once for the final residual,
+    # estimates mu from each draw and scores once per iteration.
+    assert calls["attacks.graybox.MixtureBackend.draw"] == cells * (T + 1)
+    assert calls["bayes.backends.ExactConjugate.draw"] == attacks * (T + 1)
+    assert calls["bayes.likelihoods.GaussianLinear.sample_y"] == attacks * (T + 1)
+    assert calls["attacks.point.estimate_mu"] == attacks * (T + 1)
+    assert calls["attacks.point.estimate_grad_mu"] == attacks * T
+    assert calls["bayes.likelihoods.GaussianLinear.score_x"] == attacks * T
+    # Gray box: sample_y and its dispatch per draw, a score dispatch per iteration.
+    assert calls["attacks.graybox.MixtureLikelihood.dispatch"] == cells * (3 * T + 2)
+    # A batch per draw, and the Jacobian's rows cut from it once per
+    # iteration; the final residual's N rows are used uncut.  A tagged cut
+    # also cuts its member's DrawBatch.
+    assert calls["attacks.graybox.TaggedBatch.init"] == cells * (2 * T + 1)
+    assert calls["bayes.draws.DrawBatch.init"] == attacks * (2 * T + 1)
+
+
 def test_entropy_bank_fit_calls_no_logsumexp(tmp_path):
     tracer, workloads = _perfbench("tracer"), _perfbench("workloads")
     workload = workloads.WORKLOADS["entropy"]
