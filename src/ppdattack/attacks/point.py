@@ -88,9 +88,6 @@ class PointAttackProblem:
         Number of iterations.
     N, M : int
         Batch sizes of the two independent Monte-Carlo batches.
-    early_stop_tol : float, optional
-        Stop once the objective, smoothed over ``smooth_window`` iterations,
-        falls below this value.
     """
 
     g: Functional
@@ -102,8 +99,6 @@ class PointAttackProblem:
     N: int = 64
     M: int = 64
     eta_decay: bool = False
-    early_stop_tol: float = None
-    smooth_window: int = 50
 
     def __post_init__(self):
         self.g_star = np.atleast_1d(np.asarray(self.g_star, dtype=float))
@@ -115,12 +110,6 @@ class PointAttackProblem:
             )
         if not self.eta > 0 or self.T < 1 or self.N < 1 or self.M < 1:
             raise ValueError("need eta > 0 and T, N, M >= 1")
-        if self.smooth_window < 1:
-            raise ValueError("smooth_window must be >= 1")
-        if self.early_stop_tol is not None and not (
-            np.isfinite(self.early_stop_tol) and self.early_stop_tol >= 0
-        ):
-            raise ValueError("early_stop_tol must be None or a finite number >= 0")
 
 
 def _joint_sample(prob, x, backend, rng, k, shared=False):
@@ -227,17 +216,17 @@ def run_point_attack(prob, backend, rng, grad_mu=None) -> AttackTrace:
 
     ``grad_mu`` estimates the Jacobian factor of each step's gradient, as in
     :func:`grad_J`: :func:`estimate_grad_mu` (score function, the default) or
-    :func:`reparam_grad_mu` (reparameterised, Gaussian linear only).
+    :func:`reparam_grad_mu` (reparameterised, Gaussian linear only).  Every
+    instance runs exactly T iterations.
 
     With one ball centre (p,), ``rng`` is a generator and the trace is one
-    instance's.  With K centres (K, p), ``rng`` is a list of K generators and
-    the K instances advance in lockstep, each from its own centre towards its
-    own row of ``g_star`` (or the one shared target).  The trace then has an
-    instance axis: iterates (n+1, K, p), objectives (n, K) over the n
-    lockstep iterations, NaN after an instance stopped early, ``final_x``
-    (K, p) and ``final_residual`` (K,); :meth:`AttackTrace.instance` cuts one
-    instance out.  A stopped instance draws nothing more until the final
-    residual.  If an instance's gradient is not finite, the whole call raises
+    instance's: iterates (T+1, p), objectives (T,).  With K centres (K, p),
+    ``rng`` is a list of K generators and the K instances advance in
+    lockstep, each from its own centre towards its own row of ``g_star`` (or
+    the one shared target).  The trace then has an instance axis: iterates
+    (T+1, K, p), objectives (T, K), ``final_x`` (K, p) and ``final_residual``
+    (K,); :meth:`AttackTrace.instance` cuts one instance out.  If an
+    instance's gradient is not finite, the whole call raises
     ``NonFiniteGradientError`` with that instance's iterate.
     """
     ball = prob.feasible
@@ -249,41 +238,26 @@ def run_point_attack(prob, backend, rng, grad_mu=None) -> AttackTrace:
         raise ValueError("need one generator per instance: %d instances, %d generators"
                          % (K, len(gens)))
     g_star = np.broadcast_to(prob.g_star, (K, prob.g.out_dim))
-    w, tol = prob.smooth_window, prob.early_stop_tol
+    # One instance steps as a one-point attack: one point (p,), a view of x,
+    # and one generator.
+    at, r = (x[0], gens[0]) if K == 1 else (x, gens)
     iterates = np.empty((prob.T + 1,) + x.shape)
     iterates[0] = x
-    objectives = np.full((K, prob.T), np.nan)  # one row per instance: its window is contiguous
-    # The instances still iterating: all of them, then an index array once one stops.
-    live, ids, live_gens, live_ball = slice(None), np.arange(K), gens, ball
+    objectives = np.empty((prob.T, K))
     for t in range(1, prob.T + 1):
-        xl = x[live]
-        k = len(xl)
-        # One live instance steps as a one-instance attack: one point (p,) and
-        # one generator.
-        at, r = (xl[0], live_gens[0]) if k == 1 else (xl, live_gens)
-        resid, gJ = _gradient(prob, at, _joint_sample(prob, at, backend, r, k), g_star[live],
-                              grad_mu)
+        resid, gJ = _gradient(prob, at, _joint_sample(prob, at, backend, r, K), g_star, grad_mu)
         if not np.isfinite(gJ).all():
-            bad = ids[np.argmin(np.isfinite(gJ).all(axis=1))]
+            bad = np.argmin(np.isfinite(gJ).all(axis=1))
             raise NonFiniteGradientError(
                 "non-finite gradient estimate at iteration %d" % t
                 + ("" if single else " of instance %d" % bad), iteration=t, x=x[bad].copy()
             )
-        objectives[live, t - 1] = np.vecdot(resid, resid)
+        objectives[t - 1] = np.vecdot(resid, resid)
         step = prob.eta / np.sqrt(t) if prob.eta_decay else prob.eta
-        x[live] = live_ball.project(at - step * gJ.reshape(at.shape))
+        x[:] = ball.project(at - step * gJ.reshape(at.shape))
         iterates[t] = x
-        if tol is not None and t >= w:
-            going = np.add.reduce(objectives[live, t - w : t], axis=1) / w >= tol
-            if not going.all():
-                if not going.any():
-                    break
-                live = ids = ids[going]
-                live_gens = [gens[i] for i in ids]
-                live_ball = FeasibleSet(ball.center[ids], ball.epsilon, ball.norm)
-    at, r = (x[0], gens[0]) if K == 1 else (x, gens)
     resid = estimate_mu(prob, at, _joint_sample(prob, at, backend, r, K, shared=True)[0]) - g_star
     residual = np.sqrt(np.vecdot(resid, resid))
     one = 0 if single else slice(None)  # a one-instance trace has no instance axis
-    return AttackTrace(iterates=iterates[: t + 1, one], objectives=objectives[one, :t].T,
+    return AttackTrace(iterates=iterates[:, one], objectives=objectives[:, one],
                        final_x=x[one], final_residual=float(residual[0]) if single else residual)

@@ -44,13 +44,9 @@ class AttackTrace:
         return len(self.objectives)
 
     def instance(self, k):
-        """Instance ``k`` of a lockstep point attack, as its one-instance trace.
-
-        A lockstep trace's objectives are NaN after an instance stopped, so
-        instance k ran as many iterations as its column has numbers.
-        """
-        n = int(np.count_nonzero(~np.isnan(self.objectives[:, k])))
-        return AttackTrace(iterates=self.iterates[: n + 1, k], objectives=self.objectives[:n, k],
+        """Instance ``k`` of a lockstep point attack, as its one-instance trace:
+        column k of the iterates (T+1, K, p) and objectives (T, K)."""
+        return AttackTrace(iterates=self.iterates[:, k], objectives=self.objectives[:, k],
                            final_x=self.final_x[k], final_residual=float(self.final_residual[k]))
 
     def total_sample_cost(self):

@@ -77,7 +77,7 @@ class SampleBank:
         if count < 1:
             raise ValueError("count must be >= 1")
         idx = rng.integers(0, len(self.batch), size=count)
-        return DrawBatch(self.batch.beta[idx], self.batch.phi[idx])
+        return DrawBatch(self.batch.beta.take(idx, axis=0), self.batch.phi.take(idx))
 
 
 # Proposals scored per ``log_post`` call, and steps of randomness drawn per

@@ -2,10 +2,11 @@
 
 Each CLI subcommand takes a single JSON config file; ``--seed`` on the command
 line overrides the ``seed`` field.  Unknown keys are rejected so typos fail
-loudly instead of silently running defaults, and numeric fields are
-type-checked at load: an ``int`` field takes an integer, a ``float`` field an
-integer or a float, neither a bool, and a field whose default is None also
-takes None.
+loudly instead of silently running defaults, and every field is type-checked
+at load: an ``int`` field takes an integer, a ``float`` field an integer or a
+float, neither a bool; a ``bool`` field takes only true or false, a ``str``
+field a string and a ``tuple`` field an array; a field whose default is None
+also takes None.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ def _nondecreasing(grid):
 
 # The JSON values a field annotated with the key accepts, and their name; a
 # bool never counts as a number, although Python makes it an int.
-_NUMBERS = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
+_KINDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+          "bool": ((bool,), "true or false"), "str": ((str,), "a string"),
+          "tuple": ((list, tuple), "an array")}
 
 
 def _tuples(value):
@@ -60,11 +63,10 @@ class _Spec:
             section = f.default_factory
             if isinstance(section, type) and issubclass(section, _Spec):
                 v = section.from_dict(v, name)
-            elif f.type in _NUMBERS and not (v is None and f.default is None):
-                kinds, what = _NUMBERS[f.type]
-                if isinstance(v, bool) or not isinstance(v, kinds):
+            elif not (v is None and f.default is None):
+                kinds, what = _KINDS[f.type]
+                if not isinstance(v, kinds) or isinstance(v, bool) and f.type != "bool":
                     raise ValueError("config field '%s' must be %s, got %r" % (name, what, v))
-            elif f.type == "tuple":
                 # JSON has no tuples: lists in tuple-typed fields become (nested)
                 # tuples, so a spec survives a round trip through asdict and json.
                 v = _tuples(v)
@@ -212,6 +214,11 @@ class AttackSpec(_Spec):
             raise ValueError("attack.x0_mode must be explicit | clean_mean | test_sample")
         if self.x0_mode == "explicit" and self.x0 is None:
             raise ValueError("attack.x0 is required when x0_mode='explicit'")
+        # JSON's NaN and Infinity parse as floats; no attack can aim at them.
+        values = (self.target, self.x0_value) + tuple(self.x0 or ())
+        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
+            raise ValueError("attack.target, attack.x0_value and each attack.x0 entry "
+                             "must be finite numbers")
         if not (_positive(self.appd_var_factor) and math.isfinite(self.appd_mean_shift)):
             raise ValueError("attack.appd_var_factor must be positive and finite, "
                              "attack.appd_mean_shift finite")

@@ -273,6 +273,10 @@ def test_bad_configs_exit_2(tmp_path, capsys):
     ("sweep", dict(POINT_DOC, attack=dict(POINT_DOC["attack"], epsilon=False)), "attack.epsilon"),
     ("entropy", dict(ENTROPY_DOC, n_id=2.0), "n_id"),
     ("entropy", dict(ENTROPY_DOC, eta=None), "eta"),
+    ("sweep", dict(POINT_DOC, attack=dict(POINT_DOC["attack"], optimizer={"eta_decay": "no"})),
+     "attack.optimizer.eta_decay"),
+    ("sweep", dict(POINT_DOC, attack=dict(POINT_DOC["attack"], strategies="sgd")),
+     "attack.strategies"),
 ])
 def test_mistyped_config_fields_exit_2(tmp_path, capsys, command, doc, field):
     # Caught at load with the field's name: not a TypeError or IndexError

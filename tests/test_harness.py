@@ -167,6 +167,36 @@ def test_config_validates_grids_and_counts():
         OptimizerSpec.from_dict({"eta": 0.0})
 
 
+@pytest.mark.parametrize("cls, doc, field", [
+    (ExperimentConfig, {"attack": {"optimizer": {"eta_decay": "no"}}},
+     "attack.optimizer.eta_decay"),
+    (ExperimentConfig, {"attack": {"mlmc": {"untruncated": "false"}}}, "attack.mlmc.untruncated"),
+    (ExperimentConfig, {"attack": {"mlmc": {"eta_decay": 0}}}, "attack.mlmc.eta_decay"),
+    (ExperimentConfig, {"dataset": {"standardize": None}}, "dataset.standardize"),
+    (ExperimentConfig, {"attack": {"x0": 5}}, "attack.x0"),
+    (ExperimentConfig, {"attack": {"x0": [0.0, 0.0], "strategies": "sgd"}}, "attack.strategies"),
+    (ExperimentConfig, {"attack": {"norm": 2}}, "attack.norm"),
+    (ExperimentConfig, {"output_dir": None}, "output_dir"),
+    (EntropySpec, {"eps_grid": 0.5}, "eps_grid"),
+    (GradCheckSpec, {"include_control": 1}, "include_control"),
+])
+def test_config_type_checks_bool_str_and_tuple_fields(cls, doc, field):
+    # Unchecked, "no" loaded as a truthy string and switched step decay on,
+    # and a bare "sgd" was read as the strategies 's', 'g' and 'd'.
+    with pytest.raises(ValueError, match="config field '%s' must be" % field):
+        cls.from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", ['{"target": Infinity}', '{"target": NaN}',
+                                 '{"x0_value": -Infinity}', '{"x0": [0.0, NaN]}',
+                                 '{"x0": [0.0, "1"]}'])
+def test_attack_spec_rejects_a_non_finite_target_or_instance(doc):
+    # json parses NaN and Infinity; unchecked, a sweep wrote residual2 = inf
+    # for some cells and turned others into a warning and a missing cell.
+    with pytest.raises(ValueError, match="must be finite numbers"):
+        AttackSpec.from_dict({"x0": [0.0, 0.0], **json.loads(doc)})
+
+
 def test_attack_spec_rejects_zero_test_instances():
     # Caught at load: a point sweep averaged no residuals into NaN, a ppd
     # sweep wrote no records.

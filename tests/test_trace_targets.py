@@ -102,7 +102,7 @@ def test_graybox_draws_and_scores_once_per_iteration(tmp_path):
     calls = Counter(s.name for s in t.spans)
     # Each (seed, eps) cell runs a white-box attack on the defender's
     # ExactConjugate and a gray-box one on a one-member MixtureBackend over
-    # another ExactConjugate, both for T iterations without early stopping.
+    # another ExactConjugate, both for T iterations.
     T = inputs["kwargs"]["T"]
     cells = len(inputs["seeds"]) * len(inputs["kwargs"]["eps_grid"])
     assert (cells, T) == (2, 5)
