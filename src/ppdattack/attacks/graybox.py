@@ -9,7 +9,14 @@ algorithms themselves are reused unchanged: the gray-box attack is
 ``run_point_attack`` or ``run_ppd_attack`` with ``MixtureLikelihood(ensemble)``
 as the model and ``MixtureBackend(ensemble)`` as the backend, whose draws carry
 member tags.  Its trace reflects the attacker's beliefs; evaluate the final
-point against the defender separately.
+point against the defender separately.  A gray-box attack takes one point.
+
+A batch holding one member's rows only, as every batch of a one-member
+ensemble does, goes straight to that member: the mixture likelihood passes
+it the sub-batch, outcomes and generator with no scatter back to the rows,
+and a slice cuts the sub-batch without counting members.  A one-member
+backend tags its rows without searching the weights, though it still draws
+their uniforms.  The results are the general path's bit for bit.
 """
 
 from __future__ import annotations
@@ -81,6 +88,9 @@ class TaggedBatch:
         if step != 1:
             raise ValueError("a tagged batch slices with step 1 only")
         ids = self.member_ids[start:stop]
+        if len(self.sub) == 1:  # one member's rows: the slice's rows are its rows
+            (k, sub), = self.sub.items()
+            return TaggedBatch(ids, {k: sub[start:stop]} if stop > start else {})
         counts = np.bincount(ids).tolist()
         before = np.bincount(self.member_ids[:start], minlength=len(counts)).tolist()
         return TaggedBatch(ids, {k: self.sub[k][before[k]:before[k] + n_k]
@@ -109,7 +119,11 @@ class MixtureBackend:
     def draw(self, count, rng):
         if count < 1:
             raise ValueError("count must be >= 1")
-        ids = self._cdf.searchsorted(rng.random(count), side="right")
+        u = rng.random(count)
+        if len(self.ensemble) == 1:  # every row is member 0's; u only keeps the stream
+            return TaggedBatch(np.zeros(count, dtype=int),
+                               {0: self.ensemble.members[0].backend.draw(count, rng)})
+        ids = self._cdf.searchsorted(u, side="right")
         counts = np.bincount(ids).tolist()
         # Members draw in ascending id, each once, with all of its rows.
         subs = {k: self.ensemble.members[k].backend.draw(n_k, rng)
@@ -125,11 +139,21 @@ class MixtureLikelihood:
 
     def _dispatch(self, method, tagged: TaggedBatch, x, y=None, rng=None, width=()):
         """Each member's ``method(x, y, sub)``, or ``method(x, sub, rng)`` without
-        ``y``, on its own rows in ``tagged.sub`` order, scattered back to them."""
+        ``y``, on its own rows in ``tagged.sub`` order, scattered back to them.
+
+        A batch holding one member's rows goes to that member as it is, with
+        no scatter: its result is already in row order.
+        """
         m = len(tagged)
-        out = np.empty((m, *width))
         if y is not None:
-            y = np.broadcast_to(np.asarray(y, dtype=float), (m,))
+            y = np.asarray(y, dtype=float)
+            if y.shape != (m,):  # a scalar, or a wrong length, which raises here
+                y = np.broadcast_to(y, (m,))
+        if len(tagged.sub) == 1:
+            (k, sub), = tagged.sub.items()
+            fn = getattr(self.ensemble.members[k].likelihood, method)
+            return fn(x, sub, rng) if y is None else fn(x, y, sub)
+        out = np.empty((m, *width))
         for k, sub in tagged.sub.items():
             pos = tagged.positions(k)
             fn = getattr(self.ensemble.members[k].likelihood, method)

@@ -53,7 +53,9 @@ for one point), mu as ``sum / N``, the gradient as a batched ``matmul`` of
 ``sqrt(vecdot(d, d))``.  An ``einsum`` forward pass or an axis norm
 (``np.linalg.norm(d, axis=1)``) rounds some rows differently in the last
 place, and the attacks drift apart.  ``CategoricalSoftmax`` and
-``GaussianLinear`` take K points; the other likelihoods serve one instance.
+``GaussianLinear`` take K points; the other likelihoods serve one instance,
+and a gray-box ``MixtureLikelihood``, whose draws are tagged batches, raises
+``UnsupportedModelError`` for K points before it draws.
 """
 
 from __future__ import annotations
@@ -62,11 +64,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import NonFiniteGradientError
+from ..exceptions import NonFiniteGradientError, UnsupportedModelError
 from ..bayes.draws import DrawBatch
 from ..bayes.likelihoods import require_gaussian_linear
 from .feasible import FeasibleSet
 from .functionals import Functional
+from .graybox import MixtureLikelihood
 from .trace import AttackTrace
 
 
@@ -110,6 +113,13 @@ class PointAttackProblem:
             )
         if not self.eta > 0 or self.T < 1 or self.N < 1 or self.M < 1:
             raise ValueError("need eta > 0 and T, N, M >= 1")
+
+
+def _one_point_only(model):
+    # The K-point sampler joins its instances' draws as one DrawBatch, which
+    # a mixture's tagged batches are not.
+    if isinstance(model, MixtureLikelihood):
+        raise UnsupportedModelError("a mixture takes one point; run gray-box attacks one at a time")
 
 
 def _joint_sample(prob, x, backend, rng, k, shared=False):
@@ -207,6 +217,8 @@ def grad_J(prob, x, backend, rng, replicates=1, grad_mu=None, shared_batch=False
     ``shared_batch=True`` one batch of size N feeds both factors -- a biased
     negative control for gradient validation.  Returns shape (replicates, p).
     """
+    if x.ndim != 1:
+        _one_point_only(prob.model)
     sample = _joint_sample(prob, x, backend, rng, replicates, shared_batch)
     return _gradient(prob, x, sample, prob.g_star, grad_mu)[1]
 
@@ -237,6 +249,8 @@ def run_point_attack(prob, backend, rng, grad_mu=None) -> AttackTrace:
     if len(gens) != K:
         raise ValueError("need one generator per instance: %d instances, %d generators"
                          % (K, len(gens)))
+    if K > 1:
+        _one_point_only(prob.model)
     g_star = np.broadcast_to(prob.g_star, (K, prob.g.out_dim))
     # One instance steps as a one-point attack: one point (p,), a view of x,
     # and one generator.

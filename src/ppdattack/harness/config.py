@@ -4,9 +4,10 @@ Each CLI subcommand takes a single JSON config file; ``--seed`` on the command
 line overrides the ``seed`` field.  Unknown keys are rejected so typos fail
 loudly instead of silently running defaults, and every field is type-checked
 at load: an ``int`` field takes an integer, a ``float`` field an integer or a
-float, neither a bool; a ``bool`` field takes only true or false, a ``str``
-field a string and a ``tuple`` field an array; a field whose default is None
-also takes None.
+float, neither a bool; a ``bool`` field takes only true or false and a ``str``
+field a string.  A ``tuple`` field takes an array whose entries are of the
+kind its annotation names: finite numbers (``tuple[float, ...]``), strings
+or arrays of finite numbers.  A field whose default is None also takes None.
 """
 
 from __future__ import annotations
@@ -33,7 +34,20 @@ def _nondecreasing(grid):
 # bool never counts as a number, although Python makes it an int.
 _KINDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
           "bool": ((bool,), "true or false"), "str": ((str,), "a string"),
-          "tuple": ((list, tuple), "an array")}
+          "tuple[float, ...]": ((list, tuple), "finite numbers in an array"),
+          "tuple[str, ...]": ((list, tuple), "strings in an array"),
+          "tuple[tuple[float, ...], ...]": ((list, tuple),
+                                            "arrays of finite numbers in an array")}
+
+
+def _fits(value, kind):
+    """True when the JSON ``value`` is what a field annotated ``kind`` takes."""
+    if not isinstance(value, _KINDS[kind][0]) or isinstance(value, bool) and kind != "bool":
+        return False
+    if not kind.startswith("tuple["):
+        return True
+    entry = kind[len("tuple["):-len(", ...]")]  # every entry of an array field is of one kind
+    return all(_fits(v, entry) and (entry != "float" or -math.inf < v < math.inf) for v in value)
 
 
 def _tuples(value):
@@ -64,9 +78,9 @@ class _Spec:
             if isinstance(section, type) and issubclass(section, _Spec):
                 v = section.from_dict(v, name)
             elif not (v is None and f.default is None):
-                kinds, what = _KINDS[f.type]
-                if not isinstance(v, kinds) or isinstance(v, bool) and f.type != "bool":
-                    raise ValueError("config field '%s' must be %s, got %r" % (name, what, v))
+                if not _fits(v, f.type):
+                    raise ValueError("config field '%s' must be %s, got %r"
+                                     % (name, _KINDS[f.type][1], v))
                 # JSON has no tuples: lists in tuple-typed fields become (nested)
                 # tuples, so a spec survives a round trip through asdict and json.
                 v = _tuples(v)
@@ -88,10 +102,11 @@ class DatasetSpec(_Spec):
     kind: str = "synthetic"  # synthetic | csv
     n: int = 1000
     n_test: int = 0
-    beta: tuple = (-1.0, 2.0)
+    beta: tuple[float, ...] = (-1.0, 2.0)
     sigma2: float = 1.0
     mode: str = "independent"  # independent | correlated
-    mixing: tuple = ((1.0, 2.0), (3.0, 4.0))  # covariate covariance is A^T A
+    # covariate covariance is A^T A
+    mixing: tuple[tuple[float, ...], ...] = ((1.0, 2.0), (3.0, 4.0))
     path: str = None
     response: str = None
     split: float = 0.7
@@ -183,18 +198,18 @@ class AttackSpec(_Spec):
 
     type: str = "point"  # point | ppd
     norm: str = "l2"
-    eps_grid: tuple = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+    eps_grid: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
     epsilon: float = None  # single-run intensity; defaults to max(eps_grid)
     repeats: int = 10
     target: float = 3.0  # point target G*
     target_mode: str = "absolute"  # absolute | times_mean_response
     appd_mean_shift: float = 0.0  # ppd target mean = clean mean + shift
     appd_var_factor: float = 4.0  # ppd target variance = factor * clean variance
-    x0: tuple = None  # explicit attacked covariate vector
+    x0: tuple[float, ...] = None  # explicit attacked covariate vector
     x0_mode: str = "explicit"  # explicit | clean_mean | test_sample
     x0_value: float = -0.5  # clean predictive mean to aim the instance at
     x0_count: int = 5  # instances when x0_mode == test_sample
-    strategies: tuple = ("analytic", "sgd", "fgsm")
+    strategies: tuple[str, ...] = ("analytic", "sgd", "fgsm")
     n_eval: int = 512
     metric_mode: str = "mc"  # mc | exact
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
@@ -261,7 +276,7 @@ class GradCheckSpec(_Spec):
     output_dir: str = "."
     replicates: int = 10000
     n: int = 1000
-    beta: tuple = (-1.0, 2.0)
+    beta: tuple[float, ...] = (-1.0, 2.0)
     sigma2: float = 1.0
     prior_precision: float = 1.0
     clean_mean: float = -0.5
@@ -307,7 +322,7 @@ class EntropySpec(_Spec):
     ood_rotation_deg: float = 60.0
     n_id: int = 16
     n_ood: int = 16
-    eps_grid: tuple = (0.0, 0.5, 1.0, 2.0)
+    eps_grid: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)
     norm: str = "l2"
     prior_sd: float = 1.2
     chain_burn_in: int = 2000
@@ -320,7 +335,7 @@ class EntropySpec(_Spec):
     M: int = 192
     eta_decay: bool = False
     entropy_draws: int = 512
-    retention_grid: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+    retention_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
     def validate(self):
         if self.n_classes < 2 or self.dim < 2:

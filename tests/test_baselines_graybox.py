@@ -14,10 +14,11 @@ attacks run on ``MixtureLikelihood(ensemble)`` and ``MixtureBackend(ensemble)``.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from fixed_data import FixedData
 from ppdattack.attacks.baselines import fgsm_like
 from ppdattack.attacks.feasible import FeasibleSet
 from ppdattack.attacks.functionals import response_functional
@@ -28,12 +29,13 @@ from ppdattack.attacks.graybox import (
     ModelEnsemble,
     TaggedBatch,
 )
-from ppdattack.attacks.point import PointAttackProblem, run_point_attack
+from ppdattack.attacks.point import PointAttackProblem, grad_J, run_point_attack
 from ppdattack.attacks.ppd import MlmcConfig, NormalAppd, delta_level, run_ppd_attack
 from ppdattack.bayes.draws import DrawBatch
 from ppdattack.bayes.backends import ExactConjugate
 from ppdattack.bayes.conjugate import gaussian_update, ppd_normal_params
 from ppdattack.bayes.likelihoods import FeatureSubsetModel, GaussianLinear
+from ppdattack.exceptions import UnsupportedModelError
 from ppdattack.harness.data import gen_synthetic
 
 
@@ -195,6 +197,7 @@ MIXTURE_MEMBERS = [
 @settings(max_examples=300, deadline=None)
 @given(counts=st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(any),
        count=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), data=st.data())
+@example(counts=[3], count=7, seed=11, data=FixedData(False))  # one member: no CDF search
 def test_mixture_draw_matches_rng_choice(counts, count, seed, data):
     # Integer weight ratios give zero weights, single members and CDF entries
     # that are exact multiples of 2**-53; the chosen-uniform generator puts
@@ -382,6 +385,34 @@ def test_graybox_dispatch(defender):
     assert FeasibleSet(center=X0, epsilon=0.5, norm="l2").contains(ppd_trace.final_x)
 
 
+def test_graybox_attacks_take_one_point(defender):
+    # A mixture's draws are tagged batches, which the K-point sampler cannot
+    # join into one DrawBatch: K centres or K points raise before any draw,
+    # not an AttributeError from inside the sampler.  One centre, as (p,) or
+    # as a one-row (1, p), still attacks, and both give the same iterates.
+    ens = ModelEnsemble([EnsembleMember(GaussianLinear(2), defender[2])])
+    model, backend = MixtureLikelihood(ens), MixtureBackend(ens)
+    seeds, centres = (1, 2), np.stack([X0, -X0])
+
+    def problem(center):
+        return PointAttackProblem(response_functional(), [GSTAR], model,
+                                  FeasibleSet(center=center, epsilon=EPS, norm="l2"),
+                                  eta=0.05, T=20, N=8, M=8)
+
+    gens = [np.random.default_rng(s) for s in seeds]
+    with pytest.raises(UnsupportedModelError, match="run gray-box attacks one at a time"):
+        run_point_attack(problem(centres), backend, gens)
+    with pytest.raises(UnsupportedModelError, match="run gray-box attacks one at a time"):
+        grad_J(problem(X0), centres, backend, gens)
+    assert all(g.bit_generator.state == np.random.default_rng(s).bit_generator.state
+               for g, s in zip(gens, seeds))
+
+    plain = run_point_attack(problem(X0), backend, np.random.default_rng(3))
+    row = run_point_attack(problem(X0[None]), backend, [np.random.default_rng(3)])
+    assert np.array_equal(row.iterates[:, 0], plain.iterates)
+    assert np.isfinite(plain.final_residual)
+
+
 # (member likelihood, width of its coefficient draws)
 MEMBER_MODELS = [(GaussianLinear(2), 2), (FeatureSubsetModel(GaussianLinear(1), [0], 2), 1),
                  (FeatureSubsetModel(GaussianLinear(1), [1], 2), 1)]
@@ -401,6 +432,11 @@ def scattered(tagged, models, call):
 @settings(max_examples=200, deadline=None)
 @given(kinds=st.lists(st.integers(0, len(MEMBER_MODELS) - 1), min_size=1, max_size=4),
        seed=st.integers(0, 2**32 - 1), shared_y=st.booleans(), data=st.data())
+# One member's rows only, that member not member 0 of three: the batch goes
+# to it without the scatter, with a scalar and with a per-row y.
+@example(kinds=[0, 1, 2], seed=5, shared_y=True, data=FixedData([2, 2, 2, 2, 2]))
+@example(kinds=[0, 1, 2], seed=6, shared_y=False, data=FixedData([1, 1, 1]))
+@example(kinds=[1, 2, 0], seed=7, shared_y=False, data=FixedData([2]))
 def test_mixture_likelihood_is_the_members_scattered_to_their_rows(kinds, seed, shared_y, data):
     models, widths = zip(*(MEMBER_MODELS[c] for c in kinds))
     ids = np.array(data.draw(st.lists(st.integers(0, len(models) - 1), min_size=1,

@@ -277,6 +277,19 @@ def test_bad_configs_exit_2(tmp_path, capsys):
      "attack.optimizer.eta_decay"),
     ("sweep", dict(POINT_DOC, attack=dict(POINT_DOC["attack"], strategies="sgd")),
      "attack.strategies"),
+    # An array field's entries are checked too: numbers (no bool, string,
+    # nested array or non-finite value), arrays of numbers or strings.
+    ("entropy", dict(ENTROPY_DOC, retention_grid=["a"]), "retention_grid"),
+    ("entropy", dict(ENTROPY_DOC, eps_grid=[[0.0]]), "eps_grid"),
+    ("sweep", dict(POINT_DOC, attack=dict(POINT_DOC["attack"], eps_grid=[0.0, True])),
+     "attack.eps_grid"),
+    ("sweep", dict(POINT_DOC, attack=dict(POINT_DOC["attack"], x0=[-0.1, "0.2"])), "attack.x0"),
+    ("sweep", dict(POINT_DOC, dataset={"n": 200, "beta": [-1.0, [2.0]]}), "dataset.beta"),
+    ("sweep", dict(POINT_DOC, dataset={"n": 200, "mode": "correlated", "mixing": [1.0, 2.0]}),
+     "dataset.mixing"),
+    ("sweep", dict(POINT_DOC, attack=dict(POINT_DOC["attack"], strategies=["sgd", 1])),
+     "attack.strategies"),
+    ("validate-gradients", dict(GRADCHECK_DOC, beta=[-1.0, None]), "beta"),
 ])
 def test_mistyped_config_fields_exit_2(tmp_path, capsys, command, doc, field):
     # Caught at load with the field's name: not a TypeError or IndexError

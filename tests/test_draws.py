@@ -10,9 +10,10 @@ as the matching row of the full batch.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fixed_data import FixedData
 from ppdattack.attacks.feasible import FeasibleSet
 from ppdattack.attacks.graybox import (
     EnsembleMember,
@@ -97,8 +98,18 @@ def test_halves_of_odd_size_raise(half, seed):
         delta_level(mixture, np.zeros(2), ys, levels, TaggedBatch(ids, {0: batch}), cfg)
 
 
+ONE_MEMBER = TaggedBatch([2] * 6, {2: random_batch(np.random.default_rng(0), 6, 2)})
+
+
 @PROPERTY
 @given(tagged=tagged_batches(), data=st.data())
+# One member's rows only, that member not member 0: an empty slice, a
+# negative start and a slice that ends at the last row (start, stop, step).
+@example(tagged=ONE_MEMBER, data=FixedData(4, 4, None))
+@example(tagged=ONE_MEMBER, data=FixedData(5, 2, 1))
+@example(tagged=ONE_MEMBER, data=FixedData(-4, 5, None))
+@example(tagged=ONE_MEMBER, data=FixedData(-6, -1, 1))
+@example(tagged=ONE_MEMBER, data=FixedData(2, 6, None))
 def test_tagged_slice_matches_per_row_reference(tagged, data):
     m = len(tagged)
     start = data.draw(st.integers(-m, m))
