@@ -1,4 +1,9 @@
-"""Attack trace records, and the CSV writer every output file goes through."""
+"""Attack trace records, and the CSV writer for the output files.
+
+Every output file goes through :func:`write_csv` except the gradient check's
+samples CSV, which ``harness.gradcheck.write_gradcheck_samples_csv`` builds
+from whole columns; it writes the same bytes ``csv.writer`` would.
+"""
 
 from __future__ import annotations
 

@@ -3,11 +3,12 @@
 Each CLI subcommand takes a single JSON config file; ``--seed`` on the command
 line overrides the ``seed`` field.  Unknown keys are rejected so typos fail
 loudly instead of silently running defaults, and every field is type-checked
-at load: an ``int`` field takes an integer, a ``float`` field an integer or a
-float, neither a bool; a ``bool`` field takes only true or false and a ``str``
-field a string.  A ``tuple`` field takes an array whose entries are of the
-kind its annotation names: finite numbers (``tuple[float, ...]``), strings
-or arrays of finite numbers.  A field whose default is None also takes None.
+at load: an ``int`` field takes an integer, a ``float`` field a float or an
+integer within float range, neither a bool; a ``bool`` field takes only true
+or false and a ``str`` field a string.  A ``tuple`` field takes an array
+whose entries are of the kind its annotation names: finite numbers
+(``tuple[float, ...]``), strings or arrays of finite numbers.  A field whose
+default is None also takes None.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ def _nondecreasing(grid):
 
 # The JSON values a field annotated with the key accepts, and their name; a
 # bool never counts as a number, although Python makes it an int.
-_KINDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+_KINDS = {"int": ((int,), "an integer"),
+          "float": ((int, float), "a number within float range"),
           "bool": ((bool,), "true or false"), "str": ((str,), "a string"),
           "tuple[float, ...]": ((list, tuple), "finite numbers in an array"),
           "tuple[str, ...]": ((list, tuple), "strings in an array"),
@@ -44,10 +46,22 @@ def _fits(value, kind):
     """True when the JSON ``value`` is what a field annotated ``kind`` takes."""
     if not isinstance(value, _KINDS[kind][0]) or isinstance(value, bool) and kind != "bool":
         return False
+    if kind == "float":
+        return _holds_float(value)
     if not kind.startswith("tuple["):
         return True
     entry = kind[len("tuple["):-len(", ...]")]  # every entry of an array field is of one kind
-    return all(_fits(v, entry) and (entry != "float" or -math.inf < v < math.inf) for v in value)
+    return all(_fits(v, entry) and (entry != "float" or math.isfinite(v)) for v in value)
+
+
+def _holds_float(value):
+    """False for a JSON integer too large for a float (``10**400 < math.inf``
+    holds, but ``float(10**400)`` overflows)."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _tuples(value):

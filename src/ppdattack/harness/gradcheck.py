@@ -32,6 +32,8 @@ samples CSV with them.
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 from dataclasses import dataclass, replace
 
@@ -186,26 +188,52 @@ def write_gradcheck_csv(report: GradCheckReport, path):
                + [int(c.within_threshold)] for c in report.checks))
 
 
+def _csv_cell(text):
+    """``text`` as ``csv.writer`` writes it as one cell of several: quoted, its
+    quotes doubled, if it holds a comma, a quote or a line break."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
+
 def write_gradcheck_samples_csv(report: GradCheckReport, path):
     """Histogram data: one row per (estimator, replicate, coordinate) gradient sample.
 
     The matching analytic value is repeated per row so a plotting script can
     draw the reference line without joining against the summary table.  The
-    bytes are those ``csv.writer`` writes for these rows: every cell here
-    needs no quoting, a float is written as its repr (``%r`` of a Python
-    float), and rows end in ``\r\n``.
+    bytes are those ``csv.writer`` writes for these rows: the estimator name
+    is quoted as it quotes a cell, a float is written as its repr (``%r`` of
+    a Python float), and rows end in ``\r\n``.
+
+    The file is built from whole columns, ``CSV_SLICE`` replicates at a time,
+    not row by row.  A row is five pieces: ``name,``, the replicate,
+    ``,j,``, the value and ``,analytic_j\r\n``.  The values come from one
+    ``repr`` map over the block, the replicates from one ``str`` map, and
+    the other pieces are repeated strings.  Extended-slice assignment puts
+    the values into every fifth place of one list, and coordinate j's
+    replicates and constants into every 5q-th place of q coordinates; the
+    list is written with one join.
     """
     with open(path, "w", newline="") as fh:
         fh.write("estimator,replicate,coordinate,value,analytic\r\n")
         for name, arr in report.samples.items():
             arr = np.asarray(arr, dtype=float)
-            # One row template per coordinate, its analytic cell formatted once.
-            rows = ["%s,%%d,%d,%%r,%s\r\n" % (name, j, format_float(v))
-                    for j, v in enumerate(report.oracles[name])]
+            lead, stride = _csv_cell(name) + ",", 5 * arr.shape[1]
+            tails = [",%s\r\n" % format_float(v) for v in report.oracles[name]]
+            if len(tails) != arr.shape[1]:
+                raise ValueError("estimator %r has %d coordinates but %d analytic values"
+                                 % (name, arr.shape[1], len(tails)))
             for start in range(0, arr.shape[0], CSV_SLICE):
-                block = arr[start:start + CSV_SLICE].tolist()
-                fh.write("".join([row % (i, v) for i, values in enumerate(block, start)
-                                  for row, v in zip(rows, values)]))
+                block = arr[start:start + CSV_SLICE]
+                reps = len(block)
+                replicates = list(map(str, range(start, start + reps)))
+                pieces = [lead] * (5 * block.size)
+                pieces[3::5] = map(float.__repr__, block.ravel().tolist())
+                for j, tail in enumerate(tails):
+                    pieces[5 * j + 1::stride] = replicates
+                    pieces[5 * j + 2::stride] = [",%d," % j] * reps
+                    pieces[5 * j + 4::stride] = [tail] * reps
+                fh.write("".join(pieces))
 
 
 def run_gradcheck(spec: GradCheckSpec, write_samples=True):

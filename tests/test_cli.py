@@ -290,6 +290,16 @@ def test_bad_configs_exit_2(tmp_path, capsys):
     ("sweep", dict(POINT_DOC, attack=dict(POINT_DOC["attack"], strategies=["sgd", 1])),
      "attack.strategies"),
     ("validate-gradients", dict(GRADCHECK_DOC, beta=[-1.0, None]), "beta"),
+    # A JSON integer too large for a float is not a number a float field
+    # takes: unchecked, float() overflowed mid-validation with a traceback.
+    ("validate-gradients", dict(GRADCHECK_DOC, target=10**400), "target"),
+    ("sweep", dict(POINT_DOC, attack=dict(POINT_DOC["attack"], target=-10**400)),
+     "attack.target"),
+    ("sweep", dict(POINT_DOC, attack=dict(POINT_DOC["attack"], x0=[-0.1, 10**400])),
+     "attack.x0"),
+    ("sweep", dict(POINT_DOC, attack=dict(POINT_DOC["attack"], eps_grid=[0.0, 10**400])),
+     "attack.eps_grid"),
+    ("entropy", dict(ENTROPY_DOC, eps_grid=[0, 10**400]), "eps_grid"),
 ])
 def test_mistyped_config_fields_exit_2(tmp_path, capsys, command, doc, field):
     # Caught at load with the field's name: not a TypeError or IndexError

@@ -10,11 +10,13 @@ import csv
 import dataclasses
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 import scipy.special
 from scipy import stats
 
@@ -183,6 +185,18 @@ def test_config_validates_grids_and_counts():
 def test_config_type_checks_bool_str_and_tuple_fields(cls, doc, field):
     # Unchecked, "no" loaded as a truthy string and switched step decay on,
     # and a bare "sgd" was read as the strategies 's', 'g' and 'd'.
+    with pytest.raises(ValueError, match="config field '%s' must be" % field):
+        cls.from_dict(doc)
+
+
+@pytest.mark.parametrize("cls, doc, field", [
+    (AttackSpec, {"x0": [0.0, 10**400]}, "x0"),
+    (GradCheckSpec, {"target": 10**400}, "target"),
+    (EntropySpec, {"eps_grid": [0, 1, -10**400]}, "eps_grid"),
+])
+def test_config_rejects_an_integer_too_large_for_a_float(cls, doc, field):
+    # 10**400 < math.inf holds, so the range checks let it through, and the
+    # spec's own float() or isfinite() then raised OverflowError.
     with pytest.raises(ValueError, match="config field '%s' must be" % field):
         cls.from_dict(doc)
 
@@ -842,23 +856,73 @@ def test_control_setting_passes_with_independent_batches(monkeypatch):
         assert report.control_detected is False
 
 
-def test_samples_csv_has_the_bytes_csv_writer_writes(tmp_path, monkeypatch):
-    monkeypatch.setattr(gradcheck, "CSV_SLICE", 2)  # three rows cross a slice boundary
-    samples = {"score": np.array([[0.1, -2.5e-300], [1e300, -0.0], [np.nan, np.inf]]),
-               "score-shared-batch": np.array([[1 / 3], [-7.0], [2.0**-1074]])}
-    oracles = {"score": np.array([0.3, -1e-17]), "score-shared-batch": np.array([np.pi])}
-    report = GradCheckReport(checks=[], z_threshold=4.0, samples=samples, oracles=oracles,
-                             control_included=True)
-    with open(tmp_path / "want.csv", "w", newline="") as fh:
+def _csv_writer_bytes(report, path):
+    """The bytes ``csv.writer`` writes for the samples CSV's rows."""
+    with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["estimator", "replicate", "coordinate", "value", "analytic"])
-        for name, arr in samples.items():
+        for name, arr in report.samples.items():
             for i, row in enumerate(arr):
-                w.writerows([name, i, j, float(v), float(oracles[name][j])]
+                w.writerows([name, i, j, float(v), float(report.oracles[name][j])]
                             for j, v in enumerate(row))
+    return path.read_bytes()
+
+
+def _samples_report(samples, oracles):
+    return GradCheckReport(checks=[], z_threshold=4.0, samples=samples, oracles=oracles,
+                           control_included=True)
+
+
+def test_samples_csv_has_the_bytes_csv_writer_writes(tmp_path, monkeypatch):
+    # One, two and three coordinates; 3 and 5 replicates cross a slice
+    # boundary, 2 fill one slice exactly, and one estimator has a single
+    # replicate.  A name with a comma, quotes and a line break is quoted.
+    monkeypatch.setattr(gradcheck, "CSV_SLICE", 2)
+    samples = {"score": np.array([[0.1, -2.5e-300], [1e300, -0.0], [np.nan, np.inf]]),
+               "score-shared-batch": np.array([[1 / 3], [-7.0], [2.0**-1074], [1e16], [-np.inf]]),
+               "one": np.array([[1e-5, -1e-5, 0.5]]),
+               'a,"b"\r\nc': np.array([[1.0, 2.0, 3.0], [4.0, -5.0, 6.0]])}
+    oracles = {"score": np.array([0.3, -1e-17]), "score-shared-batch": np.array([np.pi]),
+               "one": np.array([-0.0, 1e16, 2.0]), 'a,"b"\r\nc': np.array([0.0, 1.0, 1e-5])}
+    report = _samples_report(samples, oracles)
     got = tmp_path / "got.csv"
     write_gradcheck_samples_csv(report, got)
-    assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert got.read_bytes() == _csv_writer_bytes(report, tmp_path / "want.csv")
+    with open(got, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + 3 * 2 + 5 + 3 + 2 * 3
+    assert rows[-1][:3] == ['a,"b"\r\nc', "1", "2"]
+
+
+@pytest.mark.parametrize("analytic", [[0.5], [0.5, 1.0, 2.0]])
+def test_samples_csv_needs_one_analytic_value_per_coordinate(tmp_path, analytic):
+    # Unchecked, a short oracle left cells of the column build unfilled (the
+    # row-template writer dropped the coordinate), and a long one failed in a
+    # slice assignment with an unrelated message.
+    report = _samples_report({"score": np.zeros((3, 2))}, {"score": np.array(analytic)})
+    with pytest.raises(ValueError, match="2 coordinates but %d analytic" % len(analytic)):
+        write_gradcheck_samples_csv(report, tmp_path / "s.csv")
+
+
+_ODD_FLOATS = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.0**-1030,
+                               1e16, -1e16, 1e-5, -1e-5, 1e15, 1e-4])
+_FLOATS = st.one_of(_ODD_FLOATS, st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), per_slice=st.integers(1, 4))
+def test_samples_csv_bytes_equal_csv_writer_on_any_floats(tmp_path_factory, data, per_slice):
+    shapes = st.tuples(st.integers(1, 9), st.integers(1, 3))
+    names = st.text(st.sampled_from('ab ,"\r\n-'), max_size=4)
+    samples = data.draw(st.dictionaries(names, hnp.arrays(np.float64, shapes, elements=_FLOATS),
+                                        min_size=1, max_size=3))
+    oracles = {name: data.draw(hnp.arrays(np.float64, arr.shape[1], elements=_FLOATS))
+               for name, arr in samples.items()}
+    report = _samples_report(samples, oracles)
+    out = tmp_path_factory.mktemp("samples")
+    with mock.patch.object(gradcheck, "CSV_SLICE", per_slice):
+        write_gradcheck_samples_csv(report, out / "got.csv")
+    assert (out / "got.csv").read_bytes() == _csv_writer_bytes(report, out / "want.csv")
 
 
 def test_gradcheck_pass_logic_requires_control_detection():

@@ -9,7 +9,9 @@ here too.
 
 The entropy workload's attacks run in lockstep: the counts below pin one
 forward and score pass per lockstep iteration, and its output digests, taken
-before the attacks were batched, pin that batching changed no number.
+before the attacks were batched, pin that batching changed no number.  Every
+workload's output digest is pinned at seed 0, tiny and bench size, so a
+change that moves a number fails here, not only in the benchmark.
 """
 
 import math
@@ -215,3 +217,28 @@ GRAYBOX_DIGESTS = {
 @pytest.mark.parametrize("size, seed", sorted(GRAYBOX_DIGESTS))
 def test_graybox_records_match_their_digest(size, seed, tmp_path):
     assert _digest("graybox", size, seed, tmp_path) == GRAYBOX_DIGESTS[size, seed]
+
+
+# SHA-256 of the gradcheck summary and samples CSVs, as the samples CSV was
+# written row by row from a per-cell template: the column build keeps its bytes.
+GRADCHECK_DIGESTS = {
+    ("tiny", 0): "0b207579382681fbe6b4b5ecbb90994d1c1571a47291efff7ba35fc038b7e877",
+    ("bench", 0): "6c553547975e37f8c2893898963213b2e99be2fd2fe6bbba1af0825423b0426d",
+}
+
+
+@pytest.mark.parametrize("size, seed", sorted(GRADCHECK_DIGESTS))
+def test_gradcheck_records_match_their_digest(size, seed, tmp_path):
+    assert _digest("gradcheck", size, seed, tmp_path) == GRADCHECK_DIGESTS[size, seed]
+
+
+# SHA-256 of the ppd-sweep records: the MLMC distribution attack's numbers.
+PPD_SWEEP_DIGESTS = {
+    ("tiny", 0): "cb8a56d8c797caaa209ecc6b6e97b2c4979cf4f0628466a12c28d849ed171da4",
+    ("bench", 0): "24c44050193106de491e7cf65b35ea2919705133c2eae411a4f5ba8e7f0cdd28",
+}
+
+
+@pytest.mark.parametrize("size, seed", sorted(PPD_SWEEP_DIGESTS))
+def test_ppd_sweep_records_match_their_digest(size, seed, tmp_path):
+    assert _digest("ppd-sweep", size, seed, tmp_path) == PPD_SWEEP_DIGESTS[size, seed]
