@@ -19,7 +19,7 @@ import numpy as np
 
 from .attacks.feasible import FeasibleSet
 from .attacks.ppd import NormalAppd
-from .bayes.conjugate import GaussianPosterior, ppd_normal_params, spd_solve
+from .bayes.conjugate import GaussianPosterior
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,15 @@ def analytic_point_linf(mu_n, x, y_star, eps) -> AnalyticPointSolution:
 
 
 def gaussian_kl(mean1, var1, mean2, var2):
-    """KL( N(mean1, var1) || N(mean2, var2) )."""
-    if var1 <= 0 or var2 <= 0:
+    """KL( N(mean1, var1) || N(mean2, var2) ), elementwise over arrays.
+
+    ``float_power`` squares through libm's ``pow``, as Python's scalar ``**``
+    does; an array's ``**2`` multiplies, and the two round apart about once
+    in a thousand.  So K points round as K one-point calls on floats do.
+    """
+    if np.any(var1 <= 0) or np.any(var2 <= 0):
         raise ValueError("variances must be positive")
-    return 0.5 * (np.log(var2 / var1) + (var1 + (mean1 - mean2) ** 2) / var2 - 1.0)
+    return 0.5 * (np.log(var2 / var1) + (var1 + np.float_power(mean1 - mean2, 2)) / var2 - 1.0)
 
 
 def kl_normal_ppd(appd: NormalAppd, post: GaussianPosterior, x):
@@ -102,13 +107,15 @@ def kl_normal_ppd(appd: NormalAppd, post: GaussianPosterior, x):
     ``v(x) = x^T inv(Lambda_n) x + sigma2``:
 
         KL = 0.5 log(v / var_A) + (var_A + (mean_A - m)^2) / (2 v) - 0.5
+
+    ``x`` is one point (p,), giving a scalar, or K points (K, p), giving (K,).
     """
-    m, v = ppd_normal_params(post, x)
-    return gaussian_kl(appd.mean, appd.var, m, v)
+    m, q = post.predictive_pair(x)
+    return gaussian_kl(appd.mean, appd.var, m, q + post.sigma2)
 
 
 def kl_normal_ppd_grad(appd: NormalAppd, post: GaussianPosterior, x):
-    """Exact covariate gradient of :func:`kl_normal_ppd`.
+    """Exact covariate gradient of :func:`kl_normal_ppd`, shaped as ``x``.
 
     Using ``grad m = mu_n`` and ``grad v = 2 inv(Lambda_n) x``:
 
@@ -116,10 +123,13 @@ def kl_normal_ppd_grad(appd: NormalAppd, post: GaussianPosterior, x):
                   - (mean_A - m) mu_n / v
     """
     x = np.asarray(x, dtype=float)
-    m, v = ppd_normal_params(post, x)
-    grad_v = 2.0 * spd_solve(post.lambda_n, x, "Lambda_n")
+    sx = post.cov_times(x)
+    m = np.vecdot(x, post.mu_n)[..., None]
+    v = np.vecdot(x, sx)[..., None] + post.sigma2
     dm = appd.mean - m
-    return grad_v * (0.5 / v - (appd.var + dm**2) / (2.0 * v**2)) - (dm / v) * post.mu_n
+    # float_power squares as scalar ``**`` does; see gaussian_kl.
+    dkl_dv = 0.5 / v - (appd.var + np.float_power(dm, 2)) / (2.0 * np.float_power(v, 2))
+    return 2.0 * sx * dkl_dv - (dm / v) * post.mu_n
 
 
 @dataclass(frozen=True)
@@ -131,43 +141,53 @@ class KlBenchmarkResult:
     solutions: tuple  # of (x, kl) pairs, one per start
 
 
-def minimize_kl_pgd(appd, post, feasible: FeasibleSet, x0, step=0.25, iters=500,
-                    tol=1e-12):
-    """Projected gradient descent on the closed-form KL with backtracking."""
-    x = feasible.project(np.asarray(x0, dtype=float))
+STEP = 0.25  # the first and the largest step of the backtracking search
+ITERS = 500  # gradient steps at most, per start
+TOL = 1e-12  # a start stops once its gradient norm is below this
+N_STARTS = 8  # the benchmark's starts: the centre and N_STARTS - 1 uniform draws
+
+
+def minimize_kl_pgd(appd, post, feasible: FeasibleSet, x0):
+    """Projected gradient descent on the closed-form KL with backtracking.
+
+    ``x0`` is one start (p,), returning its point (p,) and KL as a float, or
+    K starts (K, p), returning (K, p) points and (K,) KL values.  K starts
+    descend in lockstep, each with its own step size, each stopping on its
+    own, and each on the path its one-start descent takes, bit for bit.
+    """
+    x = feasible.project(np.atleast_2d(x0))
     val = kl_normal_ppd(appd, post, x)
-    s = float(step)
-    for _ in range(iters):
+    s = np.full(len(x), STEP)
+    live = np.ones(len(x), dtype=bool)
+    for _ in range(ITERS):
         g = kl_normal_ppd_grad(appd, post, x)
-        moved = False
-        while s > 1e-14:
-            cand = feasible.project(x - s * g)
+        moved = np.zeros_like(live)
+        trying = live & (s > 1e-14)
+        while trying.any():
+            cand = feasible.project(x - s[:, None] * g)
             cand_val = kl_normal_ppd(appd, post, cand)
-            if cand_val < val - 1e-15:
-                x, val = cand, cand_val
-                moved = True
-                s = min(s * 2.0, step)  # re-expand after a success
-                break
-            s *= 0.5
-        if not moved or np.linalg.norm(g) < tol:
+            ok = trying & (cand_val < val - 1e-15)
+            x = np.where(ok[:, None], cand, x)
+            val = np.where(ok, cand_val, val)
+            s = np.where(ok, np.minimum(s * 2.0, STEP), np.where(trying, s * 0.5, s))
+            moved |= ok
+            trying &= ~ok & (s > 1e-14)
+        live &= moved & (np.sqrt(np.vecdot(g, g)) >= TOL)
+        if not live.any():
             break
-    return x, float(val)
+    return (x[0], float(val[0])) if np.ndim(x0) == 1 else (x, val)
 
 
-def minimize_kl_multistart(appd, post, feasible: FeasibleSet, rng, n_starts=8,
-                           step=0.25, iters=500) -> KlBenchmarkResult:
+def minimize_kl_multistart(appd, post, feasible: FeasibleSet, rng) -> KlBenchmarkResult:
     """Deterministic benchmark: multi-start PGD on the closed-form KL.
 
-    The KL is generally non-convex in the covariates, so several starts inside
-    the ball are polished and the best kept; all converged solutions are
-    returned so callers can inspect distinct local minimisers.
+    The KL is generally non-convex in the covariates, so N_STARTS starts
+    inside the ball, its centre first, are polished together and the best
+    kept; all converged solutions are returned so callers can inspect
+    distinct local minimisers.
     """
-    starts = [feasible.center.copy()]
-    for _ in range(max(0, n_starts - 1)):
-        z = rng.uniform(-1.0, 1.0, size=feasible.dim)
-        starts.append(feasible.project(feasible.center + feasible.epsilon * z))
-    solutions = [
-        minimize_kl_pgd(appd, post, feasible, x0, step=step, iters=iters) for x0 in starts
-    ]
-    best = min(solutions, key=lambda t: t[1])
-    return KlBenchmarkResult(x=best[0], kl=best[1], solutions=tuple(solutions))
+    z = rng.uniform(-1.0, 1.0, size=(N_STARTS - 1, feasible.dim))
+    starts = np.vstack([feasible.center, feasible.project(feasible.center + feasible.epsilon * z)])
+    x, kl = minimize_kl_pgd(appd, post, feasible, starts)
+    best = int(np.argmin(kl))
+    return KlBenchmarkResult(x=x[best], kl=float(kl[best]), solutions=tuple(zip(x, kl.tolist())))

@@ -11,7 +11,7 @@ Two conjugate families are provided:
 
 Both posteriors share one frozen base holding ``mu_n`` and ``Lambda_n``, the
 covariance factor and the pair ``(x^T mu_n, x^T inv(Lambda_n) x)`` from which
-both predictive forms are built.
+both predictive forms are built, at one point or at K points.
 
 All solves against precision matrices go through a Cholesky factorisation; a
 factorisation failure raises :class:`SingularPrecisionError` rather than
@@ -21,6 +21,7 @@ silently regularising.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +83,10 @@ class NigPrior:
 
 @dataclass(frozen=True)
 class _LinearPosterior:
-    """Coefficient mean ``mu_n`` and precision ``Lambda_n`` of either conjugate posterior."""
+    """Coefficient mean ``mu_n`` and precision ``Lambda_n`` of either conjugate posterior.
+
+    One Cholesky factor of ``Lambda_n``, made at first use, serves every solve.
+    """
 
     mu_n: np.ndarray
     lambda_n: np.ndarray
@@ -91,16 +95,32 @@ class _LinearPosterior:
     def p(self):
         return self.mu_n.size
 
+    @cached_property
+    def _lambda_chol(self):
+        return _chol_spd(self.lambda_n, "Lambda_n")
+
     def cov_chol(self):
         """Lower Cholesky factor of inv(Lambda_n)."""
         return np.linalg.cholesky(spd_inverse(self.lambda_n, "Lambda_n"))
 
-    def predictive_pair(self, x):
-        """``(x^T mu_n, x^T inv(Lambda_n) x)`` at covariate vector ``x``."""
+    def cov_times(self, x):
+        """``inv(Lambda_n) x`` at one point (p,), or row by row at K points (K, p).
+
+        Each row is solved as its one-point solve is, bit for bit.
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.p,):
-            raise ValueError("x must have shape (%d,)" % self.p)
-        return x @ self.mu_n, x @ spd_solve(self.lambda_n, x, "Lambda_n")
+        if x.ndim not in (1, 2) or x.shape[-1] != self.p:
+            raise ValueError("x must have shape (%d,) or (K, %d)" % (self.p, self.p))
+        return _chol_solve(self._lambda_chol, x[..., None])[..., 0]
+
+    def predictive_pair(self, x):
+        """``(x^T mu_n, x^T inv(Lambda_n) x)`` at one point (p,), or per row at K points (K, p).
+
+        ``vecdot`` rounds each row as the one-point product does; ``x @ mu_n``
+        on (K, p) goes to a matrix-vector product, which may not.
+        """
+        sx = self.cov_times(x)
+        return np.vecdot(x, self.mu_n), np.vecdot(x, sx)
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,7 @@ class GaussianLinear:
 class BernoulliLogit:
     """Bernoulli likelihood with logit link: P(y=1 | x, gamma) = expit(beta^T x).
 
-    ``expit`` is scipy's, imported on first use (as ``StudentT.logpdf``
+    ``expit`` is scipy's, imported on first use (as ``TPredictive.logpdf``
     imports ``gammaln``) so that importing the library does not load
     ``scipy.special``.
     """

@@ -86,19 +86,21 @@ class _Spec:
         if unknown:
             raise ValueError("unknown config keys in '%s': %s" % (path or "<root>", ", ".join(unknown)))
         kwargs = {}
-        for k, v in data.items():
-            f, name = fields[k], "%s.%s" % (path, k) if path else k
-            section = f.default_factory
+        for k, f in fields.items():
+            name, section = "%s.%s" % (path, k) if path else k, f.default_factory
             if isinstance(section, type) and issubclass(section, _Spec):
-                v = section.from_dict(v, name)
-            elif not (v is None and f.default is None):
-                if not _fits(v, f.type):
-                    raise ValueError("config field '%s' must be %s, got %r"
-                                     % (name, _KINDS[f.type][1], v))
-                # JSON has no tuples: lists in tuple-typed fields become (nested)
-                # tuples, so a spec survives a round trip through asdict and json.
-                v = _tuples(v)
-            kwargs[k] = v
+                # An absent section is validated as an empty one.
+                kwargs[k] = section.from_dict(data.get(k, {}), name)
+            elif k in data:
+                v = data[k]
+                if not (v is None and f.default is None):
+                    if not _fits(v, f.type):
+                        raise ValueError("config field '%s' must be %s, got %r"
+                                         % (name, _KINDS[f.type][1], v))
+                    # JSON has no tuples: lists in tuple-typed fields become (nested)
+                    # tuples, so a spec survives a round trip through asdict and json.
+                    v = _tuples(v)
+                kwargs[k] = v
         spec = cls(**kwargs)
         spec.validate()
         return spec

@@ -50,12 +50,6 @@ class BayesPredictor:
             return t.loc, t.variance()
         raise TypeError("closed-form predictive moments need a conjugate posterior")
 
-    def predictive_t(self, x):
-        """Closed-form Student-t predictive; normal--inverse-gamma only."""
-        if not isinstance(self.posterior, NigPosterior):
-            raise TypeError("t predictive needs a NigPosterior")
-        return ppd_t_params(self.posterior, x)
-
 
 def fit_predictor(spec: ModelSpec, train: Dataset) -> BayesPredictor:
     """Fit the conjugate posterior described by ``spec`` on the training data."""

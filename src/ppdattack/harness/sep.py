@@ -33,7 +33,7 @@ from ..attacks.graybox import EnsembleMember, MixtureBackend, MixtureLikelihood,
 from ..attacks.point import PointAttackProblem, grad_J, run_point_attack
 from ..attacks.ppd import MlmcConfig, NormalAppd, mlmc_grad, run_ppd_attack
 from ..attacks.trace import format_float, write_csv
-from ..bayes.conjugate import GaussianPosterior, NigPosterior
+from ..bayes.conjugate import GaussianPosterior, NigPosterior, ppd_t_params
 from ..exceptions import UnsupportedModelError
 from .config import ExperimentConfig, MlmcSpec, ModelSpec
 from .data import gen_synthetic, load_dataset
@@ -196,8 +196,8 @@ def _ppd_metrics(defender, cfg, x0, x, appd, rng):
     # the defender's clean predictive at x0: in closed form for a normal
     # predictive, by Monte Carlo for the Student-t one.
     if isinstance(defender.posterior, NigPosterior):
-        induced = defender.predictive_t(x)
-        clean = defender.predictive_t(x0)
+        induced = ppd_t_params(defender.posterior, x)
+        clean = ppd_t_params(defender.posterior, x0)
         ys = appd.sample(cfg.attack.n_eval, rng)
         kl_appd = float(np.mean(appd.logpdf(ys) - induced.logpdf(ys)))
         ys2 = induced.sample(cfg.attack.n_eval, rng)

@@ -7,6 +7,8 @@ duality-based feasibility properties over randomized tuples.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppdattack.analytic import (
     analytic_point_l2,
@@ -19,7 +21,7 @@ from ppdattack.analytic import (
 )
 from ppdattack.attacks.feasible import FeasibleSet
 from ppdattack.attacks.ppd import NormalAppd
-from ppdattack.bayes.conjugate import GaussianPosterior, gaussian_update
+from ppdattack.bayes.conjugate import GaussianPosterior, gaussian_update, spd_solve
 from ppdattack.harness.data import gen_synthetic
 
 MU = np.array([-1.0, 2.0])
@@ -204,8 +206,7 @@ def test_pgd_finds_both_local_minimisers():
 
 def test_multistart_returns_all_solutions():
     post, appd, feasible = two_minima_problem()
-    result = minimize_kl_multistart(appd, post, feasible,
-                                    np.random.default_rng(47), n_starts=8)
+    result = minimize_kl_multistart(appd, post, feasible, np.random.default_rng(47))
     assert result.kl == pytest.approx(0.0, abs=1e-8)
     assert len(result.solutions) == 8
     xs = np.array([x for x, _ in result.solutions])
@@ -232,3 +233,95 @@ def test_pgd_descends_from_start_value():
     start_val = kl_normal_ppd(appd, post, feasible.center)
     _, kl = minimize_kl_pgd(appd, post, feasible, feasible.center)
     assert kl <= start_val
+
+
+# ---------------------------------------------------------------------------
+# one point and K points: the same numbers, bit for bit
+# ---------------------------------------------------------------------------
+
+def random_problem(seed, p):
+    # A random known-variance posterior (SPD Lambda_n), Gaussian target and ball.
+    r = np.random.default_rng(seed)
+    a = r.standard_normal((p, p))
+    post = GaussianPosterior(r.standard_normal(p), a @ a.T + 0.1 * np.eye(p),
+                             float(r.uniform(0.1, 2.0)))
+    appd = NormalAppd(float(r.standard_normal()), float(r.uniform(0.2, 4.0)))
+    return r, post, appd
+
+
+def one_start_reference(appd, post, feasible, x0):
+    # The descent on Python floats, solving against Lambda_n afresh for each
+    # KL value and gradient: the path the lockstep loop must take bit for bit.
+    def pair(x):
+        sx = spd_solve(post.lambda_n, x, "Lambda_n")
+        return float(x @ post.mu_n), float(x @ sx + post.sigma2), sx
+
+    def kl(x):
+        m, v, _ = pair(x)
+        return 0.5 * (np.log(v / appd.var) + (appd.var + (appd.mean - m) ** 2) / v - 1.0)
+
+    def grad(x):
+        m, v, sx = pair(x)
+        dm = appd.mean - m
+        return 2.0 * sx * (0.5 / v - (appd.var + dm**2) / (2.0 * v**2)) - (dm / v) * post.mu_n
+
+    x = feasible.project(x0)
+    val, s = kl(x), 0.25
+    for _ in range(500):
+        g, moved = grad(x), False
+        while s > 1e-14:
+            cand = feasible.project(x - s * g)
+            cand_val = kl(cand)
+            if cand_val < val - 1e-15:
+                x, val, moved, s = cand, cand_val, True, min(s * 2.0, 0.25)
+                break
+            s *= 0.5
+        if not moved or np.linalg.norm(g) < 1e-12:
+            break
+    return x, float(val)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 8), p=st.integers(2, 5),
+       norm=st.sampled_from(["l2", "linf", "l1"]), eps=st.sampled_from([0.1, 0.5, 2.0]))
+def test_pgd_on_k_starts_equals_k_one_start_descents(seed, K, p, norm, eps):
+    r, post, appd = random_problem(seed, p)
+    feasible = FeasibleSet(r.standard_normal(p), eps, norm)
+    starts = feasible.center + eps * r.uniform(-1.5, 1.5, (K, p))
+    xs, kls = minimize_kl_pgd(appd, post, feasible, starts)
+    assert xs.shape == (K, p) and kls.shape == (K,)
+    for k in range(K):
+        x, kl = minimize_kl_pgd(appd, post, feasible, starts[k])
+        assert type(kl) is float
+        assert np.array_equal(xs[k], x) and kls[k] == kl
+    x_ref, kl_ref = one_start_reference(appd, post, feasible, starts[0])
+    assert np.array_equal(xs[0], x_ref) and kls[0] == kl_ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 8), p=st.integers(1, 6))
+def test_k_points_equal_k_one_point_calls(seed, K, p):
+    r, post, appd = random_problem(seed, p)
+    x = 3.0 * r.standard_normal((K, p))
+    m, q = post.predictive_pair(x)
+    sx = post.cov_times(x)
+    kl = kl_normal_ppd(appd, post, x)
+    grad = kl_normal_ppd_grad(appd, post, x)
+    assert m.shape == q.shape == kl.shape == (K,) and sx.shape == grad.shape == (K, p)
+    for k in range(K):
+        assert (m[k], q[k]) == post.predictive_pair(x[k])
+        assert np.array_equal(sx[k], post.cov_times(x[k]))
+        assert kl[k] == kl_normal_ppd(appd, post, x[k])
+        assert np.array_equal(grad[k], kl_normal_ppd_grad(appd, post, x[k]))
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2), (2, 3), (3,), ()])
+def test_points_of_the_wrong_shape_raise(shape):
+    _, post, appd = random_problem(0, 2)
+    x = np.zeros(shape)
+    for call in (post.predictive_pair, post.cov_times,
+                 lambda x: kl_normal_ppd(appd, post, x),
+                 lambda x: kl_normal_ppd_grad(appd, post, x),
+                 lambda x: minimize_kl_pgd(appd, post, FeasibleSet(np.zeros(2), 1.0), x)):
+        with pytest.raises(ValueError):
+            call(x)

@@ -311,6 +311,21 @@ def test_mistyped_config_fields_exit_2(tmp_path, capsys, command, doc, field):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("sweep", {}),
+    ("attack", {}),
+    ("sweep", {"seed": 3, "dataset": {"n": 50}}),
+])
+def test_absent_attack_section_is_validated(tmp_path, capsys, command, doc):
+    # An absent section is validated as an empty one, so the default attack's
+    # missing explicit x0 is named at load, not found mid-run as a shape error.
+    cfg = write_config(tmp_path, doc)
+    assert main([command, cfg, "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "attack.x0 is required when x0_mode='explicit'" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main([])

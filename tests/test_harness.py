@@ -23,7 +23,12 @@ from scipy import stats
 from ppdattack.attacks.feasible import FeasibleSet
 from ppdattack.attacks.point import grad_J
 from ppdattack.attacks.ppd import MlmcConfig, _objective_estimate
-from ppdattack.bayes.conjugate import GaussianPosterior, NigPosterior, ppd_normal_params
+from ppdattack.bayes.conjugate import (
+    GaussianPosterior,
+    NigPosterior,
+    ppd_normal_params,
+    ppd_t_params,
+)
 from ppdattack.bayes.likelihoods import logsumexp
 from ppdattack.harness import gradcheck, sep
 from ppdattack.harness.config import (
@@ -73,7 +78,11 @@ from rwm_reference import sequential_rwm
 
 
 def test_config_defaults_round_trip():
-    cfg = ExperimentConfig.from_dict({})
+    # The default attack aims at an explicit x0, so the smallest valid
+    # config names another x0 mode; an absent section is validated too.
+    with pytest.raises(ValueError, match="attack.x0 is required"):
+        ExperimentConfig.from_dict({})
+    cfg = ExperimentConfig.from_dict({"attack": {"x0_mode": "clean_mean"}})
     assert cfg.seed == 0
     assert cfg.attack.type == "point"
     assert cfg.attack.optimizer.T == 500
@@ -475,11 +484,9 @@ def test_fit_predictor_kinds(train_data):
         gaussian.posterior, np.array([0.3, -0.2]))
     nig = fit_predictor(ModelSpec(kind="nig_linear"), train_data)
     assert isinstance(nig.posterior, NigPosterior)
-    t = nig.predictive_t(np.array([0.3, -0.2]))
+    t = ppd_t_params(nig.posterior, np.array([0.3, -0.2]))
     assert t.df == 2.0 * nig.posterior.a_n
     assert nig.predictive_moments(np.array([0.3, -0.2])) == (t.loc, t.variance())
-    with pytest.raises(TypeError):
-        gaussian.predictive_t(np.array([0.3, -0.2]))
     with pytest.raises(TypeError):
         BayesPredictor(gaussian.likelihood, gaussian.backend).predictive_moments(
             np.array([0.3, -0.2]))

@@ -158,6 +158,11 @@ def test_singular_precision_rejected():
                    np.empty((0, 2)), np.empty(0))
     with pytest.raises(SingularPrecisionError):
         GaussianPosterior(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0).cov_chol()
+    # The factor of Lambda_n is made at first use, and a failed one is not kept.
+    singular = GaussianPosterior(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0)
+    for _ in range(2):
+        with pytest.raises(SingularPrecisionError):
+            singular.predictive_pair(np.ones((3, 2)))
 
 
 def test_exact_conjugate_draw_covariance():

@@ -40,7 +40,7 @@ def test_star_import_succeeds(name):
 
 def test_import_does_not_load_scipy():
     # scipy.special is most of a cold start; the library imports it only in
-    # StudentT.logpdf and BernoulliLogit's score_x and sample_y.  A fresh interpreter, since the suite imports scipy.
+    # TPredictive.logpdf and BernoulliLogit's score_x and sample_y.  A fresh interpreter, since the suite imports scipy.
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = ("import sys, ppdattack, ppdattack.harness, ppdattack.harness.cli; "
