@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
-NORMS = ("l1", "l2", "linf")
+Norm = Literal["l1", "l2", "linf"]
+NORMS = get_args(Norm)
 
 
 def project_l1_ball(v, radius):
@@ -48,7 +50,7 @@ class FeasibleSet:
 
     center: np.ndarray
     epsilon: float
-    norm: str = "l2"
+    norm: Norm = "l2"
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float)

@@ -60,9 +60,12 @@ class TaggedBatch:
     """Draw batch whose rows belong to (possibly different) ensemble members.
 
     Stored as per-member sub-batches plus the member id of each row, in draw
-    order, so slicing and concatenation preserve the sampling sequence (the
-    multilevel estimator splits the concatenated draws of an iteration into
-    per-level batches and their antithetic halves by row position).
+    order, so slicing and concatenation preserve the sampling sequence.  The
+    multilevel estimator slices nothing: ``delta_level`` scores a whole batch
+    and finds each level's rows and halves by row offsets.  The one slicer is
+    the one-point path of the point attack's ``_joint_sample``, which keeps
+    the Jacobian's rows of one joint draw; the ppd objective estimate
+    concatenates copies of a batch.
     """
 
     def __init__(self, member_ids, sub_batches):

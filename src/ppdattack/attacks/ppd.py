@@ -263,9 +263,17 @@ def run_ppd_attack(model, appd, config, backend, rng) -> AttackTrace:
     """Projected SGD on the cross-entropy objective with multilevel gradients.
 
     The trace records, per iteration, a Monte-Carlo estimate of
-    ``-E_{pi_A}[log predictive density]``, the levels drawn, and the posterior
-    draws consumed by the gradient.
+    ``-E_{pi_A}[log predictive density]`` at the point the step starts from,
+    the levels drawn, and the posterior draws consumed by the gradient.
+    ``final_residual`` is one more estimate, at ``final_x``, drawn after the
+    last step.  With ``record_objective`` off, every estimate is NaN.
     """
+    def objective(x):
+        if not config.record_objective:
+            return np.nan
+        ys = np.atleast_1d(appd.sample(max(config.B, 8), rng))
+        return _objective_estimate(model, x, ys, config, backend, rng)
+
     x = config.feasible.center.astype(float).copy()
     iterates = [x.copy()]
     objectives = np.empty(config.T)
@@ -278,11 +286,7 @@ def run_ppd_attack(model, appd, config, backend, rng) -> AttackTrace:
             raise NonFiniteGradientError(
                 "non-finite multilevel gradient at iteration %d" % t, iteration=t, x=x.copy()
             )
-        if config.record_objective:
-            ys = np.atleast_1d(appd.sample(max(config.B, 8), rng))
-            objectives[t - 1] = _objective_estimate(model, x, ys, config, backend, rng)
-        else:
-            objectives[t - 1] = np.nan
+        objectives[t - 1] = objective(x)
         levels_used.append(levels)
         sample_cost.append(cost)
         step = config.eta / np.sqrt(t) if config.eta_decay else config.eta
@@ -292,7 +296,7 @@ def run_ppd_attack(model, appd, config, backend, rng) -> AttackTrace:
         iterates=np.asarray(iterates),
         objectives=objectives,
         final_x=x,
-        final_residual=float(objectives[-1]) if config.record_objective else np.nan,
+        final_residual=objective(x),
         levels_used=levels_used,
         sample_cost=sample_cost,
     )

@@ -32,7 +32,9 @@ class AttackTrace:
     """Record of one attack run.
 
     ``iterates`` has T+1 rows (the initial point plus one per iteration);
-    ``objectives`` has one Monte-Carlo objective estimate per iteration.
+    ``objectives`` has one Monte-Carlo objective estimate per iteration, at
+    the point the iteration steps from: ``objectives[t - 1]`` is taken at
+    ``iterates[t - 1]``.
     Multilevel runs additionally carry ``levels_used`` (per iteration, the
     list of levels drawn) and ``sample_cost`` (posterior draws consumed).
     """
@@ -62,7 +64,8 @@ class AttackTrace:
 
         Columns: ``iteration, objective, x_0..x_{p-1}`` plus ``levels, draws``
         for multilevel runs, an iteration's levels joined by ``|``.  Row 0
-        is the initial point with an empty objective cell.
+        is the initial point with an empty objective cell; row t's objective
+        is the estimate at row t-1's point, the one iteration t stepped from.
         """
         header = ["iteration", "objective"] + ["x_%d" % j for j in range(self.iterates.shape[1])]
         objectives = [""] + [format_float(v) for v in self.objectives]

@@ -9,7 +9,9 @@ the whole file stays fast.
 import csv
 import dataclasses
 import json
+import math
 import warnings
+from typing import Literal, get_args, get_origin, get_type_hints
 from unittest import mock
 
 import numpy as np
@@ -40,6 +42,7 @@ from ppdattack.harness.config import (
     MlmcSpec,
     ModelSpec,
     OptimizerSpec,
+    _Spec,
 )
 from ppdattack.harness.data import gen_synthetic, load_dataset, write_dataset_csv
 from ppdattack.harness.entropy import (
@@ -216,8 +219,69 @@ def test_config_rejects_an_integer_too_large_for_a_float(cls, doc, field):
 def test_attack_spec_rejects_a_non_finite_target_or_instance(doc):
     # json parses NaN and Infinity; unchecked, a sweep wrote residual2 = inf
     # for some cells and turned others into a warning and a missing cell.
-    with pytest.raises(ValueError, match="must be finite numbers"):
+    with pytest.raises(ValueError, match="config field '%s' must be" % next(iter(json.loads(doc)))):
         AttackSpec.from_dict({"x0": [0.0, 0.0], **json.loads(doc)})
+
+
+def _leaf_fields(cls, path=()):
+    """(dotted path, type, default) of every field under the spec ``cls``,
+    through its sections."""
+    kinds = get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kind = kinds[f.name]
+        if isinstance(kind, type) and issubclass(kind, _Spec):
+            yield from _leaf_fields(kind, path + (f.name,))
+        else:
+            yield ".".join(path + (f.name,)), kind, f.default
+
+
+def _refused(kind):
+    """JSON values a field of type ``kind`` refuses: an unlisted string for a
+    Literal; NaN, +-Infinity and an integer too large for a float for a float;
+    and each of those as the entry of an array."""
+    if get_origin(kind) is Literal:
+        return ["bogus"]
+    if kind is float:
+        return [math.nan, math.inf, -math.inf, 10**400]
+    if get_origin(kind) is tuple:
+        return [[v] for v in _refused(get_args(kind)[0])]
+    return []
+
+
+def _nested(path, value):
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+SPECS = _Spec.__subclasses__()
+LEAVES = [(cls, path, kind, default) for cls in SPECS for path, kind, default in _leaf_fields(cls)]
+
+
+@pytest.mark.parametrize("cls, path, value", [
+    pytest.param(cls, path, value, id="%s:%s:%d" % (cls.__name__, path, i))
+    for cls, path, kind, _ in LEAVES for i, value in enumerate(_refused(kind))])
+def test_every_choice_and_float_field_refuses_what_its_annotation_excludes(cls, path, value):
+    # Unchecked, {"epsilon": Infinity} ran an unbounded attack, and NaN in
+    # entropy.blob_sd or model.prior_mean loaded and ran.
+    with pytest.raises(ValueError, match="config field '%s' must be" % path):
+        cls.from_dict(_nested(path, value))
+
+
+def test_every_spec_field_has_an_annotation_the_loader_checks():
+    from ppdattack.harness.config import _describe, _fits
+
+    assert {ExperimentConfig, GradCheckSpec, EntropySpec, AttackSpec, MlmcSpec} <= set(SPECS)
+    for cls, path, kind, default in LEAVES:
+        assert _describe(kind), path
+        assert default is None or _fits(default, kind), path
+
+
+def test_attack_spec_rejects_a_negative_epsilon():
+    # Caught at load, not inside FeasibleSet when the attack command starts.
+    with pytest.raises(ValueError, match="attack.epsilon must be nonnegative"):
+        AttackSpec.from_dict({"x0": [0.0, 0.0], "epsilon": -0.1})
+    assert AttackSpec.from_dict({"x0": [0.0, 0.0], "epsilon": 0}).epsilon == 0
 
 
 def test_attack_spec_rejects_zero_test_instances():
@@ -300,10 +364,11 @@ NAN = float("nan")
     (OptimizerSpec, {"eta": NAN}, "eta"),
 ])
 def test_specs_reject_nan_at_load(cls, doc, message):
-    # A `<=` test lets NaN through; each field is checked as `not x > 0` or
-    # as positive and finite.  A NaN ppd target variance would otherwise load
-    # and abort the sweep with a DegenerateLikelihoodError.
-    with pytest.raises(ValueError, match=message):
+    # A `<=` test lets NaN through; every float field is checked finite at
+    # load, before any range check.  A NaN ppd target variance would otherwise
+    # load and abort the sweep with a DegenerateLikelihoodError.
+    with pytest.raises(ValueError, match="(%s|config field '%s') must be"
+                       % (message, message.split(".")[-1])):
         cls.from_dict(doc)
 
 
@@ -315,7 +380,7 @@ def test_entropy_spec_rejects_an_unusable_bank_fit(field, value):
     # Caught at load: otherwise a zero prior_sd divides by zero mid-run, a
     # negative one acts as its absolute value, and a NaN step rejects every
     # proposal and keeps a bank of zero vectors.
-    with pytest.raises(ValueError, match="entropy.%s " % field):
+    with pytest.raises(ValueError, match="(entropy.%s|config field '%s') must be" % (field, field)):
         EntropySpec.from_dict({field: value})
 
 

@@ -13,6 +13,7 @@ import pytest
 from scipy import stats
 
 from ppdattack.analytic import kl_normal_ppd, kl_normal_ppd_grad
+from ppdattack.attacks import ppd
 from ppdattack.attacks.feasible import FeasibleSet
 from ppdattack.attacks.ppd import (
     CategoricalAppd,
@@ -422,6 +423,30 @@ def test_objective_recording_optional(small_posterior):
                            np.random.default_rng(32))
     assert np.all(np.isnan(trace.objectives))
     assert np.isnan(trace.final_residual)
+
+
+def test_final_residual_is_estimated_at_final_x(small_posterior, monkeypatch):
+    # objectives[t - 1] is estimated at the point step t starts from; the
+    # headline final_residual is one more estimate, at final_x itself, and
+    # not a copy of the last iteration's (taken one step before final_x).
+    post, backend, model = small_posterior
+    x0 = clean_point(post)
+    m0, v0 = ppd_normal_params(post, x0)
+    estimate, calls = ppd._objective_estimate, []
+
+    def recording(model, x, *args):
+        calls.append((x.copy(), estimate(model, x, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ppd, "_objective_estimate", recording)
+    cfg = config(x0, eps=0.5, T=6, eta=0.5, B=2)
+    trace = run_ppd_attack(model, NormalAppd(m0, 2.0 * v0), cfg, backend,
+                           np.random.default_rng(34))
+    points, values = zip(*calls)
+    assert np.array_equal(points, trace.iterates)
+    assert np.array_equal(values[:-1], trace.objectives)
+    assert trace.final_residual == values[-1]
+    assert not np.array_equal(trace.final_x, trace.iterates[-2])
 
 
 class NanScoreLinear(GaussianLinear):
