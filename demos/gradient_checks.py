@@ -44,7 +44,8 @@ def main():
     print("validation %s" % ("PASSED" if report.passed else "FAILED"))
 
     # the per-replicate spread also shows the variance gap between the score
-    # and reparameterized routes to the same gradient
+    # and reparameterized routes to the same gradient; both read the same
+    # joint samples, so the comparison is paired
     sd_score = report.samples["score"].std(axis=0, ddof=1)
     sd_rep = report.samples["reparam"].std(axis=0, ddof=1)
     print()

@@ -125,6 +125,8 @@ class DatasetSpec(_Spec):
     standardize: bool = False
 
     def validate(self):
+        if self.n_test < 0:
+            raise ValueError("dataset.n_test must be >= 0")
         if self.kind == "synthetic":
             if self.n < 1:
                 raise ValueError("dataset.n must be >= 1")
@@ -334,8 +336,9 @@ class EntropySpec(_Spec):
         for name in ("eta", "prior_sd", "chain_step"):
             if not _positive(getattr(self, name)):
                 raise ValueError("entropy.%s must be positive" % name)
-        for name in ("T", "N", "M", "entropy_draws", "bank_size", "chain_thin"):
+        for name in ("T", "N", "M", "entropy_draws", "bank_size", "chain_thin", "n_per_class"):
             if getattr(self, name) < 1:
                 raise ValueError("entropy.%s must be >= 1" % name)
-        if self.chain_burn_in < 0:
-            raise ValueError("entropy.chain_burn_in must be >= 0")
+        for name in ("chain_burn_in", "blob_radius", "blob_sd", "ood_radius"):
+            if getattr(self, name) < 0:
+                raise ValueError("entropy.%s must be >= 0" % name)

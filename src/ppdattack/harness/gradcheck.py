@@ -19,15 +19,18 @@ predictive mean, where the true gradient is zero.  Its bias
 its replicates grows with (mu - target)^2, and at the positives' target it
 would hide the bias.
 
-Replicates are computed in chunks of ``CHUNK``: one :func:`grad_J` or
-:func:`mlmc_grad` call per chunk draws the chunk's randomness as blocks for
-all its replicates and then scores it in one pass.  A point-estimator chunk
-draws one joint sample (one ``backend.draw``, one ``sample_y``); an MLMC
-chunk draws three blocks: its outcomes, its levels, and one
-``backend.draw`` for its posterior rows.  The replicates are iid whatever
-the chunk size, but which numbers they are depends on it, so ``CHUNK`` is
-part of the gradient-check spec: changing it changes the samples, and the
-samples CSV with them.
+Replicates are computed in chunks of ``CHUNK``: each chunk draws its
+randomness as blocks for all its replicates and then scores it in one pass.
+The score and reparameterised estimators share one joint sample per chunk
+(one ``backend.draw``, one ``sample_y``), each estimator's gradient read
+from the same draws and outcomes: common random numbers.  Each estimator's
+replicates are still iid and each z-test is still an exact test of its own
+mean; the two tests are correlated, not biased.  The control's
+shared-batch chunk draws its own joint sample, and an MLMC chunk draws
+three blocks: its outcomes, its levels, and one ``backend.draw`` for its
+posterior rows.  The replicates are iid whatever the chunk size, but which
+numbers they are depends on it, so ``CHUNK`` is part of the gradient-check
+spec: changing it changes the samples, and the samples CSV with them.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ import numpy as np
 from ..analytic import kl_normal_ppd_grad
 from ..attacks.feasible import FeasibleSet
 from ..attacks.functionals import response_functional
-from ..attacks.point import PointAttackProblem, grad_J, reparam_grad_mu
+from ..attacks.point import (PointAttackProblem, _gradient, _joint_sample, grad_J,
+                             reparam_grad_mu)
 from ..attacks.ppd import NormalAppd, mlmc_grad
 from ..attacks.trace import format_float, write_csv
 from .config import GradCheckSpec
@@ -125,10 +129,25 @@ def _replicated(estimate, reps):
     return np.concatenate([estimate(min(CHUNK, reps - i)) for i in range(0, reps, CHUNK)])
 
 
+def _point_replicated(prob, x0, backend, rng, reps):
+    """Score and reparameterised gradients, ``reps`` each, from one joint sample
+    per chunk: common random numbers, each estimator's replicates still iid."""
+    def both(k):
+        # A chunk's sample is freed before the next chunk draws its own.
+        sample = _joint_sample(prob, x0, backend, rng, k)
+        return [_gradient(prob, x0, sample, prob.g_star, grad_mu)[1]
+                for grad_mu in (None, reparam_grad_mu)]
+
+    score, reparam = zip(*(both(min(CHUNK, reps - i)) for i in range(0, reps, CHUNK)))
+    return np.concatenate(score), np.concatenate(reparam)
+
+
 def validate_gradients(spec: GradCheckSpec) -> GradCheckReport:
     """Replicate every estimator on the conjugate testbed and z-test the means."""
     ss = np.random.SeedSequence((int(spec.seed), 90210))
-    rng_data, rng_score, rng_reparam, rng_mlmc, rng_control = (
+    # The reparameterised estimator reads the score estimator's samples; its
+    # child is spawned, unused, so the MLMC and control streams stay put.
+    rng_data, rng_score, _rng_reparam, rng_mlmc, rng_control = (
         np.random.default_rng(c) for c in ss.spawn(5)
     )
     train = gen_synthetic(spec.n, spec.beta, spec.sigma2, rng_data)
@@ -149,10 +168,10 @@ def validate_gradients(spec: GradCheckSpec) -> GradCheckReport:
     cfg_m = mlmc_config(spec.mlmc, feasible)
 
     reps = spec.replicates
+    score, reparam = _point_replicated(prob, x0, backend, rng_score, reps)
     samples = {
-        "score": _replicated(lambda k: grad_J(prob, x0, backend, rng_score, k), reps),
-        "reparam": _replicated(
-            lambda k: grad_J(prob, x0, backend, rng_reparam, k, reparam_grad_mu), reps),
+        "score": score,
+        "reparam": reparam,
         "mlmc": _replicated(
             lambda k: mlmc_grad(model, x0, appd, cfg_m, backend, rng_mlmc, k)[0], reps),
     }

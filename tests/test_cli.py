@@ -228,6 +228,19 @@ def test_entropy_bad_bank_fit_exits_2_and_writes_nothing(tmp_path, capsys, field
     assert not (tmp_path / "entropy_summary.csv").exists()
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("entropy", dict(ENTROPY_DOC, n_per_class=0), "entropy.n_per_class must be >= 1"),
+    ("entropy", dict(ENTROPY_DOC, blob_sd=-1.0), "entropy.blob_sd must be >= 0"),
+    ("sweep", dict(POINT_DOC, dataset={"n": 200, "n_test": -1}), "dataset.n_test must be >= 0"),
+])
+def test_out_of_range_sizes_exit_2_and_write_nothing(tmp_path, capsys, command, doc, message):
+    cfg = write_config(tmp_path, doc)
+    assert main([command, cfg, "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_entropy_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, ENTROPY_DOC)
     assert main(["entropy", cfg, "--output-dir", str(tmp_path)]) == 0

@@ -6,8 +6,10 @@ everything else is exercised structurally on deliberately tiny settings so
 the whole file stays fast.
 """
 
+import copy
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import warnings
@@ -23,7 +25,7 @@ import scipy.special
 from scipy import stats
 
 from ppdattack.attacks.feasible import FeasibleSet
-from ppdattack.attacks.point import grad_J
+from ppdattack.attacks.point import grad_J, reparam_grad_mu
 from ppdattack.attacks.ppd import MlmcConfig, _objective_estimate
 from ppdattack.bayes.conjugate import (
     GaussianPosterior,
@@ -382,6 +384,26 @@ def test_entropy_spec_rejects_an_unusable_bank_fit(field, value):
     # proposal and keeps a bank of zero vectors.
     with pytest.raises(ValueError, match="(entropy.%s|config field '%s') must be" % (field, field)):
         EntropySpec.from_dict({field: value})
+
+
+@pytest.mark.parametrize("cls, doc, message", [
+    (EntropySpec, {"n_per_class": 0}, "entropy.n_per_class must be >= 1"),
+    (EntropySpec, {"blob_sd": -1.0}, "entropy.blob_sd must be >= 0"),
+    (EntropySpec, {"blob_radius": -1.0}, "entropy.blob_radius must be >= 0"),
+    (EntropySpec, {"ood_radius": -4.0}, "entropy.ood_radius must be >= 0"),
+    (DatasetSpec, {"n_test": -1}, "dataset.n_test must be >= 0"),
+])
+def test_specs_reject_out_of_range_sizes_at_load(cls, doc, message):
+    # Unchecked, a study with no training points loaded and ran, negative
+    # scales and radii loaded as their reflections, and a negative test-set
+    # size failed inside numpy.
+    with pytest.raises(ValueError, match=message):
+        cls.from_dict(doc)
+
+
+def test_zero_scales_and_sizes_still_load():
+    assert EntropySpec.from_dict({"blob_sd": 0.0, "blob_radius": 0.0, "ood_radius": 0.0})
+    assert DatasetSpec.from_dict({"n_test": 0}).n_test == 0
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -907,6 +929,57 @@ def test_chunk_size_leaves_the_samples_unchanged(monkeypatch):
     assert list(small) == list(whole) == ["score", "reparam", "mlmc", "score-shared-batch"]
     for name in small:
         assert small[name].shape == whole[name].shape == (600, 2)
+
+
+# SHA-256 of the sample arrays' bytes at seed 0, tiny (100 replicates) and
+# bench (10,000) size, as they were when the score and reparameterised
+# estimators each drew their own joint sample: sharing the score estimator's
+# samples moved only the reparameterised rows.
+SAMPLE_DIGESTS = {
+    100: {"score": "c23c55a260f5f48115f79558963910a00a40b614ccb63ed670747b5d92753b1a",
+          "mlmc": "aebe37ad789a75a2bbfa16cbf444ea2f1b343d4383e3114e9c1a934fe4cf378d",
+          "score-shared-batch":
+              "ace070b888151b97105df0fdb36393f6e40524f804f514ea7a39b577bf14dc8a"},
+    10000: {"score": "21c73ac28318eccf14ad5edc0664b8e573fd124cbc15d54eb8c885e638a7335d",
+            "mlmc": "79793715255b94e1c2a20de0509546bbbdd3136a91e6d07e9f02baf57eecf579",
+            "score-shared-batch":
+                "3a9342dcb5cf2dec11946236a091020d4726fb33bdd21cbb5590b227a314cbd4"},
+}
+
+
+@pytest.mark.parametrize("replicates", sorted(SAMPLE_DIGESTS))
+def test_score_mlmc_and_control_samples_match_their_digests(replicates):
+    samples = validate_gradients(GradCheckSpec(seed=0, replicates=replicates)).samples
+    got = {name: hashlib.sha256(np.ascontiguousarray(samples[name]).tobytes()).hexdigest()
+           for name in SAMPLE_DIGESTS[replicates]}
+    assert got == SAMPLE_DIGESTS[replicates]
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+def test_reparam_reads_the_score_chunks_joint_samples(monkeypatch, chunk):
+    # Each chunk draws one joint sample, which feeds both the score and the
+    # reparameterised estimator (common random numbers).  Replaying each
+    # chunk's generator state through grad_J gives both, bit for bit.
+    if chunk is not None:
+        monkeypatch.setattr(gradcheck, "CHUNK", chunk)
+    calls, joint_sample = [], gradcheck._joint_sample
+
+    def spy(prob, x, backend, rng, k, *args):
+        calls.append((prob, x, backend, copy.deepcopy(rng), k))
+        return joint_sample(prob, x, backend, rng, k, *args)
+
+    monkeypatch.setattr(gradcheck, "_joint_sample", spy)
+    spec = GradCheckSpec(seed=3, replicates=600, N=16, M=16, mlmc=MlmcSpec(Lmax=2, B=1))
+    samples = validate_gradients(spec).samples
+    step = gradcheck.CHUNK
+    assert [k for *_, k in calls] == [min(step, 600 - i) for i in range(0, 600, step)]
+
+    def replay(grad_mu=None):
+        return np.concatenate([grad_J(prob, x, backend, copy.deepcopy(rng), k, grad_mu)
+                               for prob, x, backend, rng, k in calls])
+
+    np.testing.assert_array_equal(samples["score"], replay())
+    np.testing.assert_array_equal(samples["reparam"], replay(reparam_grad_mu))
 
 
 @pytest.mark.parametrize("seed", range(6))

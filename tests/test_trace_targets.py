@@ -68,15 +68,15 @@ def test_gradcheck_draws_and_scores_per_chunk(tmp_path, monkeypatch):
     with tracer.Tracer() as t:
         workload.run(spec)
     calls = Counter(s.name for s in t.spans)
-    # Per chunk there is one backend draw for each of the score,
-    # reparameterised and control estimators, and one sample_y for their
-    # outcomes.  An MLMC chunk draws all its replicates' levels in one call
-    # and all their pairs' rows in one backend draw.
+    # Per chunk there is one backend draw and one sample_y for the joint
+    # sample the score and reparameterised estimators share, and one of each
+    # for the control.  An MLMC chunk draws all its replicates' levels in one
+    # call and all their pairs' rows in one backend draw.
     assert spec.replicates == 100
     chunks = 4  # 100 replicates in chunks of 30
-    assert calls["bayes.backends.ExactConjugate.draw"] == 4 * chunks
+    assert calls["bayes.backends.ExactConjugate.draw"] == 3 * chunks
     assert calls["attacks.ppd.level_sample"] == chunks
-    assert calls["bayes.likelihoods.GaussianLinear.sample_y"] == 3 * chunks
+    assert calls["bayes.likelihoods.GaussianLinear.sample_y"] == 2 * chunks
     assert calls["bayes.likelihoods.GaussianLinear.loglik"] == chunks  # MLMC only
     assert calls["bayes.likelihoods.GaussianLinear.score_x"] == 3 * chunks  # score, control, MLMC
 
@@ -219,11 +219,12 @@ def test_graybox_records_match_their_digest(size, seed, tmp_path):
     assert _digest("graybox", size, seed, tmp_path) == GRAYBOX_DIGESTS[size, seed]
 
 
-# SHA-256 of the gradcheck summary and samples CSVs, as the samples CSV was
-# written row by row from a per-cell template: the column build keeps its bytes.
+# SHA-256 of the gradcheck summary and samples CSVs, the reparameterised rows
+# read from the score estimator's joint samples.  The score, MLMC and control
+# sample arrays are also pinned on their own (tests/test_harness.py).
 GRADCHECK_DIGESTS = {
-    ("tiny", 0): "0b207579382681fbe6b4b5ecbb90994d1c1571a47291efff7ba35fc038b7e877",
-    ("bench", 0): "6c553547975e37f8c2893898963213b2e99be2fd2fe6bbba1af0825423b0426d",
+    ("tiny", 0): "79845a8f2f05d152c8d02e022d090475333581c8fa9dadd8b13ab9d85d1ac5e7",
+    ("bench", 0): "bfc4df13e0e8cf756ea0d69faaf234ebb3b92d7ea1b0e67084ff6767b0b74a9d",
 }
 
 
