@@ -158,13 +158,16 @@ def _jacobian(prob, x, ys, a, b):
     return grad + gx
 
 
-def _gradient(prob, x, sample, g_star, grad_mu):
-    # mu - g_star and 2 (mu - g_star)^T grad mu, one row per replicate or
-    # instance of a ``_joint_sample``.
+def _gradient(prob, x, sample, g_star, *grad_mus):
+    # mu - g_star, then 2 (mu - g_star)^T grad mu for each Jacobian estimator
+    # in ``grad_mus`` (None is the score function's), one row per replicate
+    # or instance of a ``_joint_sample``: one residual for all of them.
     ys, draws, jac_ys = sample
     resid = estimate_mu(prob, x, ys) - g_star
-    jac = (grad_mu or estimate_grad_mu)(prob, x, draws, jac_ys)
-    return resid, np.matmul((2.0 * resid)[:, None, :], jac)[:, 0]
+    twice = (2.0 * resid)[:, None, :]
+    grads = [np.matmul(twice, (grad_mu or estimate_grad_mu)(prob, x, draws, jac_ys))[:, 0]
+             for grad_mu in grad_mus]
+    return resid, *grads
 
 
 def estimate_mu(prob, x, ys):

@@ -22,13 +22,13 @@ would hide the bias.
 Replicates are computed in chunks of ``CHUNK``: each chunk draws its
 randomness as blocks for all its replicates and then scores it in one pass.
 The score and reparameterised estimators share one joint sample per chunk
-(one ``backend.draw``, one ``sample_y``), each estimator's gradient read
-from the same draws and outcomes: common random numbers.  Each estimator's
-replicates are still iid and each z-test is still an exact test of its own
-mean; the two tests are correlated, not biased.  The control's
-shared-batch chunk draws its own joint sample, and an MLMC chunk draws
-three blocks: its outcomes, its levels, and one ``backend.draw`` for its
-posterior rows.  The replicates are iid whatever the chunk size, but which
+(one ``backend.draw``, one ``sample_y``) and the residual mu - G* formed
+from it, each estimator's Jacobian read from the same draws and outcomes:
+common random numbers.  Each estimator's replicates are still iid and each
+z-test is still an exact test of its own mean; the two tests are
+correlated, not biased.  The control's shared-batch chunk draws its own
+joint sample, and an MLMC chunk draws three blocks: its outcomes, its
+levels, and one ``backend.draw`` for its posterior rows.  The replicates are iid whatever the chunk size, but which
 numbers they are depends on it, so ``CHUNK`` is part of the gradient-check
 spec: changing it changes the samples, and the samples CSV with them.
 """
@@ -135,8 +135,7 @@ def _point_replicated(prob, x0, backend, rng, reps):
     def both(k):
         # A chunk's sample is freed before the next chunk draws its own.
         sample = _joint_sample(prob, x0, backend, rng, k)
-        return [_gradient(prob, x0, sample, prob.g_star, grad_mu)[1]
-                for grad_mu in (None, reparam_grad_mu)]
+        return _gradient(prob, x0, sample, prob.g_star, None, reparam_grad_mu)[1:]
 
     score, reparam = zip(*(both(min(CHUNK, reps - i)) for i in range(0, reps, CHUNK)))
     return np.concatenate(score), np.concatenate(reparam)

@@ -58,10 +58,8 @@ def fit_predictor(spec: ModelSpec, train: Dataset) -> BayesPredictor:
     lambda0 = float(spec.prior_precision) * np.eye(p)
     if spec.kind == "gaussian_linear":
         post = gaussian_update(mu0, lambda0, spec.sigma2, train.X, train.y)
-    elif spec.kind == "nig_linear":
+    else:  # nig_linear
         post = nig_update(NigPrior(mu0, lambda0, spec.a0, spec.b0), train.X, train.y)
-    else:
-        raise ValueError("unknown model kind %r" % spec.kind)
     return BayesPredictor(
         likelihood=GaussianLinear(p), backend=ExactConjugate(post), posterior=post
     )

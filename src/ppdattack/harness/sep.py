@@ -161,10 +161,8 @@ def _attack_point_instance(strategy, cfg, defender, x0, g_star, eps, rng):
     prob = point_problem(cfg, defender, feasible, g_star)
     if strategy == "sgd":
         return run_point_attack(prob, defender.backend, rng).final_x
-    if strategy == "fgsm":
-        gJ = grad_J(prob, x0, defender.backend, rng)[0]
-        return fgsm_like(x0, gJ, eps, norm=cfg.attack.norm)
-    raise ValueError("unknown strategy %r" % strategy)
+    gJ = grad_J(prob, x0, defender.backend, rng)[0]  # fgsm
+    return fgsm_like(x0, gJ, eps, norm=cfg.attack.norm)
 
 
 def _point_mean(defender, cfg, x, rng):
@@ -185,10 +183,8 @@ def _attack_ppd_instance(strategy, cfg, defender, x0, appd, eps, rng):
     cfg_m = mlmc_config(cfg.attack.mlmc, feasible)
     if strategy == "sgd":
         return run_ppd_attack(defender.likelihood, appd, cfg_m, defender.backend, rng).final_x
-    if strategy == "fgsm":
-        g, _, _ = mlmc_grad(defender.likelihood, x0, appd, cfg_m, defender.backend, rng)
-        return fgsm_like(x0, g[0], eps, norm=cfg.attack.norm)
-    raise ValueError("unknown strategy %r" % strategy)
+    g, _, _ = mlmc_grad(defender.likelihood, x0, appd, cfg_m, defender.backend, rng)  # fgsm
+    return fgsm_like(x0, g[0], eps, norm=cfg.attack.norm)
 
 
 def _ppd_metrics(defender, cfg, x0, x, appd, rng):

@@ -229,9 +229,15 @@ def test_entropy_bad_bank_fit_exits_2_and_writes_nothing(tmp_path, capsys, field
 
 
 @pytest.mark.parametrize("command, doc, message", [
-    ("entropy", dict(ENTROPY_DOC, n_per_class=0), "entropy.n_per_class must be >= 1"),
-    ("entropy", dict(ENTROPY_DOC, blob_sd=-1.0), "entropy.blob_sd must be >= 0"),
-    ("sweep", dict(POINT_DOC, dataset={"n": 200, "n_test": -1}), "dataset.n_test must be >= 0"),
+    ("entropy", dict(ENTROPY_DOC, n_per_class=0),
+     "config field 'n_per_class' must be an integer >= 1, got 0"),
+    ("entropy", dict(ENTROPY_DOC, blob_sd=-1.0),
+     "config field 'blob_sd' must be a finite number >= 0, got -1.0"),
+    ("sweep", dict(POINT_DOC, dataset={"n": 200, "n_test": -1}),
+     "config field 'dataset.n_test' must be an integer >= 0, got -1"),
+    # Unchecked, n = -1 failed inside numpy and n = 0 aimed at a zero posterior mean.
+    ("validate-gradients", dict(GRADCHECK_DOC, n=-1), "config field 'n' must be an integer >= 1, got -1"),
+    ("validate-gradients", dict(GRADCHECK_DOC, n=0), "config field 'n' must be an integer >= 1, got 0"),
 ])
 def test_out_of_range_sizes_exit_2_and_write_nothing(tmp_path, capsys, command, doc, message):
     cfg = write_config(tmp_path, doc)

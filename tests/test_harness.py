@@ -9,11 +9,13 @@ the whole file stays fast.
 import copy
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import re
 import warnings
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 from unittest import mock
 
 import numpy as np
@@ -192,7 +194,7 @@ def test_config_validates_grids_and_counts():
     (ExperimentConfig, {"attack": {"x0": 5}}, "attack.x0"),
     (ExperimentConfig, {"attack": {"x0": [0.0, 0.0], "strategies": "sgd"}}, "attack.strategies"),
     (ExperimentConfig, {"attack": {"norm": 2}}, "attack.norm"),
-    (ExperimentConfig, {"output_dir": None}, "output_dir"),
+    (ExperimentConfig, {"output_dir": None, "attack": {"x0_mode": "clean_mean"}}, "output_dir"),
     (EntropySpec, {"eps_grid": 0.5}, "eps_grid"),
     (GradCheckSpec, {"include_control": 1}, "include_control"),
 ])
@@ -226,21 +228,23 @@ def test_attack_spec_rejects_a_non_finite_target_or_instance(doc):
 
 
 def _leaf_fields(cls, path=()):
-    """(dotted path, type, default) of every field under the spec ``cls``,
-    through its sections."""
-    kinds = get_type_hints(cls)
+    """(dotted path, owning section, name, type with its bounds, default) of
+    every field under the spec ``cls``, through its sections."""
+    kinds = get_type_hints(cls, include_extras=True)
     for f in dataclasses.fields(cls):
         kind = kinds[f.name]
         if isinstance(kind, type) and issubclass(kind, _Spec):
             yield from _leaf_fields(kind, path + (f.name,))
         else:
-            yield ".".join(path + (f.name,)), kind, f.default
+            yield ".".join(path + (f.name,)), cls, f.name, kind, f.default
 
 
 def _refused(kind):
     """JSON values a field of type ``kind`` refuses: an unlisted string for a
     Literal; NaN, +-Infinity and an integer too large for a float for a float;
     and each of those as the entry of an array."""
+    if get_origin(kind) is Annotated:
+        return _refused(get_args(kind)[0])
     if get_origin(kind) is Literal:
         return ["bogus"]
     if kind is float:
@@ -257,12 +261,12 @@ def _nested(path, value):
 
 
 SPECS = _Spec.__subclasses__()
-LEAVES = [(cls, path, kind, default) for cls in SPECS for path, kind, default in _leaf_fields(cls)]
+LEAVES = [(cls, *leaf) for cls in SPECS for leaf in _leaf_fields(cls)]
 
 
 @pytest.mark.parametrize("cls, path, value", [
     pytest.param(cls, path, value, id="%s:%s:%d" % (cls.__name__, path, i))
-    for cls, path, kind, _ in LEAVES for i, value in enumerate(_refused(kind))])
+    for cls, path, _, _, kind, _ in LEAVES for i, value in enumerate(_refused(kind))])
 def test_every_choice_and_float_field_refuses_what_its_annotation_excludes(cls, path, value):
     # Unchecked, {"epsilon": Infinity} ran an unbounded attack, and NaN in
     # entropy.blob_sd or model.prior_mean loaded and ran.
@@ -274,14 +278,101 @@ def test_every_spec_field_has_an_annotation_the_loader_checks():
     from ppdattack.harness.config import _describe, _fits
 
     assert {ExperimentConfig, GradCheckSpec, EntropySpec, AttackSpec, MlmcSpec} <= set(SPECS)
-    for cls, path, kind, default in LEAVES:
+    for cls, path, _, _, kind, default in LEAVES:
         assert _describe(kind), path
         assert default is None or _fits(default, kind), path
 
 
+def _edges(kind):
+    """(a value just past it, the value at it or None if the bound is open)
+    for each bound on a number field of type ``kind``; for an array field,
+    one-entry arrays of its entries' edges."""
+    if get_origin(kind) is tuple:
+        return [([past], None if at is None else [at]) for past, at in _edges(get_args(kind)[0])]
+    if get_origin(kind) is not Annotated:
+        return []
+    number, *bounds = get_args(kind)
+    edges = []
+    for op, limit in bounds:
+        limit, outward = number(limit), -1 if op.startswith(">") else 1
+        past = limit + outward if number is int else math.nextafter(limit, outward * math.inf)
+        edges.append((past, limit) if op.endswith("=") else (limit, None))
+    return edges
+
+
+def _as_python(value):
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _merged(base, doc):
+    out = dict(base)
+    for k, v in doc.items():
+        out[k] = _merged(out[k], v) if isinstance(v, dict) and k in out else v
+    return out
+
+
+# What a section needs, beside the field under test, to load; and the one
+# bound value a rule tying fields together refuses (M0 = 1 is odd).
+LOADABLE = {AttackSpec: {"x0_mode": "clean_mean"},
+            ExperimentConfig: {"attack": {"x0_mode": "clean_mean"}}}
+CROSS_FIELD = {(MlmcSpec, "M0"): "mlmc.M0 must be even"}
+EDGES = [(cls, path, owner, name, past, at) for cls, path, owner, name, kind, _ in LEAVES
+         for past, at in _edges(kind)]
+
+
+def test_every_bound_is_walked():
+    assert len({(owner, name) for _, _, owner, name, _, _ in EDGES}) >= 50
+    assert {(GradCheckSpec, "n"), (EntropySpec, "retention_grid"), (DatasetSpec, "split"),
+            (MlmcSpec, "tau"), (AttackSpec, "eps_grid")} <= {(o, n) for _, _, o, n, _, _ in EDGES}
+
+
+@pytest.mark.parametrize("cls, path, owner, name, past, at", [
+    pytest.param(*edge, id="%s:%s:%r" % (edge[0].__name__, edge[1], edge[4])) for edge in EDGES])
+def test_every_bound_refuses_a_value_just_past_it_and_takes_one_at_it(cls, path, owner, name,
+                                                                       past, at):
+    # From JSON the fault names the field's dotted path, in Python its name.
+    with pytest.raises(ValueError, match="^config field '%s' must be " % re.escape(path)):
+        cls.from_dict(_merged(LOADABLE.get(cls, {}), _nested(path, past)))
+    with pytest.raises(ValueError, match="^config field '%s' must be " % name):
+        owner(**{name: _as_python(past)})
+    if at is None:
+        return
+    doc = _merged(LOADABLE.get(cls, {}), _nested(path, at))
+    if (owner, name) in CROSS_FIELD:
+        with pytest.raises(ValueError, match=CROSS_FIELD[owner, name]):
+            cls.from_dict(doc)
+        return
+    assert functools.reduce(getattr, path.split("."), cls.from_dict(doc)) == _as_python(at)
+    assert getattr(owner(**LOADABLE.get(owner, {}), **{name: _as_python(at)}), name) == _as_python(at)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: GradCheckSpec(replicates=5), "replicates"),
+    (lambda: AttackSpec(norm="l7", x0_mode="clean_mean"), "norm"),
+    (lambda: MlmcSpec(tau=0.5), "tau"),
+    (lambda: DatasetSpec(n=-3), "n"),
+    (lambda: EntropySpec(n_per_class=0), "n_per_class"),
+    (lambda: ExperimentConfig(model={"sigma2": 1.0}, attack=AttackSpec(x0_mode="clean_mean")),
+     "model"),
+])
+def test_specs_built_in_python_check_themselves(build, name):
+    # Unchecked, each of these constructed and ran until something broke.
+    with pytest.raises(ValueError, match="^config field '%s' must be " % name):
+        build()
+
+
+def test_specs_are_frozen_and_replace_checks_the_copy():
+    spec = EntropySpec()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.T = 0
+    with pytest.raises(ValueError, match="config field 'T' must be an integer >= 1, got 0"):
+        dataclasses.replace(spec, T=0)
+    assert dataclasses.replace(spec, T=1).T == 1
+
+
 def test_attack_spec_rejects_a_negative_epsilon():
     # Caught at load, not inside FeasibleSet when the attack command starts.
-    with pytest.raises(ValueError, match="attack.epsilon must be nonnegative"):
+    with pytest.raises(ValueError, match="config field 'epsilon' must be a finite number >= 0"):
         AttackSpec.from_dict({"x0": [0.0, 0.0], "epsilon": -0.1})
     assert AttackSpec.from_dict({"x0": [0.0, 0.0], "epsilon": 0}).epsilon == 0
 
@@ -331,7 +422,7 @@ def test_entropy_and_gradcheck_spec_validation():
                                           ("M", 0), ("entropy_draws", 0)])
 def test_entropy_spec_rejects_an_unusable_optimizer(field, value):
     # Caught at load, not after the MCMC bank fit.
-    with pytest.raises(ValueError, match="entropy.%s " % field):
+    with pytest.raises(ValueError, match="config field '%s' must be" % field):
         EntropySpec.from_dict({field: value})
 
 
@@ -387,16 +478,18 @@ def test_entropy_spec_rejects_an_unusable_bank_fit(field, value):
 
 
 @pytest.mark.parametrize("cls, doc, message", [
-    (EntropySpec, {"n_per_class": 0}, "entropy.n_per_class must be >= 1"),
-    (EntropySpec, {"blob_sd": -1.0}, "entropy.blob_sd must be >= 0"),
-    (EntropySpec, {"blob_radius": -1.0}, "entropy.blob_radius must be >= 0"),
-    (EntropySpec, {"ood_radius": -4.0}, "entropy.ood_radius must be >= 0"),
-    (DatasetSpec, {"n_test": -1}, "dataset.n_test must be >= 0"),
+    (EntropySpec, {"n_per_class": 0}, "config field 'n_per_class' must be an integer >= 1"),
+    (EntropySpec, {"blob_sd": -1.0}, "config field 'blob_sd' must be a finite number >= 0"),
+    (EntropySpec, {"blob_radius": -1.0}, "config field 'blob_radius' must be a finite number >= 0"),
+    (EntropySpec, {"ood_radius": -4.0}, "config field 'ood_radius' must be a finite number >= 0"),
+    (DatasetSpec, {"n_test": -1}, "config field 'n_test' must be an integer >= 0"),
+    (GradCheckSpec, {"n": -1}, "config field 'n' must be an integer >= 1, got -1"),
+    (GradCheckSpec, {"n": 0}, "config field 'n' must be an integer >= 1, got 0"),
 ])
 def test_specs_reject_out_of_range_sizes_at_load(cls, doc, message):
     # Unchecked, a study with no training points loaded and ran, negative
     # scales and radii loaded as their reflections, and a negative test-set
-    # size failed inside numpy.
+    # or gradient-check training size failed inside numpy.
     with pytest.raises(ValueError, match=message):
         cls.from_dict(doc)
 
@@ -842,7 +935,7 @@ def test_blob_data_shapes_and_labels():
 
 @settings(max_examples=40, deadline=None)
 @given(n_classes=st.integers(2, 5), dim=st.integers(2, 4), n_per_class=st.integers(1, 6),
-       n_id=st.integers(0, 7), n_ood=st.integers(0, 7), seeds=st.tuples(st.integers(0, 2**32),
+       n_id=st.integers(1, 7), n_ood=st.integers(1, 7), seeds=st.tuples(st.integers(0, 2**32),
                                                                         st.integers(0, 2**32)))
 def test_blob_sampler_matches_per_point_walk(n_classes, dim, n_per_class, n_id, n_ood, seeds):
     spec = EntropySpec(n_classes=n_classes, dim=dim, n_per_class=n_per_class, n_id=n_id,

@@ -79,6 +79,8 @@ def test_gradcheck_draws_and_scores_per_chunk(tmp_path, monkeypatch):
     assert calls["bayes.likelihoods.GaussianLinear.sample_y"] == 2 * chunks
     assert calls["bayes.likelihoods.GaussianLinear.loglik"] == chunks  # MLMC only
     assert calls["bayes.likelihoods.GaussianLinear.score_x"] == 3 * chunks  # score, control, MLMC
+    # One residual for both positives' gradients, one for the control's.
+    assert calls["attacks.point.estimate_mu"] == 2 * chunks
 
 
 def test_ppd_sweep_draws_once_per_iteration(tmp_path):
