@@ -14,7 +14,6 @@ from ppdattack.bayes.conjugate import (
     NigPrior,
     gaussian_update,
     nig_update,
-    ppd_normal_params,
     ppd_t_params,
     spd_solve,
 )
@@ -42,7 +41,7 @@ def main():
     print()
     print("known-variance posterior on the full data:")
     post_g = gaussian_update(np.zeros(2), np.eye(2), SIGMA2, data.X, data.y)
-    m, v = ppd_normal_params(post_g, x_probe)
+    m, v = post_g.predictive_moments(x_probe)
     print("  mu_n = %s" % np.round(post_g.mu_n, 4))
     print("  predictive at probe: N(%.4f, %.4f)  (noise floor %.1f)" % (m, v, SIGMA2))
 

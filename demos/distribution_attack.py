@@ -17,7 +17,7 @@ from ppdattack.analytic import kl_normal_ppd
 from ppdattack.attacks.feasible import FeasibleSet
 from ppdattack.attacks.ppd import MlmcConfig, NormalAppd, run_ppd_attack
 from ppdattack.bayes.backends import ExactConjugate
-from ppdattack.bayes.conjugate import gaussian_update, ppd_normal_params
+from ppdattack.bayes.conjugate import gaussian_update
 from ppdattack.bayes.likelihoods import GaussianLinear
 from ppdattack.harness.config import AttackSpec, DatasetSpec, ExperimentConfig, ModelSpec
 from ppdattack.harness.data import gen_synthetic
@@ -33,7 +33,7 @@ def small_data_attack():
 
     mu = post.mu_n
     x0 = (-0.5 / float(mu @ mu)) * mu
-    m0, v0 = ppd_normal_params(post, x0)
+    m0, v0 = post.predictive_moments(x0)
     appd = NormalAppd(mean=m0, var=4.0 * v0)
     print("n=10 testbed: clean predictive N(%.3f, %.3f), target N(%.3f, %.3f)"
           % (m0, v0, appd.mean, appd.var))
@@ -47,7 +47,7 @@ def small_data_attack():
         )
         rng_attack = np.random.default_rng(np.random.SeedSequence((101, 1, int(10 * eps))))
         trace = run_ppd_attack(model, appd, cfg, backend, rng_attack)
-        _, v = ppd_normal_params(post, trace.final_x)
+        _, v = post.predictive_moments(trace.final_x)
         print("%6.2f  %12.4f  %12.4f  %10d"
               % (eps, kl_normal_ppd(appd, post, trace.final_x), v,
                  trace.total_sample_cost()))

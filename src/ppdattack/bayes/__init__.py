@@ -8,7 +8,6 @@ from .conjugate import (
     TPredictive,
     gaussian_update,
     nig_update,
-    ppd_normal_params,
     ppd_t_params,
     spd_inverse,
     spd_solve,
@@ -41,7 +40,6 @@ __all__ = [
     "adaptive_rwm",
     "gaussian_update",
     "nig_update",
-    "ppd_normal_params",
     "ppd_t_params",
     "spd_inverse",
     "spd_solve",

@@ -11,7 +11,9 @@ Two conjugate families are provided:
 
 Both posteriors share one frozen base holding ``mu_n`` and ``Lambda_n``, the
 covariance factor and the pair ``(x^T mu_n, x^T inv(Lambda_n) x)`` from which
-both predictive forms are built, at one point or at K points.
+both predictive forms are built, at one point or at K points.  Each posterior
+gives its own predictive mean and variance through ``predictive_moments``;
+``ppd_t_params`` gives the whole Student-t law, for sampling and scoring.
 
 All solves against precision matrices go through a Cholesky factorisation; a
 factorisation failure raises :class:`SingularPrecisionError` rather than
@@ -130,6 +132,15 @@ class NigPosterior(_LinearPosterior):
     a_n: float
     b_n: float
 
+    def predictive_moments(self, x):
+        """The Student-t predictive's ``(loc, scale * df / (df - 2))``, as :func:`ppd_t_params`
+        has them, at one point (p,) or per row at K points (K, p); needs ``df > 2``."""
+        loc, q = self.predictive_pair(x)
+        df = 2.0 * self.a_n
+        if df <= 2:
+            raise ValueError("variance undefined for df <= 2")
+        return loc, (self.b_n / self.a_n) * (1.0 + q) * df / (df - 2.0)
+
 
 @dataclass(frozen=True)
 class GaussianPosterior(_LinearPosterior):
@@ -140,6 +151,12 @@ class GaussianPosterior(_LinearPosterior):
     def __post_init__(self):
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
+
+    def predictive_moments(self, x):
+        """The normal predictive's ``(x^T mu_n, x^T inv(Lambda_n) x + sigma2)``, at one
+        point (p,) or per row at K points (K, p)."""
+        loc, q = self.predictive_pair(x)
+        return loc, q + self.sigma2
 
 
 @dataclass(frozen=True)
@@ -255,12 +272,3 @@ def gaussian_update(mu0, lambda0, sigma2, X, y) -> GaussianPosterior:
     lambda_n = lambda0 + X.T @ X / sigma2
     mu_n = spd_solve(lambda_n, lambda0 @ mu0 + X.T @ y / sigma2, "Lambda_n")
     return GaussianPosterior(mu_n=mu_n, lambda_n=lambda_n, sigma2=float(sigma2))
-
-
-def ppd_normal_params(post: GaussianPosterior, x):
-    """Posterior predictive mean and variance at ``x`` for the known-variance model.
-
-    Returns ``(x^T mu_n, x^T inv(Lambda_n) x + sigma2)``.
-    """
-    loc, q = post.predictive_pair(x)
-    return float(loc), float(q + post.sigma2)

@@ -18,7 +18,8 @@ metadata on its type: ``Count`` (an integer >= 1), ``Size`` (an integer
 rest written inline.  A fault names its field, bare from the constructor and
 by its dotted path from ``from_dict``: ``config field 'attack.optimizer.T'
 must be an integer >= 1, got 0``.  Specs are frozen, so a checked spec stays
-valid; ``dataclasses.replace`` makes a changed copy and checks it.
+valid; ``dataclasses.replace`` makes a changed copy and checks it.  Arrays
+are kept as (nested) tuples, so a spec hashes.
 """
 
 from __future__ import annotations
@@ -123,6 +124,9 @@ class _Spec:
             value = getattr(self, name)
             if not (value is None and default is None or _fits(value, kind)):
                 raise _FieldError(name, kind, value)
+            if get_origin(kind) is tuple:
+                # JSON has no tuples, and a list leaves a frozen spec unhashable.
+                object.__setattr__(self, name, _tuples(value))
         self.validate()
 
     def validate(self):
@@ -142,9 +146,7 @@ class _Spec:
                 # An absent section is built as an empty one.
                 kwargs[name] = kind.from_dict(data.get(name, {}), _dotted(path, name))
             elif name in data:
-                # JSON has no tuples: lists in tuple-typed fields become (nested)
-                # tuples, so a spec survives a round trip through asdict and json.
-                kwargs[name] = _tuples(data[name])
+                kwargs[name] = data[name]
         try:
             return cls(**kwargs)
         except _FieldError as e:  # its sections are built, so one of its own fields
@@ -259,7 +261,7 @@ class AttackSpec(_Spec):
 class ExperimentConfig(_Spec):
     """Top-level config for the ``attack``, ``sweep`` and ``synth`` subcommands."""
 
-    seed: int = 0
+    seed: Size = 0
     output_dir: str = "."
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     model: ModelSpec = field(default_factory=ModelSpec)
@@ -275,7 +277,7 @@ class GradCheckSpec(_Spec):
     the clean predictive mean (see :mod:`ppdattack.harness.gradcheck`).
     """
 
-    seed: int = 0
+    seed: Size = 0
     output_dir: str = "."
     replicates: Annotated[int, _Bound(">=", 100)] = 10000
     n: Count = 1000
@@ -301,7 +303,7 @@ class GradCheckSpec(_Spec):
 class EntropySpec(_Spec):
     """Config for the ``entropy`` subcommand (toy classifier experiment)."""
 
-    seed: int = 0
+    seed: Size = 0
     output_dir: str = "."
     n_classes: Annotated[int, _Bound(">=", 2)] = 3
     dim: Annotated[int, _Bound(">=", 2)] = 2

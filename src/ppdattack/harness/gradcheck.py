@@ -155,7 +155,7 @@ def validate_gradients(spec: GradCheckSpec) -> GradCheckReport:
     x0 = aim_at_mean(post.mu_n, spec.clean_mean)
     feasible = FeasibleSet(center=x0, epsilon=1.0, norm="l2")
 
-    m0, v0 = fitted.predictive_moments(x0)
+    m0, v0 = post.predictive_moments(x0)
     point_oracle = 2.0 * (m0 - spec.target) * post.mu_n
     appd = NormalAppd(mean=m0, var=spec.appd_var_factor * v0)
     mlmc_oracle = kl_normal_ppd_grad(appd, post, x0)

@@ -7,15 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bayes.backends import ExactConjugate
-from ..bayes.conjugate import (
-    GaussianPosterior,
-    NigPosterior,
-    NigPrior,
-    gaussian_update,
-    nig_update,
-    ppd_normal_params,
-    ppd_t_params,
-)
+from ..bayes.conjugate import NigPrior, gaussian_update, nig_update
 from ..bayes.data import Dataset
 from ..bayes.likelihoods import GaussianLinear
 from .config import ModelSpec
@@ -23,12 +15,12 @@ from .config import ModelSpec
 
 @dataclass
 class BayesPredictor:
-    """Bundles a likelihood, a posterior draw backend, and (when conjugate)
-    the posterior object itself for closed-form predictive access."""
+    """Bundles a likelihood, a posterior draw backend, and the conjugate
+    posterior itself for closed-form predictive access."""
 
     likelihood: object
     backend: object
-    posterior: object = None
+    posterior: object
 
     @property
     def dim(self):
@@ -38,17 +30,6 @@ class BayesPredictor:
         """Monte-Carlo predictive mean from n joint (parameter, outcome) draws."""
         draws = self.backend.draw(n, rng)
         return float(np.mean(self.likelihood.sample_y(x, draws, rng)))
-
-    def predictive_moments(self, x):
-        """Closed-form predictive (mean, variance) at ``x``: the normal
-        predictive's for a ``GaussianPosterior``, the Student-t predictive's
-        location and variance for a ``NigPosterior``."""
-        if isinstance(self.posterior, GaussianPosterior):
-            return ppd_normal_params(self.posterior, x)
-        if isinstance(self.posterior, NigPosterior):
-            t = ppd_t_params(self.posterior, x)
-            return t.loc, t.variance()
-        raise TypeError("closed-form predictive moments need a conjugate posterior")
 
 
 def fit_predictor(spec: ModelSpec, train: Dataset) -> BayesPredictor:

@@ -20,12 +20,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ..analytic import (
-    analytic_point_l2,
-    analytic_point_linf,
-    gaussian_kl,
-    minimize_kl_multistart,
-)
+from ..analytic import analytic_point, gaussian_kl, minimize_kl_multistart
 from ..attacks.baselines import fgsm_like
 from ..attacks.feasible import FeasibleSet
 from ..attacks.functionals import response_functional
@@ -150,14 +145,7 @@ def _attack_point_instance(strategy, cfg, defender, x0, g_star, eps, rng):
         return np.asarray(x0, dtype=float).copy()
     feasible = FeasibleSet(center=x0, epsilon=eps, norm=cfg.attack.norm)
     if strategy == "analytic":
-        if defender.posterior is None:
-            raise UnsupportedModelError("analytic strategy needs a conjugate defender")
-        mu = defender.posterior.mu_n
-        if cfg.attack.norm == "l2":
-            return analytic_point_l2(mu, x0, g_star, eps).x_star
-        if cfg.attack.norm == "linf":
-            return analytic_point_linf(mu, x0, g_star, eps).x_star
-        raise UnsupportedModelError("no analytic point solution for norm %r" % cfg.attack.norm)
+        return analytic_point(defender.posterior.mu_n, x0, g_star, eps, cfg.attack.norm).x_star
     prob = point_problem(cfg, defender, feasible, g_star)
     if strategy == "sgd":
         return run_point_attack(prob, defender.backend, rng).final_x
@@ -166,8 +154,8 @@ def _attack_point_instance(strategy, cfg, defender, x0, g_star, eps, rng):
 
 
 def _point_mean(defender, cfg, x, rng):
-    if cfg.attack.metric_mode == "exact" and defender.posterior is not None:
-        return defender.predictive_moments(x)[0]
+    if cfg.attack.metric_mode == "exact":
+        return defender.posterior.predictive_moments(x)[0]
     return defender.predictive_mean_mc(x, cfg.attack.n_eval, rng)
 
 
@@ -191,19 +179,17 @@ def _ppd_metrics(defender, cfg, x0, x, appd, rng):
     # Scores the predictive at the attacked x against the target and against
     # the defender's clean predictive at x0: in closed form for a normal
     # predictive, by Monte Carlo for the Student-t one.
-    if isinstance(defender.posterior, NigPosterior):
-        induced = ppd_t_params(defender.posterior, x)
-        clean = ppd_t_params(defender.posterior, x0)
+    post = defender.posterior
+    m, v = post.predictive_moments(x)
+    if isinstance(post, NigPosterior):
+        induced, clean = ppd_t_params(post, x), ppd_t_params(post, x0)
         ys = appd.sample(cfg.attack.n_eval, rng)
         kl_appd = float(np.mean(appd.logpdf(ys) - induced.logpdf(ys)))
         ys2 = induced.sample(cfg.attack.n_eval, rng)
         kl_clean = float(np.mean(induced.logpdf(ys2) - clean.logpdf(ys2)))
-        return {"kl-to-appd": kl_appd, "kl-to-clean-ppd": kl_clean,
-                "pred-var": induced.variance()}
-    m, v = defender.predictive_moments(x)
-    m0, v0 = defender.predictive_moments(x0)
-    kl_appd = gaussian_kl(appd.mean, appd.var, m, v)
-    kl_clean = gaussian_kl(m, v, m0, v0)
+    else:
+        kl_appd = gaussian_kl(appd.mean, appd.var, m, v)
+        kl_clean = gaussian_kl(m, v, *post.predictive_moments(x0))
     return {"kl-to-appd": kl_appd, "kl-to-clean-ppd": kl_clean, "pred-var": v}
 
 
@@ -252,7 +238,7 @@ def prepare_experiment(cfg: ExperimentConfig):
         if cfg.attack.type == "point":
             targets.append(_point_target(cfg, train))
         else:
-            m, v = defender.predictive_moments(x0)
+            m, v = defender.posterior.predictive_moments(x0)
             appd = NormalAppd(mean=m + cfg.attack.appd_mean_shift,
                               var=cfg.attack.appd_var_factor * v)
             targets.append((appd, (m, v)))
@@ -363,7 +349,7 @@ def compare_norm_sparsity(seeds, dim=8, n=400, eps=0.25, target_shift=2.0,
         train = gen_synthetic(n, beta, 1.0, rng)
         defender = fit_predictor(ModelSpec(kind="gaussian_linear", sigma2=1.0), train)
         x0 = rng.standard_normal(dim) * 0.5
-        m0, _ = defender.predictive_moments(x0)
+        m0, _ = defender.posterior.predictive_moments(x0)
         g_star = m0 + target_shift
         counts = {}
         for norm in ("l1", "l2"):

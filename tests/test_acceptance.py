@@ -22,7 +22,7 @@ from ppdattack.attacks.ppd import (
     simulate_sample_cost,
 )
 from ppdattack.bayes.backends import ExactConjugate
-from ppdattack.bayes.conjugate import gaussian_update, ppd_normal_params
+from ppdattack.bayes.conjugate import gaussian_update
 from ppdattack.bayes.likelihoods import GaussianLinear
 from ppdattack.harness.config import (
     AttackSpec,

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppdattack.analytic import (
+    analytic_point,
     analytic_point_l2,
     analytic_point_linf,
     gaussian_kl,
@@ -130,6 +131,56 @@ def test_duality_boundary_is_exact():
         sol = analytic_point_linf(mu, x, float(y1), eps)
         assert sol.residual <= 1e-9
         assert abs(np.abs(sol.r_star).max() - eps) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# L1 solution, and every ball through the dual norm
+# ---------------------------------------------------------------------------
+
+def test_l1_moves_the_largest_entry_alone():
+    # alpha = 3.5, ||mu||_inf = 2 at the second entry
+    sol = analytic_point(MU, X_CLEAN, 3.0, 2.0, "l1")
+    assert sol.achieved and sol.residual == 0.0
+    assert np.array_equal(sol.r_star, [0.0, 1.75])
+    sol = analytic_point(MU, X_CLEAN, 3.0, 1.0, "l1")
+    assert not sol.achieved and sol.residual == 1.5
+    assert np.array_equal(sol.r_star, [0.0, 1.0])
+    # a negative largest entry is moved down
+    sol = analytic_point(np.array([1.0, -3.0]), np.zeros(2), 3.0, 2.0, "l1")
+    assert np.array_equal(sol.r_star, [0.0, -1.0])
+    # on a tie the first largest entry wins
+    sol = analytic_point(np.array([2.0, -2.0]), np.zeros(2), -1.0, 2.0, "l1")
+    assert np.array_equal(sol.r_star, [-0.5, 0.0])
+
+
+def test_unknown_norm_rejected():
+    with pytest.raises(ValueError, match="norm must be one of"):
+        analytic_point(MU, X_CLEAN, 3.0, 1.0, "l3")
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6),
+       norm=st.sampled_from(["l1", "l2", "linf"]), eps=st.sampled_from([0.0, 0.1, 0.5, 2.0]))
+def test_dual_norm_solution_is_feasible_and_optimal(seed, p, norm, eps):
+    r = np.random.default_rng(seed)
+    mu = np.where(r.random(p) < 0.2, 0.0, r.standard_normal(p))
+    mu[0] = mu[0] or 1.0  # a zero mu_n cannot move the mean
+    x = r.standard_normal(p)
+    y_star = float(mu @ x + r.normal(0.0, 2.0))
+    sol = analytic_point(mu, x, y_star, eps, norm)
+
+    assert FeasibleSet(x, eps, norm).contains(sol.x_star)
+    alpha = y_star - float(mu @ x)
+    dual = {"l2": np.linalg.norm(mu), "linf": np.abs(mu).sum(), "l1": np.abs(mu).max()}[norm]
+    assert sol.residual == max(0.0, abs(alpha) - eps * dual)
+    assert sol.achieved == (sol.residual == 0.0)
+    best = abs(y_star - mu @ sol.x_star)
+    assert best == pytest.approx(sol.residual, abs=1e-12)
+    # No vertex x +- eps e_j of the L1 ball (inside every ball) and no
+    # projected random point gets closer to the target.
+    others = np.vstack([x + eps * np.eye(p), x - eps * np.eye(p),
+                        FeasibleSet(x, eps, norm).project(x + eps * r.uniform(-2, 2, (200, p)))])
+    assert np.all(np.abs(y_star - others @ mu) >= best - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +355,14 @@ def test_k_points_equal_k_one_point_calls(seed, K, p):
     r, post, appd = random_problem(seed, p)
     x = 3.0 * r.standard_normal((K, p))
     m, q = post.predictive_pair(x)
+    mean, var = post.predictive_moments(x)
     sx = post.cov_times(x)
     kl = kl_normal_ppd(appd, post, x)
     grad = kl_normal_ppd_grad(appd, post, x)
     assert m.shape == q.shape == kl.shape == (K,) and sx.shape == grad.shape == (K, p)
     for k in range(K):
         assert (m[k], q[k]) == post.predictive_pair(x[k])
+        assert (mean[k], var[k]) == post.predictive_moments(x[k])
         assert np.array_equal(sx[k], post.cov_times(x[k]))
         assert kl[k] == kl_normal_ppd(appd, post, x[k])
         assert np.array_equal(grad[k], kl_normal_ppd_grad(appd, post, x[k]))

@@ -33,7 +33,7 @@ from ppdattack.attacks.point import PointAttackProblem, grad_J, run_point_attack
 from ppdattack.attacks.ppd import MlmcConfig, NormalAppd, delta_level, run_ppd_attack
 from ppdattack.bayes.draws import DrawBatch
 from ppdattack.bayes.backends import ExactConjugate
-from ppdattack.bayes.conjugate import gaussian_update, ppd_normal_params
+from ppdattack.bayes.conjugate import gaussian_update
 from ppdattack.bayes.likelihoods import FeatureSubsetModel, GaussianLinear
 from ppdattack.exceptions import UnsupportedModelError
 from ppdattack.harness.data import gen_synthetic
@@ -243,7 +243,7 @@ def test_single_member_draw_matches_exact_predictive(defender):
     assert set(batch.member_ids.tolist()) == {0}
     draw = batch.sub[0]
     assert draw.beta.shape == (2000, 2) and draw.phi.shape == (2000,) and np.all(draw.phi > 0)
-    m, v = ppd_normal_params(post, x)
+    m, v = post.predictive_moments(x)
     ks = stats.kstest(ys, "norm", args=(m, np.sqrt(v)))
     assert ks.pvalue > 0.01  # measured 0.96 at this seed
 
@@ -376,7 +376,7 @@ def test_graybox_dispatch(defender):
     point_trace = run_point_attack(point_problem(MixtureLikelihood(ens)), MixtureBackend(ens), rng)
     assert point_trace.iterates.shape == (151, 2)
 
-    m0, v0 = ppd_normal_params(post, X0)
+    m0, v0 = post.predictive_moments(X0)
     appd = NormalAppd(m0, 4.0 * v0)
     cfg = MlmcConfig(FeasibleSet(center=X0, epsilon=0.5, norm="l2"),
                      eta=0.5, T=10, B=2, eta_decay=True, record_objective=False)

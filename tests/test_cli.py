@@ -238,12 +238,26 @@ def test_entropy_bad_bank_fit_exits_2_and_writes_nothing(tmp_path, capsys, field
     # Unchecked, n = -1 failed inside numpy and n = 0 aimed at a zero posterior mean.
     ("validate-gradients", dict(GRADCHECK_DOC, n=-1), "config field 'n' must be an integer >= 1, got -1"),
     ("validate-gradients", dict(GRADCHECK_DOC, n=0), "config field 'n' must be an integer >= 1, got 0"),
+    # Unchecked, a negative seed loaded and failed inside numpy, naming no field.
+    ("validate-gradients", dict(GRADCHECK_DOC, seed=-1),
+     "config field 'seed' must be an integer >= 0, got -1"),
+    ("entropy", dict(ENTROPY_DOC, seed=-1), "config field 'seed' must be an integer >= 0, got -1"),
+    ("sweep", dict(POINT_DOC, seed=-2), "config field 'seed' must be an integer >= 0, got -2"),
 ])
 def test_out_of_range_sizes_exit_2_and_write_nothing(tmp_path, capsys, command, doc, message):
     cfg = write_config(tmp_path, doc)
     assert main([command, cfg, "--output-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, doc", [("validate-gradients", GRADCHECK_DOC),
+                                          ("entropy", ENTROPY_DOC), ("sweep", POINT_DOC)])
+def test_a_negative_seed_flag_exits_2_and_writes_nothing(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, doc)
+    assert main([command, cfg, "--seed", "-1", "--output-dir", str(tmp_path)]) == 2
+    assert "config field 'seed' must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -29,12 +29,7 @@ from scipy import stats
 from ppdattack.attacks.feasible import FeasibleSet
 from ppdattack.attacks.point import grad_J, reparam_grad_mu
 from ppdattack.attacks.ppd import MlmcConfig, _objective_estimate
-from ppdattack.bayes.conjugate import (
-    GaussianPosterior,
-    NigPosterior,
-    ppd_normal_params,
-    ppd_t_params,
-)
+from ppdattack.bayes.conjugate import GaussianPosterior, NigPosterior, ppd_t_params
 from ppdattack.bayes.likelihoods import logsumexp
 from ppdattack.harness import gradcheck, sep
 from ppdattack.harness.config import (
@@ -65,7 +60,7 @@ from ppdattack.harness.gradcheck import (
     validate_gradients,
     write_gradcheck_samples_csv,
 )
-from ppdattack.harness.predictor import BayesPredictor, fit_predictor
+from ppdattack.harness.predictor import fit_predictor
 from ppdattack.harness.sep import (
     SepRecord,
     aggregate,
@@ -316,6 +311,14 @@ def _merged(base, doc):
 LOADABLE = {AttackSpec: {"x0_mode": "clean_mean"},
             ExperimentConfig: {"attack": {"x0_mode": "clean_mean"}}}
 CROSS_FIELD = {(MlmcSpec, "M0"): "mlmc.M0 must be even"}
+
+
+def _loadable_kwargs(owner):
+    # LOADABLE's fields as Python values, its sections built as specs: a
+    # default ExperimentConfig cannot be built, its AttackSpec needing an x0.
+    spec = owner.from_dict(LOADABLE.get(owner, {}))
+    return {k: getattr(spec, k) for k in LOADABLE.get(owner, {})}
+
 EDGES = [(cls, path, owner, name, past, at) for cls, path, owner, name, kind, _ in LEAVES
          for past, at in _edges(kind)]
 
@@ -334,7 +337,7 @@ def test_every_bound_refuses_a_value_just_past_it_and_takes_one_at_it(cls, path,
     with pytest.raises(ValueError, match="^config field '%s' must be " % re.escape(path)):
         cls.from_dict(_merged(LOADABLE.get(cls, {}), _nested(path, past)))
     with pytest.raises(ValueError, match="^config field '%s' must be " % name):
-        owner(**{name: _as_python(past)})
+        owner(**_loadable_kwargs(owner), **{name: _as_python(past)})
     if at is None:
         return
     doc = _merged(LOADABLE.get(cls, {}), _nested(path, at))
@@ -343,7 +346,7 @@ def test_every_bound_refuses_a_value_just_past_it_and_takes_one_at_it(cls, path,
             cls.from_dict(doc)
         return
     assert functools.reduce(getattr, path.split("."), cls.from_dict(doc)) == _as_python(at)
-    assert getattr(owner(**LOADABLE.get(owner, {}), **{name: _as_python(at)}), name) == _as_python(at)
+    assert getattr(owner(**_loadable_kwargs(owner), **{name: _as_python(at)}), name) == _as_python(at)
 
 
 @pytest.mark.parametrize("build, name", [
@@ -368,6 +371,16 @@ def test_specs_are_frozen_and_replace_checks_the_copy():
     with pytest.raises(ValueError, match="config field 'T' must be an integer >= 1, got 0"):
         dataclasses.replace(spec, T=0)
     assert dataclasses.replace(spec, T=1).T == 1
+
+
+def test_a_list_in_a_tuple_field_is_kept_as_a_tuple():
+    # A frozen spec that kept the list could be neither hashed nor compared
+    # equal to the same spec built with a tuple.
+    spec = AttackSpec(eps_grid=[0.0, 0.1], x0_mode="clean_mean")
+    same = AttackSpec(eps_grid=(0.0, 0.1), x0_mode="clean_mean")
+    assert spec == same and hash(spec) == hash(same)
+    mixing = DatasetSpec(mixing=[[1.0, 2.0], [3.0, 4.0]]).mixing
+    assert mixing == ((1.0, 2.0), (3.0, 4.0)) and all(type(row) is tuple for row in mixing)
 
 
 def test_attack_spec_rejects_a_negative_epsilon():
@@ -485,6 +498,11 @@ def test_entropy_spec_rejects_an_unusable_bank_fit(field, value):
     (DatasetSpec, {"n_test": -1}, "config field 'n_test' must be an integer >= 0"),
     (GradCheckSpec, {"n": -1}, "config field 'n' must be an integer >= 1, got -1"),
     (GradCheckSpec, {"n": 0}, "config field 'n' must be an integer >= 1, got 0"),
+    # Unchecked, a negative seed loaded and failed inside numpy, naming no field.
+    (ExperimentConfig, {"seed": -2, "attack": {"x0": [0.0, 0.0]}},
+     "config field 'seed' must be an integer >= 0, got -2"),
+    (GradCheckSpec, {"seed": -1}, "config field 'seed' must be an integer >= 0, got -1"),
+    (EntropySpec, {"seed": -1}, "config field 'seed' must be an integer >= 0, got -1"),
 ])
 def test_specs_reject_out_of_range_sizes_at_load(cls, doc, message):
     # Unchecked, a study with no training points loaded and ran, negative
@@ -660,22 +678,17 @@ def test_fit_predictor_kinds(train_data):
     gaussian = fit_predictor(ModelSpec(kind="gaussian_linear"), train_data)
     assert isinstance(gaussian.posterior, GaussianPosterior)
     assert gaussian.dim == 2
-    assert gaussian.predictive_moments(np.array([0.3, -0.2])) == ppd_normal_params(
-        gaussian.posterior, np.array([0.3, -0.2]))
     nig = fit_predictor(ModelSpec(kind="nig_linear"), train_data)
     assert isinstance(nig.posterior, NigPosterior)
     t = ppd_t_params(nig.posterior, np.array([0.3, -0.2]))
     assert t.df == 2.0 * nig.posterior.a_n
-    assert nig.predictive_moments(np.array([0.3, -0.2])) == (t.loc, t.variance())
-    with pytest.raises(TypeError):
-        BayesPredictor(gaussian.likelihood, gaussian.backend).predictive_moments(
-            np.array([0.3, -0.2]))
+    assert nig.posterior.predictive_moments(np.array([0.3, -0.2])) == (t.loc, t.variance())
 
 
 def test_predictor_monte_carlo_agrees_with_closed_form(train_data):
     pred = fit_predictor(ModelSpec(), train_data)
     x = np.array([0.3, -0.2])
-    m, v = pred.predictive_moments(x)
+    m, v = pred.posterior.predictive_moments(x)
     rng = np.random.default_rng(np.random.SeedSequence((8, 2)))
     est = pred.predictive_mean_mc(x, 40_000, rng)
     assert abs(est - m) < 3.0 * np.sqrt(v / 40_000)  # measured z = 0.24
@@ -738,7 +751,7 @@ def test_sweep_clean_rows_reproduce_clean_metric():
     # clean squared residual and the distribution metric must show zero KL
     # between the attacked and clean predictives
     res = run_sep(point_config())
-    m0, _ = ppd_normal_params(res.defender.posterior, res.instances[0])
+    m0, _ = res.defender.posterior.predictive_moments(res.instances[0])
     for r in res.records:
         if r.epsilon == 0.0 and r.metric == "residual2":
             assert r.value == pytest.approx((m0 - 3.0) ** 2, abs=1e-12)
@@ -806,15 +819,41 @@ def test_sweep_records_are_complete_and_seeded_per_task():
 
 
 def test_sweep_survives_a_failing_strategy():
-    # there is no closed-form point solution under L1, so the analytic
-    # strategy fails per-task with a warning while the sweep completes
-    cfg = point_config(norm="l1", repeats=1)
+    # the deterministic KL benchmark needs a known-variance posterior, so under
+    # nig_linear the ppd analytic strategy fails per-task with a warning while
+    # the sweep completes
+    cfg = dataclasses.replace(point_config(type="ppd", repeats=1, mlmc=MlmcSpec(T=3)),
+                              model=ModelSpec(kind="nig_linear"))
     with pytest.warns(RuntimeWarning, match="analytic"):
         res = run_sep(cfg)
     sgd_eps = {r.epsilon for r in res.records if r.strategy == "sgd"}
     ana_eps = {r.epsilon for r in res.records if r.strategy == "analytic"}
     assert sgd_eps == {0.0, 0.3}
     assert ana_eps == {0.0}  # the eps=0 short-circuit never reaches the solver
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("model", ["gaussian_linear", "nig_linear"])
+@pytest.mark.parametrize("attack", ["point", "ppd"])
+def test_the_only_missing_sweep_cells_are_ppd_analytic_under_nig(attack, model, norm):
+    # Every strategy has a solution on every ball, the point analytic one
+    # through the dual norm; only the deterministic KL benchmark needs a
+    # known-variance posterior.  No other cell may turn into a warning.
+    cfg = ExperimentConfig(
+        seed=5, dataset=DatasetSpec(n=200), model=ModelSpec(kind=model),
+        attack=AttackSpec(type=attack, norm=norm, eps_grid=(0.0, 0.3), repeats=1,
+                          x0_mode="clean_mean", n_eval=64,
+                          optimizer=OptimizerSpec(T=5, N=8, M=8), mlmc=MlmcSpec(T=3)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_sep(cfg)
+    cells = {(r.epsilon, r.strategy) for r in res.records}
+    every = {(eps, s) for eps in (0.0, 0.3) for s in ("analytic", "sgd", "fgsm")}
+    missing = {(0.3, "analytic")} if (attack, model) == ("ppd", "nig_linear") else set()
+    assert every - cells == missing
+    assert [str(w.message) for w in caught] == [
+        "strategy 'analytic' failed at eps=0.3 rep=0: deterministic KL benchmark needs a "
+        "known-variance posterior"] * len(missing)
 
 
 def test_sweep_aborts_on_a_fault_in_a_task(monkeypatch):

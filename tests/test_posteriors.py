@@ -19,7 +19,6 @@ from ppdattack.bayes.conjugate import (
     SingularPrecisionError,
     gaussian_update,
     nig_update,
-    ppd_normal_params,
     ppd_t_params,
     spd_solve,
 )
@@ -115,7 +114,7 @@ def test_predictive_variance_at_origin_is_noise_variance():
     X = rng.standard_normal((50, 4))
     y = X @ np.array([1.0, 0.0, -1.0, 2.0]) + rng.standard_normal(50)
     post = gaussian_update(np.zeros(4), np.eye(4), 1.7, X, y)
-    mean, var = ppd_normal_params(post, np.zeros(4))
+    mean, var = post.predictive_moments(np.zeros(4))
     assert mean == 0.0
     assert var == pytest.approx(1.7)
 
@@ -145,11 +144,17 @@ def test_predictive_params_match_the_written_out_forms(p, seed, scale):
     mu, x = rng.standard_normal(p), scale * rng.standard_normal(p)
     sigma2, a_n, b_n = rng.uniform(0.1, 5.0, 3)
     quad = x @ spd_solve(lam, x, "Lambda_n")
-    m, v = ppd_normal_params(GaussianPosterior(mu, lam, sigma2), x)
+    m, v = GaussianPosterior(mu, lam, sigma2).predictive_moments(x)
     assert (m, v) == (float(x @ mu), float(x @ spd_solve(lam, x, "Lambda_n") + sigma2))
-    t = ppd_t_params(NigPosterior(mu, lam, a_n, b_n), x)
+    nig = NigPosterior(mu, lam, a_n, b_n)
+    t = ppd_t_params(nig, x)
     assert (t.df, t.loc, t.scale) == (2.0 * a_n, float(x @ mu),
                                       float((b_n / a_n) * (1.0 + quad)))
+    if t.df > 2:
+        assert nig.predictive_moments(x) == (t.loc, t.variance())
+    else:
+        with pytest.raises(ValueError, match="df <= 2"):
+            nig.predictive_moments(x)
 
 
 def test_singular_precision_rejected():

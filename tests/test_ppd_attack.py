@@ -29,7 +29,7 @@ from ppdattack.attacks.ppd import (
 )
 from ppdattack.attacks.ppd import _sample_level
 from ppdattack.bayes.backends import ExactConjugate, SampleBank
-from ppdattack.bayes.conjugate import TPredictive, gaussian_update, ppd_normal_params
+from ppdattack.bayes.conjugate import TPredictive, gaussian_update
 from ppdattack.bayes.draws import DrawBatch
 from ppdattack.bayes.likelihoods import GaussianLinear
 from ppdattack.exceptions import NonFiniteGradientError
@@ -52,7 +52,7 @@ def clean_point(post):
 def neg_grad_log_ppd(post, x, y):
     # Predictive is N(m, v) with m = mu_n'x and v = x'inv(Lambda_n)x + sigma2;
     # differentiate -log density through both m and v.
-    m, v = ppd_normal_params(post, x)
+    m, v = post.predictive_moments(x)
     grad_v = 2.0 * np.linalg.solve(post.lambda_n, x)
     return grad_v / (2.0 * v) - (y - m) * post.mu_n / v - (y - m) ** 2 * grad_v / (2.0 * v**2)
 
@@ -238,7 +238,7 @@ def test_negative_level_rejected(testbed):
 def test_mlmc_matches_closed_form_kl_gradient(testbed):
     post, backend, model = testbed
     x = clean_point(post)
-    m0, v0 = ppd_normal_params(post, x)
+    m0, v0 = post.predictive_moments(x)
     appd = NormalAppd(m0, 4.0 * v0)
     oracle = kl_normal_ppd_grad(appd, post, x)
     cfg = config(x, M0=8, tau=1.5, R=2, Lmax=6)
@@ -251,7 +251,7 @@ def test_mlmc_matches_closed_form_kl_gradient(testbed):
 def test_mlmc_mean_zero_at_stationary_point(testbed):
     post, backend, model = testbed
     x = clean_point(post)
-    m0, v0 = ppd_normal_params(post, x)
+    m0, v0 = post.predictive_moments(x)
     appd = NormalAppd(m0, v0)  # target equals the predictive at x
     assert kl_normal_ppd(appd, post, x) == 0.0
     cfg = config(x, M0=8)
@@ -266,7 +266,7 @@ def test_single_level_degenerates_to_plugin_ratio(testbed):
     # plug-in ratio at M0 averaged over target outcomes.
     post, backend, model = testbed
     x = clean_point(post)
-    m0, v0 = ppd_normal_params(post, x)
+    m0, v0 = post.predictive_moments(x)
     appd = NormalAppd(m0, 4.0 * v0)
     cfg = config(x, M0=8, Lmax=0, R=1)
     rng = np.random.default_rng(76)
@@ -320,7 +320,7 @@ def test_level_frequencies_chi_square(testbed):
 def test_untruncated_guard_trips(testbed):
     post, backend, model = testbed
     x = clean_point(post)
-    m0, v0 = ppd_normal_params(post, x)
+    m0, v0 = post.predictive_moments(x)
     appd = NormalAppd(m0, v0)
     cfg = config(x, M0=8, tau=1.5, untruncated=True, max_level_draws=8)
     rng = np.random.default_rng(80)
@@ -368,7 +368,7 @@ def small_posterior():
 def test_zero_epsilon_leaves_x_unchanged(small_posterior):
     post, backend, model = small_posterior
     x0 = clean_point(post)
-    m0, v0 = ppd_normal_params(post, x0)
+    m0, v0 = post.predictive_moments(x0)
     cfg = config(x0, eps=0.0, T=10, record_objective=False)
     trace = run_ppd_attack(model, NormalAppd(m0, 4.0 * v0), cfg, backend,
                            np.random.default_rng(30))
@@ -380,7 +380,7 @@ def test_attack_reduces_closed_form_kl(small_posterior):
     # move the predictive towards an inflated-variance target.
     post, backend, model = small_posterior
     x0 = clean_point(post)
-    m0, v0 = ppd_normal_params(post, x0)
+    m0, v0 = post.predictive_moments(x0)
     appd = NormalAppd(m0, 4.0 * v0)
     kl_clean = kl_normal_ppd(appd, post, x0)
     for eps in (1.0, 2.0):
@@ -395,7 +395,7 @@ def test_attack_reduces_closed_form_kl(small_posterior):
 def test_trace_bookkeeping_and_feasibility(small_posterior):
     post, backend, model = small_posterior
     x0 = clean_point(post)
-    m0, v0 = ppd_normal_params(post, x0)
+    m0, v0 = post.predictive_moments(x0)
     fs = FeasibleSet(x0, 0.5, "l2")
     cfg = MlmcConfig(fs, eta=0.5, T=40, B=2, R=2, eta_decay=True)
     trace = run_ppd_attack(model, NormalAppd(m0, 2.0 * v0), cfg, backend,
@@ -417,7 +417,7 @@ def test_trace_bookkeeping_and_feasibility(small_posterior):
 def test_objective_recording_optional(small_posterior):
     post, backend, model = small_posterior
     x0 = clean_point(post)
-    m0, v0 = ppd_normal_params(post, x0)
+    m0, v0 = post.predictive_moments(x0)
     cfg = config(x0, T=5, record_objective=False)
     trace = run_ppd_attack(model, NormalAppd(m0, v0), cfg, backend,
                            np.random.default_rng(32))
@@ -431,7 +431,7 @@ def test_final_residual_is_estimated_at_final_x(small_posterior, monkeypatch):
     # not a copy of the last iteration's (taken one step before final_x).
     post, backend, model = small_posterior
     x0 = clean_point(post)
-    m0, v0 = ppd_normal_params(post, x0)
+    m0, v0 = post.predictive_moments(x0)
     estimate, calls = ppd._objective_estimate, []
 
     def recording(model, x, *args):
@@ -461,7 +461,7 @@ def test_nonfinite_multilevel_gradient_raises(small_posterior):
     # first step and reports the iterate it was at: the ball centre.
     post, backend, _ = small_posterior
     x0 = clean_point(post)
-    m0, v0 = ppd_normal_params(post, x0)
+    m0, v0 = post.predictive_moments(x0)
     cfg = config(x0, T=5, record_objective=False)
     with pytest.raises(NonFiniteGradientError) as err:
         run_ppd_attack(NanScoreLinear(2), NormalAppd(m0, v0), cfg, backend,
