@@ -8,8 +8,8 @@ Hölder inequality: the best achievable shift of the mean is
 ``sign(mu_n)`` (L-infinity) or the largest entry of ``mu_n`` alone (L1).  The
 same model gives the KL divergence between a Gaussian adversarial target and
 the predictive in closed form, together with its covariate gradient, which
-powers a deterministic multi-start projected gradient benchmark for the
-distribution attacks.
+powers a multi-start projected gradient benchmark, with random starts and
+capped descents, for the distribution attacks.
 """
 
 from __future__ import annotations
@@ -80,9 +80,8 @@ def analytic_point(mu_n, x, y_star, eps, norm) -> AnalyticPointSolution:
     return AnalyticPointSolution(r, x + r, abs(alpha) - eps * dual, False)
 
 
-# The benchmark's graybox check and the tests name the ball in the function.
+# Kept for the benchmark's graybox check (perfbench/workloads.py), which imports it.
 analytic_point_l2 = functools.partial(analytic_point, norm="l2")
-analytic_point_linf = functools.partial(analytic_point, norm="linf")
 
 
 def gaussian_kl(mean1, var1, mean2, var2):
@@ -130,7 +129,7 @@ def kl_normal_ppd_grad(appd: NormalAppd, post: GaussianPosterior, x):
 
 @dataclass(frozen=True)
 class KlBenchmarkResult:
-    """Best point found by the deterministic benchmark plus all local solutions."""
+    """Best point found by the multi-start benchmark plus all local solutions."""
 
     x: np.ndarray
     kl: float
@@ -175,12 +174,12 @@ def minimize_kl_pgd(appd, post, feasible: FeasibleSet, x0):
 
 
 def minimize_kl_multistart(appd, post, feasible: FeasibleSet, rng) -> KlBenchmarkResult:
-    """Deterministic benchmark: multi-start PGD on the closed-form KL.
+    """Multi-start PGD on the closed-form KL: the ppd sweep's ``analytic`` benchmark.
 
     The KL is generally non-convex in the covariates, so N_STARTS starts
     inside the ball, its centre first, are polished together and the best
-    kept; all converged solutions are returned so callers can inspect
-    distinct local minimisers.
+    kept, with every start's end point.  Not exact: the other starts are
+    random and each descent stops after ``ITERS`` steps (see the README).
     """
     z = rng.uniform(-1.0, 1.0, size=(N_STARTS - 1, feasible.dim))
     starts = np.vstack([feasible.center, feasible.project(feasible.center + feasible.epsilon * z)])

@@ -41,10 +41,10 @@ Figurnov & Mnih, JMLR 2020): ``(g, score_x)`` for the score function,
 
 Instances are not replicates.  Given K ball centres (K, p) and a list of K
 generators, :func:`run_point_attack` advances K independent attacks in
-lockstep, with one forward and score pass over all K (N + M) rows per
-iteration; :func:`estimate_mu` and the Jacobian estimators then read x
-(K, p) as one point per row of outcomes.  Each instance draws its N + M rows
-from its own generator, as its one-instance attack draws them, and the
+lockstep, with one backend draw and one forward and score pass over all
+K (N + M) rows per iteration; :func:`estimate_mu` and the Jacobian
+estimators then read x (K, p) as one point per row of outcomes.  Each
+instance draws its N + M rows from its own generator, as alone, and the
 sampler cuts every instance's M Jacobian rows out in one reshape.  Every
 reduction is made per instance as one attack makes it, so it follows that
 attack bit for bit: logits by a batched ``matmul`` (``gemv`` per block, as
@@ -52,9 +52,8 @@ for one point), mu as ``sum / N``, the gradient as a batched ``matmul`` of
 ``2 (mu - g_star)`` with the Jacobian, the L2 projection norm as
 ``sqrt(vecdot(d, d))``.  An ``einsum`` forward pass or an axis norm
 (``np.linalg.norm(d, axis=1)``) rounds some rows differently in the last
-place, and the attacks drift apart.  ``CategoricalSoftmax`` and
-``GaussianLinear`` take K points; the other likelihoods serve one instance,
-and a gray-box ``MixtureLikelihood``, whose draws are tagged batches, raises
+place, and the attacks drift apart.  Every likelihood family takes one point
+or K points; a gray-box ``MixtureLikelihood`` takes one, and raises
 ``UnsupportedModelError`` for K points before it draws.
 """
 
@@ -116,8 +115,8 @@ class PointAttackProblem:
 
 
 def _one_point_only(model):
-    # The K-point sampler joins its instances' draws as one DrawBatch, which
-    # a mixture's tagged batches are not.
+    # The K-point sampler cuts each instance's Jacobian rows out of one
+    # DrawBatch by a reshape, which a mixture's tagged batches do not take.
     if isinstance(model, MixtureLikelihood):
         raise UnsupportedModelError("a mixture takes one point; run gray-box attacks one at a time")
 
@@ -129,10 +128,10 @@ def _joint_sample(prob, x, backend, rng, k, shared=False):
     # points (K, p) and K generators: each instance's N + M rows from its own.
     n = prob.N
     rows = n if shared else n + prob.M
-    if x.ndim == 1:
-        draws = backend.draw(k * rows, rng)
-    else:
-        draws = DrawBatch.concat([backend.draw(rows, r) for r in rng])
+    if x.ndim != 1 and not (isinstance(rng, list) and k == len(x) == len(rng)):
+        raise ValueError("%d points need a list of as many generators and k = %d, got k = %d"
+                         " and %r" % (len(x), len(x), k, rng))
+    draws = backend.draw(k * rows, rng)
     ys = prob.model.sample_y(x, draws, rng)
     if shared:
         ys = ys.reshape(k, n)

@@ -2,7 +2,8 @@
 
 All backends expose ``draw(count, rng) -> DrawBatch`` and are deterministic
 given the generator state, so a fixed seed reproduces draw sequences
-bit-identically.
+bit-identically.  From a list of K generators, one per attack instance, the
+``count`` rows come in K equal blocks, block k as ``draw(count // K, rng[k])``.
 """
 
 from __future__ import annotations
@@ -10,9 +11,10 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from numpy.random import Generator
 
 from .conjugate import GaussianPosterior, NigPosterior
-from .draws import DrawBatch, _check_draws
+from .draws import DrawBatch, _by_instance, _check_draws
 
 
 class ExactConjugate:
@@ -22,7 +24,10 @@ class ExactConjugate:
     inverse-gamma marginal and the coefficients from the conditional normal
     ``N(mu_n, sigma^2 inv(Lambda_n))``.  For a known-variance Gaussian
     posterior the coefficients are ``N(mu_n, inv(Lambda_n))`` with ``phi``
-    pinned at the known ``sigma2``.
+    pinned at the known ``sigma2``.  From a list of generators each draws its
+    normals, then its gammas (a generator listed twice draws both blocks'
+    normals first), and takes its own product with the factor, as alone: one
+    product over all blocks rounds one-row blocks differently.
     """
 
     def __init__(self, posterior):
@@ -37,22 +42,25 @@ class ExactConjugate:
         _check_draws(np.vstack([posterior.mu_n, self._chol_t]),
                      posterior.b_n if self._nig else posterior.sigma2)
 
+    def _scaled_normals(self, rng, size):
+        return rng.standard_normal((size, self.posterior.p)) @ self._chol_t
+
     def draw(self, count, rng):
         if count < 1:
             raise ValueError("count must be >= 1")
         post = self.posterior
-        z = rng.standard_normal((count, post.p))
+        zc = _by_instance(rng, self._scaled_normals, count)
         if self._nig:
             # InvGamma(a, b): reciprocal of Gamma(shape=a, scale=1/b).  For a
             # small shape a the gamma draw underflows and phi overflows to inf,
             # which ``_check_draws`` rejects with a ValueError, not a warning.
             with np.errstate(divide="ignore", over="ignore"):
-                phi = 1.0 / rng.gamma(post.a_n, 1.0 / post.b_n, size=count)
-            beta = post.mu_n + np.sqrt(phi)[:, None] * (z @ self._chol_t)
+                phi = 1.0 / _by_instance(rng, Generator.gamma, count, post.a_n, 1.0 / post.b_n)
+            beta = post.mu_n + np.sqrt(phi)[:, None] * zc
             _check_draws(beta, phi)
         else:
             phi = np.full(count, post.sigma2)
-            beta = post.mu_n + z @ self._chol_t
+            beta = post.mu_n + zc
         return DrawBatch(beta, phi)
 
 
@@ -76,7 +84,7 @@ class SampleBank:
     def draw(self, count, rng):
         if count < 1:
             raise ValueError("count must be >= 1")
-        idx = rng.integers(0, len(self.batch), size=count)
+        idx = _by_instance(rng, Generator.integers, count, 0, len(self.batch))
         return DrawBatch(self.batch.beta.take(idx, axis=0), self.batch.phi.take(idx))
 
 
@@ -199,7 +207,8 @@ class McmcChain:
     Each ``draw`` reruns the chain from ``initial``, burn-in included, and
     returns the kept states as ``beta`` with ``phi = 1`` (classifiers have no
     free noise scale).  To resample one run cheaply, freeze it with
-    ``SampleBank(chain.draw(n, rng))``.
+    ``SampleBank(chain.draw(n, rng))``.  From K generators it runs one chain
+    each and joins them; ``last_accept_rate`` is then the last chain's.
 
     Parameters
     ----------
@@ -223,9 +232,12 @@ class McmcChain:
         self.last_accept_rate = None
 
     def draw(self, count, rng):
+        return DrawBatch(_by_instance(rng, self._run, count), 1.0)
+
+    def _run(self, rng, size):
         states, self.last_accept_rate = adaptive_rwm(
-            self.log_post, self.initial, count, rng,
+            self.log_post, self.initial, size, rng,
             step=self.step, burn_in=self.burn_in, thin=self.thin,
             target_accept=self.target_accept,
         )
-        return DrawBatch(states, 1.0)
+        return states

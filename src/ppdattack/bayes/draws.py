@@ -31,6 +31,23 @@ def _check_draws(beta, phi):
         raise ValueError("noise variances must be finite and positive")
 
 
+def _by_instance(rng, draw, size, *args):
+    """``draw(rng, *args, size)``, or from a list of K generators (K attack
+    instances) the first axis of ``size`` in K equal blocks, one per
+    generator in list order, joined; ``ValueError`` if it does not split evenly.
+
+    Every backend ``draw`` and likelihood ``sample_y`` draws through it.
+    """
+    if not isinstance(rng, list):
+        return draw(rng, *args, size)
+    rows, *tail = np.atleast_1d(size).tolist()
+    n, rest = divmod(rows, len(rng))
+    if rest:
+        raise ValueError("%d rows do not split into %d equal blocks, one per generator"
+                         % (rows, len(rng)))
+    return np.concatenate([draw(r, *args, (n, *tail) if tail else n) for r in rng])
+
+
 class DrawBatch:
     """A batch of posterior draws stored as arrays.
 

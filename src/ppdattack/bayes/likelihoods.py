@@ -10,10 +10,11 @@ of ``(beta, phi)`` rows):
 
 Every method takes a ``DrawBatch`` and returns one row per draw; a single draw
 is a one-row batch.  ``y`` may be a scalar (evaluated under every draw) or
-one value per draw.  ``CategoricalSoftmax`` and ``GaussianLinear`` also take
-K points x (K, dim) for K equal blocks of draws, block k at x[k], and then
-draw block k's outcomes from the k-th of a list of K generators: K attack
-instances in one call, each rounded and drawn as its one-point call.
+one value per draw.  Every family takes one point x (dim,) or K points
+(K, dim) for K equal blocks of draws, block k at x[k], and then draws block
+k's outcomes from the k-th of a list of K generators: K attack instances in
+one call, each rounded and drawn as its one-point call.  A gray-box mixture
+(``attacks.graybox.MixtureLikelihood``) takes one point.
 
 ``SmallBnn``, ``BernoulliLogit`` and ``FeatureSubsetModel`` are library-only:
 no harness path, CLI config kind, benchmark workload or demo reaches them, and
@@ -52,8 +53,10 @@ bit for bit at dim 2-7; from dim 8 the BLAS ``gemv`` kernel may round the
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import Generator
 
 from ..exceptions import UnsupportedModelError
+from .draws import _by_instance
 
 # Axes shorter than this are summed left to right by numpy in any layout.
 _SHORT_AXIS = 8
@@ -109,13 +112,6 @@ def _softmax(logits):
     return np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
 
 
-def _check_x(x, dim):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise ValueError("x must have shape (%d,), got %s" % (dim, x.shape))
-    return x
-
-
 def _check_points(x, dim, m):
     """One point (dim,), or K points (K, dim) for ``m`` draws in K equal blocks."""
     x = np.asarray(x, dtype=float)
@@ -134,13 +130,6 @@ def _linear(A, x):
     if x.ndim == 1:
         return A @ x
     return np.matmul(A.reshape(len(x), -1, x.shape[1]), x[:, :, None]).ravel()
-
-
-def _by_instance(rng, method, size):
-    """``size`` values from ``rng.method``; from a list of K generators, size/K from each in turn."""
-    if isinstance(rng, list):
-        return np.concatenate([getattr(r, method)(size // len(rng)) for r in rng])
-    return getattr(rng, method)(size)
 
 
 def _labels(y, m, n_classes):
@@ -163,12 +152,10 @@ def _labels(y, m, n_classes):
 def _sample_categorical(probs, rng):
     """One inverse-CDF class draw per row of an (m, k) probability array, as floats.
 
-    ``rng`` is one generator, or a list of K generators for K equal blocks of
-    rows, each block's uniforms drawn from its own generator.  The cumulative
-    sum runs down the leading axis of ``probs.T``: the same left-to-right sums
-    as along each row, without a k-long inner loop per row.
+    The cumulative sum runs down the leading axis of ``probs.T``: the same
+    left-to-right sums as along each row, without a k-long inner loop per row.
     """
-    u = _by_instance(rng, "random", probs.shape[0])
+    u = _by_instance(rng, Generator.random, probs.shape[0])
     return (np.cumsum(probs.T, axis=0) < u).sum(axis=0).astype(float)
 
 
@@ -188,11 +175,8 @@ def normal_score(y, mean, var, jac):
 
 
 def normal_sample(mean, var, size, rng):
-    """``size`` draws of N(mean, var) from one standard-normal block.
-
-    ``rng`` may be a list of K generators, one per equal block of draws.
-    """
-    return mean + np.sqrt(var) * _by_instance(rng, "standard_normal", size)
+    """``size`` draws of N(mean, var) from one standard-normal block."""
+    return mean + np.sqrt(var) * _by_instance(rng, Generator.standard_normal, size)
 
 
 def categorical_logpmf(logits, y):
@@ -245,25 +229,22 @@ class BernoulliLogit:
         return y
 
     def loglik(self, x, y, gamma):
-        x = _check_x(x, self.dim)
-        s = gamma.beta @ x
+        s = _linear(gamma.beta, _check_points(x, self.dim, len(gamma)))
         y = self._check_y(y, len(gamma))
         return y * s - np.logaddexp(0.0, s)
 
     def score_x(self, x, y, gamma):
         from scipy.special import expit
 
-        x = _check_x(x, self.dim)
-        s = gamma.beta @ x
+        s = _linear(gamma.beta, _check_points(x, self.dim, len(gamma)))
         y = self._check_y(y, len(gamma))
         return (y - expit(s))[:, None] * gamma.beta
 
     def sample_y(self, x, gamma, rng):
         from scipy.special import expit
 
-        x = _check_x(x, self.dim)
-        p = expit(gamma.beta @ x)
-        return (rng.random(len(gamma)) < p).astype(float)
+        p = expit(_linear(gamma.beta, _check_points(x, self.dim, len(gamma))))
+        return (_by_instance(rng, Generator.random, len(gamma)) < p).astype(float)
 
 
 class CategoricalSoftmax:
@@ -271,12 +252,6 @@ class CategoricalSoftmax:
 
     The flattened parameter vector per draw is ``W.ravel()`` for a
     (n_classes, dim) weight matrix; labels are integers in [0, n_classes).
-
-    ``x`` is one point (dim,), or K points (K, dim) for K equal blocks of
-    draws, with a list of K generators for ``sample_y``.  Block k's logits
-    come from one batched ``matmul`` at x[k], rounded as its one-point call
-    rounds them (an ``einsum`` would not), and its uniforms from the k-th
-    generator.
     """
 
     def __init__(self, dim, n_classes):
@@ -365,8 +340,12 @@ class SmallBnn:
 
     def _forward(self, x, batch, jacobian=False):
         """Network outputs (m, n_out), and with ``jacobian`` their x-Jacobian (m, n_out, dim)."""
+        X = _check_points(x, self.dim, len(batch)).reshape(-1, self.dim)
         W1, b1, W2, b2 = self._unpack(batch)
-        hvals = np.tanh(W1 @ x + b1)
+        m, h, p = W1.shape
+        # block k at x[k], rounded as W1 @ x at one point (_linear on the flat W1 is not)
+        pre = np.matmul(W1.reshape(len(X), m // len(X), h, p), X[:, None, :, None])
+        hvals = np.tanh(pre.reshape(m, h) + b1)
         out = np.einsum("moh,mh->mo", W2, hvals) + b2
         if not jacobian:
             return out
@@ -375,21 +354,18 @@ class SmallBnn:
         return out, np.einsum("moh,mhp->mop", gate, W1)
 
     def loglik(self, x, y, gamma):
-        x = _check_x(x, self.dim)
         out = self._forward(x, gamma)
         if self.likelihood == "gaussian":
             return normal_logpdf(y, out[:, 0], gamma.phi)
         return categorical_logpmf(out, y)
 
     def score_x(self, x, y, gamma):
-        x = _check_x(x, self.dim)
         out, jac = self._forward(x, gamma, jacobian=True)
         if self.likelihood == "gaussian":
             return normal_score(y, out[:, 0], gamma.phi, jac[:, 0, :])
         return categorical_score(out, y, jac)
 
     def sample_y(self, x, gamma, rng):
-        x = _check_x(x, self.dim)
         out = self._forward(x, gamma)
         if self.likelihood == "gaussian":
             return normal_sample(out[:, 0], gamma.phi, len(gamma), rng)
@@ -417,20 +393,20 @@ class FeatureSubsetModel:
         if np.any(self.indices < 0) or np.any(self.indices >= dim):
             raise ValueError("indices out of range")
 
+    def _seen(self, x, gamma):
+        return _check_points(x, self.dim, len(gamma))[..., self.indices]
+
     def loglik(self, x, y, gamma):
-        x = _check_x(x, self.dim)
-        return self.inner.loglik(x[self.indices], y, gamma)
+        return self.inner.loglik(self._seen(x, gamma), y, gamma)
 
     def score_x(self, x, y, gamma):
-        x = _check_x(x, self.dim)
-        inner = self.inner.score_x(x[self.indices], y, gamma)
+        inner = self.inner.score_x(self._seen(x, gamma), y, gamma)
         full = np.zeros((inner.shape[0], self.dim))
         full[:, self.indices] = inner
         return full
 
     def sample_y(self, x, gamma, rng):
-        x = _check_x(x, self.dim)
-        return self.inner.sample_y(x[self.indices], gamma, rng)
+        return self.inner.sample_y(self._seen(x, gamma), gamma, rng)
 
 
 def require_gaussian_linear(model):

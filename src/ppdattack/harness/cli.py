@@ -157,11 +157,7 @@ def cmd_entropy(args):
 
 
 def cmd_synth(args):
-    doc = _load_config(args.config, args)
-    # synth reads no attack setting, so a config without an attack section
-    # needs no attacked instance.
-    doc.setdefault("attack", {"x0_mode": "clean_mean"})
-    cfg = ExperimentConfig.from_dict(doc)
+    cfg = ExperimentConfig.from_dict(_load_config(args.config, args))
     if cfg.dataset.kind != "synthetic":
         raise ValueError("synth requires dataset.kind == 'synthetic'")
     # The training set a sweep with this config would fit.

@@ -239,7 +239,7 @@ class AttackSpec(_Spec):
     appd_mean_shift: float = 0.0  # ppd target mean = clean mean + shift
     appd_var_factor: Positive = 4.0  # ppd target variance = factor * clean variance
     x0: tuple[float, ...] = None  # explicit attacked covariate vector
-    x0_mode: Literal["explicit", "clean_mean", "test_sample"] = "explicit"
+    x0_mode: Literal["explicit", "clean_mean", "test_sample"] = None  # explicit if x0 given, else clean_mean
     x0_value: float = -0.5  # clean predictive mean to aim the instance at
     x0_count: Count = 5  # instances when x0_mode == test_sample
     strategies: tuple[Literal["analytic", "sgd", "fgsm"], ...] = ("analytic", "sgd", "fgsm")
@@ -253,6 +253,8 @@ class AttackSpec(_Spec):
             raise ValueError("attack.eps_grid must be a non-empty nondecreasing grid")
         if self.x0_mode == "explicit" and self.x0 is None:
             raise ValueError("attack.x0 is required when x0_mode='explicit'")
+        if self.x0 is not None and self.x0_mode in ("clean_mean", "test_sample"):
+            raise ValueError("attack.x0 is given, but x0_mode=%r ignores it" % self.x0_mode)
         if not self.strategies:
             raise ValueError("attack.strategies must name at least one strategy")
 

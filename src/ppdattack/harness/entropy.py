@@ -39,7 +39,6 @@ from ..attacks.feasible import FeasibleSet
 from ..attacks.functionals import onehot_functional
 from ..attacks.point import PointAttackProblem, run_point_attack
 from ..bayes.backends import McmcChain, SampleBank
-from ..bayes.draws import DrawBatch
 from ..bayes.likelihoods import CategoricalSoftmax
 from .config import EntropySpec
 from .sep import SepRecord
@@ -117,12 +116,11 @@ def predictive_probs(model, backend, x, n, rng):
 
     ``x`` is one point with one generator, or K points (K, p) with a list of
     K generators (the same generator may repeat): point k's ``n`` draws come
-    from the k-th, in point order, and one ``class_probs`` call scores all.
+    from the k-th, in point order, in one backend draw and one ``class_probs`` call.
     """
     x = np.asarray(x, dtype=float)
-    gens = [rng] if x.ndim == 1 else rng
-    batch = DrawBatch.concat([backend.draw(n, r) for r in gens])
-    probs = model.class_probs(x, batch).reshape(len(gens), n, -1).mean(axis=1)
+    k = 1 if x.ndim == 1 else len(x)
+    probs = model.class_probs(x, backend.draw(k * n, rng)).reshape(k, n, -1).mean(axis=1)
     return probs[0] if x.ndim == 1 else probs
 
 

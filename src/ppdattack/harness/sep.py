@@ -109,7 +109,7 @@ def aim_at_mean(mu_n, value):
 
 
 def _instances(cfg: ExperimentConfig, defender, test):
-    mode = cfg.attack.x0_mode
+    mode = cfg.attack.x0_mode or ("explicit" if cfg.attack.x0 is not None else "clean_mean")
     if mode == "explicit":
         return [np.asarray(cfg.attack.x0, dtype=float)]
     if mode == "clean_mean":
@@ -175,10 +175,10 @@ def _attack_ppd_instance(strategy, cfg, defender, x0, appd, eps, rng):
     return fgsm_like(x0, g[0], eps, norm=cfg.attack.norm)
 
 
-def _ppd_metrics(defender, cfg, x0, x, appd, rng):
+def _ppd_metrics(defender, cfg, x0, clean_moments, x, appd, rng):
     # Scores the predictive at the attacked x against the target and against
-    # the defender's clean predictive at x0: in closed form for a normal
-    # predictive, by Monte Carlo for the Student-t one.
+    # the defender's clean predictive at x0 (its stored moments for a normal
+    # one): in closed form for a normal predictive, by Monte Carlo for a t.
     post = defender.posterior
     m, v = post.predictive_moments(x)
     if isinstance(post, NigPosterior):
@@ -189,7 +189,7 @@ def _ppd_metrics(defender, cfg, x0, x, appd, rng):
         kl_clean = float(np.mean(induced.logpdf(ys2) - clean.logpdf(ys2)))
     else:
         kl_appd = gaussian_kl(appd.mean, appd.var, m, v)
-        kl_clean = gaussian_kl(m, v, *post.predictive_moments(x0))
+        kl_clean = gaussian_kl(m, v, *clean_moments)
     return {"kl-to-appd": kl_appd, "kl-to-clean-ppd": kl_clean, "pred-var": v}
 
 
@@ -284,9 +284,9 @@ def _run_task(cfg, defender, instances, targets, strategy, eps, rng_attack, rng_
         return {"rmse-to-target": float(np.sqrt(np.mean(residuals**2)))}
 
     out = {}
-    for x0, (appd, _) in zip(instances, targets):
+    for x0, (appd, clean_moments) in zip(instances, targets):
         x_adv = _attack_ppd_instance(strategy, cfg, defender, x0, appd, eps, rng_attack)
-        metrics = _ppd_metrics(defender, cfg, x0, x_adv, appd, rng_eval)
+        metrics = _ppd_metrics(defender, cfg, x0, clean_moments, x_adv, appd, rng_eval)
         for k, v in metrics.items():
             out.setdefault(k, []).append(v)
     return {k: float(np.mean(v)) for k, v in out.items()}

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from ppdattack.analytic import (
     analytic_point,
     analytic_point_l2,
-    analytic_point_linf,
     gaussian_kl,
     kl_normal_ppd,
     kl_normal_ppd_grad,
@@ -91,7 +90,7 @@ def test_l2_interior_solution_is_minimum_norm():
 def test_linf_boundary_hand_values():
     # alpha = 3, ||mu||_1 = 3: exactly on the feasibility edge at eps = 1.
     x = np.array([2.0, 1.0])  # mu'x = 0
-    sol = analytic_point_linf(MU, x, 3.0, 1.0)
+    sol = analytic_point(MU, x, 3.0, 1.0, norm="linf")
     assert sol.achieved
     assert np.allclose(sol.r_star, [-1.0, 1.0], atol=1e-12)
     assert sol.residual == 0.0
@@ -99,7 +98,7 @@ def test_linf_boundary_hand_values():
 
 def test_linf_unreachable_target():
     x = np.array([2.0, 1.0])
-    sol = analytic_point_linf(MU, x, 4.0, 1.0)  # alpha=4 > eps*||mu||_1=3
+    sol = analytic_point(MU, x, 4.0, 1.0, norm="linf")  # alpha=4 > eps*||mu||_1=3
     assert not sol.achieved
     assert np.allclose(sol.r_star, [-1.0, 1.0], atol=1e-12)
     assert sol.residual == pytest.approx(1.0, abs=1e-12)
@@ -107,7 +106,7 @@ def test_linf_unreachable_target():
 
 def test_linf_zero_coordinate_untouched():
     mu = np.array([0.0, 2.0])
-    sol = analytic_point_linf(mu, np.zeros(2), 1.0, 1.0)
+    sol = analytic_point(mu, np.zeros(2), 1.0, 1.0, norm="linf")
     assert sol.r_star[0] == 0.0
     assert mu @ sol.x_star == pytest.approx(1.0, abs=1e-12)
 
@@ -128,7 +127,7 @@ def test_duality_boundary_is_exact():
         assert abs(np.linalg.norm(sol.r_star) - eps) <= 1e-12
 
         y1 = mu @ x + sign * eps * np.abs(mu).sum()
-        sol = analytic_point_linf(mu, x, float(y1), eps)
+        sol = analytic_point(mu, x, float(y1), eps, norm="linf")
         assert sol.residual <= 1e-9
         assert abs(np.abs(sol.r_star).max() - eps) <= 1e-12
 

@@ -223,3 +223,43 @@ def test_conjugate_backend_rejects_non_finite_posterior():
     post = GaussianPosterior(mu_n=np.zeros(2), lambda_n=np.eye(2), sigma2=np.inf)
     with pytest.raises(ValueError, match="noise variances must be finite and positive"):
         ExactConjugate(post)
+
+
+def _backends(r, dim=3):
+    X = r.standard_normal((20, dim))
+    y = X @ r.standard_normal(dim) + r.standard_normal(20)
+    gaussian = GaussianPosterior(mu_n=r.standard_normal(dim), lambda_n=np.eye(dim) + X.T @ X,
+                                 sigma2=0.7)
+    nig = nig_update(NigPrior(np.zeros(dim), np.eye(dim), 3.0, 2.0), X, y)
+    bank = SampleBank(DrawBatch(r.standard_normal((40, dim)), r.uniform(0.5, 2.0, 40)))
+    chain = McmcChain(gaussian_log_post(np.ones(dim), 1.0), np.zeros(dim), burn_in=20, thin=2)
+    return {"gaussian": ExactConjugate(gaussian), "nig": ExactConjugate(nig), "bank": bank,
+            "chain": chain}
+
+
+# A chain keeping a few states has a noisy acceptance rate; only its stream matters here.
+@pytest.mark.filterwarnings("ignore:MCMC acceptance rate:RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 5), n=st.integers(1, 12),
+       kind=st.sampled_from(["gaussian", "nig", "bank", "chain"]))
+@example(seed=0, K=5, n=1, kind="gaussian")  # one-row blocks: numpy's vector product
+def test_k_generator_draw_joins_the_per_generator_draws(seed, K, n, kind):
+    # draw(K * n, gens) draws block k as draw(n, gens[k]) draws it, and leaves
+    # each generator where that call leaves it.
+    backend = _backends(np.random.default_rng(seed))[kind]
+    seeds = np.random.default_rng(seed + 1).integers(0, 2**32, K)
+    gens = [np.random.default_rng(s) for s in seeds]
+    alone = [np.random.default_rng(s) for s in seeds]
+    together = backend.draw(K * n, gens)
+    joined = DrawBatch.concat([backend.draw(n, g) for g in alone])
+    assert np.array_equal(together.beta, joined.beta)
+    assert np.array_equal(together.phi, joined.phi)
+    assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in alone]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "nig", "bank", "chain"])
+def test_k_generator_draw_refuses_an_uneven_split(kind):
+    backend = _backends(np.random.default_rng(0))[kind]
+    gens = [np.random.default_rng(s) for s in (1, 2, 3)]
+    with pytest.raises(ValueError, match="10 rows do not split into 3 equal blocks"):
+        backend.draw(10, gens)

@@ -14,8 +14,8 @@ import pytest
 
 from ppdattack.harness import sep
 from ppdattack.harness.cli import main
-from ppdattack.harness.config import ExperimentConfig
-from ppdattack.harness.sep import prepare_experiment
+from ppdattack.harness.config import AttackSpec, ExperimentConfig
+from ppdattack.harness.sep import aim_at_mean, prepare_experiment
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -349,14 +349,29 @@ def test_mistyped_config_fields_exit_2(tmp_path, capsys, command, doc, field):
     ("attack", {}),
     ("sweep", {"seed": 3, "dataset": {"n": 50}}),
 ])
-def test_absent_attack_section_is_validated(tmp_path, capsys, command, doc):
-    # An absent section is validated as an empty one, so the default attack's
-    # missing explicit x0 is named at load, not found mid-run as a shape error.
-    cfg = write_config(tmp_path, doc)
-    assert main([command, cfg, "--output-dir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "attack.x0 is required when x0_mode='explicit'" in err
-    assert not list(tmp_path.glob("*.csv"))
+def test_absent_attack_section_is_validated(command, doc):
+    # An absent section is validated as an empty one: the default attack,
+    # which aims at the clean-mean instance since it names no x0.
+    cfg = ExperimentConfig.from_dict(doc)
+    assert cfg.attack == AttackSpec()
+    _, _, defender, instances, _ = prepare_experiment(cfg)
+    assert len(instances) == 1
+    assert np.array_equal(instances[0], aim_at_mean(defender.posterior.mu_n, cfg.attack.x0_value))
+
+
+def test_documented_defaults_run_and_a_given_x0_is_never_dropped(tmp_path, capsys):
+    # The default config builds and its attack runs; an x0 beside a mode that
+    # would attack another point is refused, naming attack.x0.
+    assert ExperimentConfig().attack.x0_mode is None
+    assert main(["attack", write_config(tmp_path, {}), "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "trace.csv").exists()
+    capsys.readouterr()
+    for mode in ("clean_mean", "test_sample"):
+        doc = {"attack": {"x0": [5, 5], "x0_mode": mode}}
+        assert main(["sweep", write_config(tmp_path, doc), "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "attack.x0" in err and mode in err
+    assert not list(tmp_path.glob("sep*.csv"))
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

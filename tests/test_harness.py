@@ -80,10 +80,9 @@ from rwm_reference import sequential_rwm
 
 
 def test_config_defaults_round_trip():
-    # The default attack aims at an explicit x0, so the smallest valid
-    # config names another x0 mode; an absent section is validated too.
-    with pytest.raises(ValueError, match="attack.x0 is required"):
-        ExperimentConfig.from_dict({})
+    # The default attack aims at the clean-mean instance, so the empty config
+    # is the default one.
+    assert ExperimentConfig.from_dict({}) == ExperimentConfig()
     cfg = ExperimentConfig.from_dict({"attack": {"x0_mode": "clean_mean"}})
     assert cfg.seed == 0
     assert cfg.attack.type == "point"
@@ -299,25 +298,8 @@ def _as_python(value):
     return tuple(value) if isinstance(value, list) else value
 
 
-def _merged(base, doc):
-    out = dict(base)
-    for k, v in doc.items():
-        out[k] = _merged(out[k], v) if isinstance(v, dict) and k in out else v
-    return out
-
-
-# What a section needs, beside the field under test, to load; and the one
-# bound value a rule tying fields together refuses (M0 = 1 is odd).
-LOADABLE = {AttackSpec: {"x0_mode": "clean_mean"},
-            ExperimentConfig: {"attack": {"x0_mode": "clean_mean"}}}
+# The one bound value a rule tying fields together refuses (M0 = 1 is odd).
 CROSS_FIELD = {(MlmcSpec, "M0"): "mlmc.M0 must be even"}
-
-
-def _loadable_kwargs(owner):
-    # LOADABLE's fields as Python values, its sections built as specs: a
-    # default ExperimentConfig cannot be built, its AttackSpec needing an x0.
-    spec = owner.from_dict(LOADABLE.get(owner, {}))
-    return {k: getattr(spec, k) for k in LOADABLE.get(owner, {})}
 
 EDGES = [(cls, path, owner, name, past, at) for cls, path, owner, name, kind, _ in LEAVES
          for past, at in _edges(kind)]
@@ -335,28 +317,27 @@ def test_every_bound_refuses_a_value_just_past_it_and_takes_one_at_it(cls, path,
                                                                        past, at):
     # From JSON the fault names the field's dotted path, in Python its name.
     with pytest.raises(ValueError, match="^config field '%s' must be " % re.escape(path)):
-        cls.from_dict(_merged(LOADABLE.get(cls, {}), _nested(path, past)))
+        cls.from_dict(_nested(path, past))
     with pytest.raises(ValueError, match="^config field '%s' must be " % name):
-        owner(**_loadable_kwargs(owner), **{name: _as_python(past)})
+        owner(**{name: _as_python(past)})
     if at is None:
         return
-    doc = _merged(LOADABLE.get(cls, {}), _nested(path, at))
+    doc = _nested(path, at)
     if (owner, name) in CROSS_FIELD:
         with pytest.raises(ValueError, match=CROSS_FIELD[owner, name]):
             cls.from_dict(doc)
         return
     assert functools.reduce(getattr, path.split("."), cls.from_dict(doc)) == _as_python(at)
-    assert getattr(owner(**_loadable_kwargs(owner), **{name: _as_python(at)}), name) == _as_python(at)
+    assert getattr(owner(**{name: _as_python(at)}), name) == _as_python(at)
 
 
 @pytest.mark.parametrize("build, name", [
     (lambda: GradCheckSpec(replicates=5), "replicates"),
-    (lambda: AttackSpec(norm="l7", x0_mode="clean_mean"), "norm"),
+    (lambda: AttackSpec(norm="l7"), "norm"),
     (lambda: MlmcSpec(tau=0.5), "tau"),
     (lambda: DatasetSpec(n=-3), "n"),
     (lambda: EntropySpec(n_per_class=0), "n_per_class"),
-    (lambda: ExperimentConfig(model={"sigma2": 1.0}, attack=AttackSpec(x0_mode="clean_mean")),
-     "model"),
+    (lambda: ExperimentConfig(model={"sigma2": 1.0}), "model"),
 ])
 def test_specs_built_in_python_check_themselves(build, name):
     # Unchecked, each of these constructed and ran until something broke.
@@ -637,6 +618,28 @@ def test_csv_standardize_uses_training_stats(tmp_path):
     assert np.allclose(manual, ds.X[40:], atol=1e-9)
     # response stays in original units
     assert np.allclose(loaded.train.y, ds.y[:40])
+
+
+def test_csv_sweep_attacks_test_sample_instances(tmp_path):
+    # The real-data sweep's path on a small CSV: a csv dataset, test-sample
+    # instances and a target scaled by the mean response give one finite
+    # rmse-to-target record per (eps, rep, strategy) cell.
+    ds = gen_synthetic(60, (1.0, -0.5), 1.0, np.random.default_rng(np.random.SeedSequence((8, 6))))
+    path = tmp_path / "data.csv"
+    write_dataset_csv(ds, str(path))
+    cfg = ExperimentConfig(
+        seed=51, dataset=DatasetSpec(kind="csv", path=str(path), response="y", standardize=True),
+        attack=AttackSpec(eps_grid=(0.0, 0.3), repeats=2, x0_mode="test_sample", x0_count=3,
+                          target_mode="times_mean_response", target=2.0,
+                          optimizer=OptimizerSpec(T=20)))
+    res = run_sep(cfg)
+    assert len(res.instances) == 3
+    cells = [(r.epsilon, r.rep, r.strategy) for r in res.records if r.metric == "rmse-to-target"]
+    assert sorted(cells) == sorted((e, rep, s) for e in (0.0, 0.3) for rep in range(2)
+                                   for s in cfg.attack.strategies)
+    assert all(np.isfinite(r.value) for r in res.records)
+    with pytest.raises(ValueError, match="needs a test split"):
+        prepare_experiment(dataclasses.replace(cfg, dataset=DatasetSpec()))
 
 
 def test_csv_ingestion_errors(tmp_path):

@@ -6,7 +6,8 @@ draws from its own generator exactly what its one-instance attack draws, so
 its iterates, objectives, final point and final residual must be the same
 numbers bit for bit, and its generator must end in the same state.  Every
 instance runs exactly T iterations, so the lockstep trace has fixed shapes:
-iterates (T+1, K, p) and objectives (T, K).
+iterates (T+1, K, p) and objectives (T, K).  Every likelihood family takes
+K points, so the property runs over all of them, each with its own backend.
 """
 
 from dataclasses import replace
@@ -21,13 +22,20 @@ from ppdattack.attacks.functionals import onehot_functional, response_functional
 from ppdattack.attacks.point import (
     PointAttackProblem,
     estimate_grad_mu,
+    grad_J,
     reparam_grad_mu,
     run_point_attack,
 )
 from ppdattack.bayes.backends import ExactConjugate, SampleBank
 from ppdattack.bayes.conjugate import gaussian_update
 from ppdattack.bayes.draws import DrawBatch
-from ppdattack.bayes.likelihoods import CategoricalSoftmax, GaussianLinear
+from ppdattack.bayes.likelihoods import (
+    BernoulliLogit,
+    CategoricalSoftmax,
+    FeatureSubsetModel,
+    GaussianLinear,
+    SmallBnn,
+)
 from ppdattack.exceptions import NonFiniteGradientError
 
 
@@ -45,6 +53,39 @@ def _gaussian_setup(r, K, dim, reparam):
     grad_mu = reparam_grad_mu if reparam else estimate_grad_mu
     return (response_functional(), GaussianLinear(dim), ExactConjugate(post),
             r.uniform(-3.0, 3.0, (K, 1)), grad_mu)
+
+
+def _logit_setup(r, K, dim, k):
+    bank = SampleBank(DrawBatch(r.standard_normal((60, dim))))
+    return (response_functional(), BernoulliLogit(dim), bank, r.uniform(0.1, 0.9, (K, 1)),
+            estimate_grad_mu)
+
+
+def _bnn_setup(r, K, dim, k, head):
+    model = (SmallBnn(dim, 3) if head == "gaussian"
+             else SmallBnn(dim, 3, likelihood="categorical", n_out=k))
+    bank = SampleBank(DrawBatch(r.standard_normal((60, model.n_params)), r.uniform(0.5, 2.0, 60)))
+    if head == "gaussian":
+        return response_functional(), model, bank, r.uniform(-2.0, 2.0, (K, 1)), estimate_grad_mu
+    return onehot_functional(k), model, bank, r.dirichlet(np.ones(k), size=K), estimate_grad_mu
+
+
+def _subset_setup(r, K, dim, k):
+    # The inner Gaussian model sees the last dim - 1 covariates.
+    g, inner, backend, targets, grad_mu = _gaussian_setup(r, K, dim - 1, False)
+    return g, FeatureSubsetModel(inner, np.arange(1, dim), dim), backend, targets, grad_mu
+
+
+def _setup(family, r, K, dim, k):
+    if family == "softmax":
+        return _softmax_setup(r, K, dim, k)
+    if family == "logit":
+        return _logit_setup(r, K, dim, k)
+    if family.startswith("bnn-"):
+        return _bnn_setup(r, K, dim, k, family[4:])
+    if family == "subset":
+        return _subset_setup(r, K, dim, k)
+    return _gaussian_setup(r, K, dim, family.endswith("reparam"))
 
 
 def _lockstep_and_alone(prob, backend, seeds, grad_mu):
@@ -76,21 +117,22 @@ def _assert_same(prob, together, gens, alone, alone_gens):
         assert gens[k].bit_generator.state == rng.bit_generator.state
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 6),
        norm=st.sampled_from(["l2", "linf", "l1"]),
        eps=st.sampled_from([0.0, 0.2, 0.7, 3.0]),
-       family=st.sampled_from(["softmax", "gaussian", "gaussian-reparam"]),
+       family=st.sampled_from(["softmax", "gaussian", "gaussian-reparam", "logit",
+                               "bnn-gaussian", "bnn-categorical", "subset"]),
        dim=st.integers(2, 4), k=st.integers(2, 4), NM=st.tuples(st.integers(2, 24),
                                                                  st.integers(2, 24)))
 @example(seed=3, K=5, norm="l2", eps=1.0, family="softmax", dim=2, k=3, NM=(16, 16))
+@example(seed=4, K=3, norm="l2", eps=0.7, family="logit", dim=3, k=2, NM=(8, 8))
+@example(seed=5, K=3, norm="linf", eps=0.7, family="bnn-gaussian", dim=3, k=2, NM=(8, 8))
+@example(seed=6, K=3, norm="l1", eps=0.7, family="bnn-categorical", dim=3, k=3, NM=(8, 8))
+@example(seed=7, K=3, norm="l2", eps=0.7, family="subset", dim=3, k=2, NM=(8, 8))
 def test_lockstep_equals_one_instance_runs(seed, K, norm, eps, family, dim, k, NM):
     r = np.random.default_rng(seed)
-    if family == "softmax":
-        g, model, backend, targets, grad_mu = _softmax_setup(r, K, dim, k)
-    else:
-        g, model, backend, targets, grad_mu = _gaussian_setup(r, K, dim,
-                                                              family.endswith("reparam"))
+    g, model, backend, targets, grad_mu = _setup(family, r, K, dim, k)
     prob = PointAttackProblem(
         g=g, g_star=targets, model=model,
         feasible=FeasibleSet(center=r.standard_normal((K, dim)), epsilon=eps, norm=norm),
@@ -109,6 +151,22 @@ def test_lockstep_needs_one_generator_per_instance():
         run_point_attack(prob, backend, [np.random.default_rng(1)] * 2)
     with pytest.raises(ValueError, match="g_star"):
         replace(prob, g_star=targets[:2])
+
+
+@pytest.mark.parametrize("replicates, n_gens", [(1, 2), (2, 3), (3, 3)])
+def test_k_points_need_k_generators_and_k_blocks(replicates, n_gens):
+    # Two points take a list of two generators and two row blocks; anything
+    # else is refused before a draw, not cut into the wrong rows.
+    r = np.random.default_rng(0)
+    g, model, backend, targets, grad_mu = _softmax_setup(r, 2, 2, 3)
+    prob = PointAttackProblem(g=g, g_star=targets, model=model,
+                              feasible=FeasibleSet(center=np.zeros((2, 2)), epsilon=1.0), T=2)
+    gens = [np.random.default_rng(s) for s in range(n_gens)]
+    with pytest.raises(ValueError, match="2 points need a list of as many generators and k = 2"):
+        grad_J(prob, np.zeros((2, 2)), backend, gens, replicates)
+    with pytest.raises(ValueError, match=r"got k = 2 and Generator\("):
+        grad_J(prob, np.zeros((2, 2)), backend, gens[0], 2)
+    assert grad_J(prob, np.zeros((2, 2)), backend, gens[:2], 2).shape == (2, 2)
 
 
 def test_non_finite_gradient_names_the_instance():

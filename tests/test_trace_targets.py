@@ -169,19 +169,20 @@ def test_entropy_attacks_score_once_per_lockstep_iteration(tmp_path):
     workload, spec, spans = _entropy_traced(tmp_path)
     calls = Counter(s.name for s in spans)
     attacked = sum(1 for e in spec.eps_grid if e > 0.0)  # eps = 0 draws no attack
-    K = spec.n_id + spec.n_ood  # one lockstep call per eps over every point
+    # one lockstep call per eps over all K = n_id + n_ood points
     assert calls["attacks.point.run_point_attack"] == attacked
     # one score pass over all K instances' rows per iteration, not one per instance
     assert calls["bayes.likelihoods.CategoricalSoftmax.score_x"] == attacked * spec.T
     # one outcome draw per iteration and one for the final residual
     assert calls["bayes.likelihoods.CategoricalSoftmax.sample_y"] == attacked * (spec.T + 1)
-    # each instance draws its own bank rows: per iteration and for the final residual
+    # one bank draw from the K instances' generators per iteration and one for
+    # the final residual, each instance's rows from its own generator
     in_attacks = [s for s in spans if s.name == "bayes.backends.SampleBank.draw"
                   and spans[s.parent].name == "attacks.point.run_point_attack"]
-    assert len(in_attacks) == attacked * K * (spec.T + 1)
-    # readouts: the modal pass draws per OOD point, each eps's pass per point,
-    # and each pass scores all its points in one class_probs call
-    readouts = spec.n_ood + len(spec.eps_grid) * K
+    assert len(in_attacks) == attacked * (spec.T + 1)
+    # readouts: the modal pass and each eps's pass draw every point's rows in
+    # one bank draw and score them in one class_probs call
+    readouts = 1 + len(spec.eps_grid)
     assert calls["bayes.backends.SampleBank.draw"] == len(in_attacks) + readouts
     assert calls["bayes.likelihoods.CategoricalSoftmax.class_probs"] == (
         attacked * (spec.T + 1) + 1 + len(spec.eps_grid))
