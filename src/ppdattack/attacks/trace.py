@@ -53,6 +53,9 @@ class AttackTrace:
     def instance(self, k):
         """Instance ``k`` of a lockstep point attack, as its one-instance trace:
         column k of the iterates (T+1, K, p) and objectives (T, K)."""
+        if self.iterates.ndim != 3:
+            raise ValueError("this is a one-instance trace, with no instance axis to cut;"
+                             " use it as it is, e.g. trace.write_csv(path)")
         return AttackTrace(iterates=self.iterates[:, k], objectives=self.objectives[:, k],
                            final_x=self.final_x[k], final_residual=float(self.final_residual[k]))
 
@@ -66,7 +69,11 @@ class AttackTrace:
         for multilevel runs, an iteration's levels joined by ``|``.  Row 0
         is the initial point with an empty objective cell; row t's objective
         is the estimate at row t-1's point, the one iteration t stepped from.
+        A lockstep trace is written one instance at a time.
         """
+        if self.iterates.ndim != 2:
+            raise ValueError("a lockstep trace holds %d instances; write one with"
+                             " trace.instance(k).write_csv(path)" % self.iterates.shape[1])
         header = ["iteration", "objective"] + ["x_%d" % j for j in range(self.iterates.shape[1])]
         objectives = [""] + [format_float(v) for v in self.objectives]
         rows = [[t, objectives[t]] + [format_float(v) for v in x]

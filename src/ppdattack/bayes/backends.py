@@ -25,9 +25,9 @@ class ExactConjugate:
     ``N(mu_n, sigma^2 inv(Lambda_n))``.  For a known-variance Gaussian
     posterior the coefficients are ``N(mu_n, inv(Lambda_n))`` with ``phi``
     pinned at the known ``sigma2``.  From a list of generators each draws its
-    normals, then its gammas (a generator listed twice draws both blocks'
-    normals first), and takes its own product with the factor, as alone: one
-    product over all blocks rounds one-row blocks differently.
+    block's normals, then its gammas, and takes its own product with the
+    factor, as alone: one product over all blocks rounds one-row blocks
+    differently.
     """
 
     def __init__(self, posterior):
@@ -42,25 +42,29 @@ class ExactConjugate:
         _check_draws(np.vstack([posterior.mu_n, self._chol_t]),
                      posterior.b_n if self._nig else posterior.sigma2)
 
-    def _scaled_normals(self, rng, size):
-        return rng.standard_normal((size, self.posterior.p)) @ self._chol_t
+    def _block(self, rng, size):
+        """One generator's ``size`` rows: its scaled normals, and for NIG its
+        gammas after them, as a last column."""
+        post = self.posterior
+        zc = rng.standard_normal((size, post.p)) @ self._chol_t
+        if not self._nig:
+            return zc
+        return np.column_stack([zc, rng.gamma(post.a_n, 1.0 / post.b_n, size)])
 
     def draw(self, count, rng):
         if count < 1:
             raise ValueError("count must be >= 1")
         post = self.posterior
-        zc = _by_instance(rng, self._scaled_normals, count)
-        if self._nig:
-            # InvGamma(a, b): reciprocal of Gamma(shape=a, scale=1/b).  For a
-            # small shape a the gamma draw underflows and phi overflows to inf,
-            # which ``_check_draws`` rejects with a ValueError, not a warning.
-            with np.errstate(divide="ignore", over="ignore"):
-                phi = 1.0 / _by_instance(rng, Generator.gamma, count, post.a_n, 1.0 / post.b_n)
-            beta = post.mu_n + np.sqrt(phi)[:, None] * zc
-            _check_draws(beta, phi)
-        else:
-            phi = np.full(count, post.sigma2)
-            beta = post.mu_n + zc
+        rows = _by_instance(rng, self._block, count)
+        if not self._nig:
+            return DrawBatch(post.mu_n + rows, np.full(count, post.sigma2))
+        # InvGamma(a, b): reciprocal of Gamma(shape=a, scale=1/b).  For a
+        # small shape a the gamma draw underflows and phi overflows to inf,
+        # which ``_check_draws`` rejects with a ValueError, not a warning.
+        with np.errstate(divide="ignore", over="ignore"):
+            phi = 1.0 / rows[:, -1]
+        beta = post.mu_n + np.sqrt(phi)[:, None] * rows[:, :-1]
+        _check_draws(beta, phi)
         return DrawBatch(beta, phi)
 
 

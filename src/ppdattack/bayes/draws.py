@@ -5,8 +5,8 @@ draw, pairing a coefficient vector ``beta`` with a positive noise scale
 ``phi`` (the noise variance for Gaussian likelihoods; fixed to 1 for
 classification families whose likelihood has no free scale).  A single draw
 is a batch with one row; :meth:`DrawBatch.concat` joins batches in order,
-which is how the multilevel gradient scores all of an iteration's draws at
-once.
+which is how the distribution attack's objective estimate scores every
+(outcome, draw) pair in one ``loglik`` call.
 
 Draws are checked once, where they enter the program, not each time a batch
 is built: :class:`~ppdattack.bayes.backends.SampleBank` checks its rows when

@@ -29,25 +29,18 @@ chain rule through the family's output Jacobian ``jac``.  ``BernoulliLogit``
 keeps its own law, which nothing else uses.
 
 Every softmax and log-normaliser in the library goes through this module's
-:func:`logsumexp`, except one: the Metropolis log posterior of the entropy
-experiment's bank fit (``harness.entropy.fit_softmax_bank``) writes its own
-max-shifted normaliser over a batch of proposals, because its values only
-feed accept decisions and round-off there, from the normaliser or the
-batching, changes no bank.  ``scipy.special.logsumexp`` is generic over
-array APIs; on the small arrays passed here (192 draws by 3 classes in the
-attacks) it costs 80-100 us per call on a 2-vCPU Xeon host.  The local
-version runs the same numpy operations in the same order as scipy's
-real-input path (scipy 1.17.1), so its results are bit-identical on every
-input and no sampled class changes.  It reduces a short axis (fewer than
-eight entries, such as a class axis) as the leading axis of a contiguous
-copy, where numpy's inner loop runs along the long axis instead of once per
-row; below eight terms numpy sums left to right in either layout, so the
-result is the same.  ``CategoricalSoftmax`` forms its (m, k) logits as one
-2-D product over every draw's class rows and ``_sample_categorical`` takes
-its cumulative sum down the leading axis of ``probs.T``, for the same
-reason.  Both equal the stacked ``(m, k, dim) @ x`` and row-wise ``cumsum``
-bit for bit at dim 2-7; from dim 8 the BLAS ``gemv`` kernel may round the
-2-D product's last place differently.
+:func:`logsumexp`, except the Metropolis log posterior of the entropy
+experiment's bank fit (``harness.entropy.fit_softmax_bank``), which writes its
+own over a batch of proposals.  ``scipy.special.logsumexp`` is generic over
+array APIs and costs 80-100 us per call on the small arrays passed here (192
+draws by 3 classes in the attacks) on a 2-vCPU Xeon host; the local one is a
+plain max-shift and agrees with scipy's to round-off.  It reduces the class
+axis as the leading axis of a contiguous copy, ``CategoricalSoftmax`` forms
+its (m, k) logits as one 2-D product over every draw's class rows, and
+``_sample_categorical`` takes its cumulative sum down the leading axis of
+``probs.T``, so numpy's inner loops run along the draws.  The product equals
+the stacked ``(m, k, dim) @ x`` bit for bit at dim 2-7; from dim 8 the BLAS
+``gemv`` kernel may round its last place differently.
 """
 
 from __future__ import annotations
@@ -58,52 +51,32 @@ from numpy.random import Generator
 from ..exceptions import UnsupportedModelError
 from .draws import _by_instance
 
-# Axes shorter than this are summed left to right by numpy in any layout.
-_SHORT_AXIS = 8
-
 
 def logsumexp(a, axis=None, keepdims=False):
-    """``log(sum(exp(a)))`` over ``axis`` for a real array, computed stably.
+    """``log(sum(exp(a)))`` over an integer ``axis`` (all axes for None) of a
+    real array, shifted by the maximum.
 
-    Mirrors ``scipy.special.logsumexp`` (scipy 1.17.1, real input, no
-    weights) operation for operation: with ``m`` tied maxima and ``s`` the
-    sum of ``exp(a - max)`` over the other entries, the result is
-    ``log1p(s / m) + log(m) + max``; where that is not finite (an infinite
-    maximum, an all ``-inf`` slice, a nan), the direct ``log(sum(exp(a)))``.
-    A 0-d input is treated as 1-d, a 0-d result is returned as a scalar.
-    The slices reduced must not be empty.
-
-    An integer ``axis`` shorter than ``_SHORT_AXIS`` is reduced as the leading
-    axis of a contiguous copy, so numpy's inner loop runs along the long axes
-    and not once per slice.  Below that length numpy sums left to right in
-    either layout, so the result is still bit for bit scipy's.
+    An infinite maximum is shifted by 0, so a slice with +inf gives inf, an
+    all -inf slice -inf, and a nan gives nan, with no warning.  The reduced
+    axis is moved to the front of a contiguous copy, so numpy's inner loop
+    runs along the other axes (the draws of an (m, n_classes) logit array)
+    and not once per slice.  A 0-d input is treated as 1-d, a 0-d result is
+    returned as a scalar.  The slices reduced must not be empty.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    shape, out_shape = a.shape, None
-    if (isinstance(axis, (int, np.integer)) and -a.ndim <= axis < a.ndim
-            and shape[axis] < _SHORT_AXIS):
-        axis = int(axis) % a.ndim
-        # the short axis first, the others in their order
-        a = np.ascontiguousarray(a.transpose([axis] + [i for i in range(a.ndim) if i != axis]))
-        out_shape = shape[:axis] + ((1,) if keepdims else ()) + shape[axis + 1:]
-        axis = 0
-    elif axis is None:
-        axis = tuple(range(a.ndim))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    if axis is None:
+        front, shape = a.reshape(-1), (1,) * a.ndim
+    else:
+        axis = range(a.ndim)[axis]  # IndexError when out of range
+        front = np.ascontiguousarray(a.transpose([axis] + [i for i in range(a.ndim) if i != axis]))
+        shape = a.shape[:axis] + (1,) + a.shape[axis + 1:]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # ufunc.reduce is what np.max/np.sum call, without their wrapper.
-        a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
-        tied = a == a_max
-        m = np.add.reduce(tied, axis=axis, keepdims=True, dtype=float)
-        s = np.add.reduce(np.exp(np.where(tied, -np.inf, a) - a_max), axis=axis, keepdims=True)
-        out = np.log1p(s / m) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            direct = np.log(np.add.reduce(np.exp(a), axis=axis, keepdims=True))
-            out = np.where(finite, out, direct)
-    if out_shape is not None:
-        out = out.reshape(out_shape)
-    elif not keepdims:
-        out = np.squeeze(out, axis=axis)
+        a_max = np.maximum.reduce(front, axis=0)
+        shift = np.where(np.isfinite(a_max), a_max, 0.0)
+        out = np.log(np.add.reduce(np.exp(front - shift), axis=0)) + shift
+    if keepdims:
+        out = out.reshape(shape)
     return out[()] if out.ndim == 0 else out
 
 

@@ -30,7 +30,6 @@ baseline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,20 +124,13 @@ def predictive_probs(model, backend, x, n, rng):
 
 
 def entropy_of(probs):
-    """Shannon entropy in nats of a probability vector, with 0 * log 0 = 0.
-
-    Equals ``-scipy.special.xlogy(probs, probs).sum()`` bit for bit without
-    importing scipy: each term is ``p * log(p)`` with libm's ``log``
-    (``math.log``, as scipy's ``xlogy`` calls it), and the terms are summed by
-    numpy in the same order.  ``np.log`` would be faster on long vectors, but
-    its SIMD kernel differs from libm in the last place on some arguments (604
-    of the 600,000 entries of 200,000 three-class Dirichlet(1) vectors), which
-    would move the entropy records; the vectors here have ``n_classes``
-    entries.  A negative or nan entry gives nan, as in ``xlogy``.
-    """
-    terms = [p * math.log(p) if p > 0.0 else (0.0 if p == 0.0 else math.nan)
-             for p in np.asarray(probs, dtype=float).ravel().tolist()]
-    return float(-np.array(terms).sum())
+    """Shannon entropy in nats over the last axis, with 0 * log 0 = 0: a float
+    for one probability vector, an array for rows.  A negative or nan entry
+    gives nan."""
+    p = np.asarray(probs, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -np.where(p == 0.0, 0.0, p * np.log(p)).sum(axis=-1)
+    return float(h) if h.ndim == 0 else h
 
 
 def selective_accuracy(entropies, correct, retention):
@@ -204,11 +196,11 @@ def entropy_experiment(spec: EntropySpec) -> EntropyResult:
             (int(spec.seed), 31337, ei, kind, i)).spawn(2)] for kind, _, i, _ in tasks]
         x_adv = _attack(spec, model, bank, points, targets, eps, [g[0] for g in gens])
         probs = predictive_probs(model, bank, x_adv, spec.entropy_draws, [g[1] for g in gens])
-        pool_entropy = [entropy_of(q) for q in probs]
+        pool_entropy = entropy_of(probs)
         # an accepted OOD input is always an error
         pool_correct = [float(label is not None and np.argmax(q) == label)
                         for q, (_, _, _, label) in zip(probs, tasks)]
-        for (_, name, i, _), h in zip(tasks, pool_entropy):
+        for (_, name, i, _), h in zip(tasks, pool_entropy.tolist()):
             records.append(SepRecord(eps, i, "sgd", "predictive-entropy-" + name, h))
         mean_entropy["id"][eps] = float(np.mean(pool_entropy[:spec.n_id]))
         mean_entropy["ood"][eps] = float(np.mean(pool_entropy[spec.n_id:]))

@@ -166,7 +166,7 @@ def _attack_ppd_instance(strategy, cfg, defender, x0, appd, eps, rng):
     if strategy == "analytic":
         if not isinstance(defender.posterior, GaussianPosterior):
             raise UnsupportedModelError(
-                "deterministic KL benchmark needs a known-variance posterior")
+                "the closed-form KL benchmark needs a known-variance posterior")
         return minimize_kl_multistart(appd, defender.posterior, feasible, rng).x
     cfg_m = mlmc_config(cfg.attack.mlmc, feasible)
     if strategy == "sgd":

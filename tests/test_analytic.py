@@ -231,7 +231,7 @@ def test_kl_nonnegative_on_random_inputs():
 
 
 # ---------------------------------------------------------------------------
-# deterministic KL benchmark
+# multistart KL benchmark on the closed-form KL
 # ---------------------------------------------------------------------------
 
 def two_minima_problem():

@@ -240,21 +240,24 @@ def _backends(r, dim=3):
 # A chain keeping a few states has a noisy acceptance rate; only its stream matters here.
 @pytest.mark.filterwarnings("ignore:MCMC acceptance rate:RuntimeWarning")
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 5), n=st.integers(1, 12),
-       kind=st.sampled_from(["gaussian", "nig", "bank", "chain"]))
-@example(seed=0, K=5, n=1, kind="gaussian")  # one-row blocks: numpy's vector product
-def test_k_generator_draw_joins_the_per_generator_draws(seed, K, n, kind):
-    # draw(K * n, gens) draws block k as draw(n, gens[k]) draws it, and leaves
-    # each generator where that call leaves it.
+@given(seed=st.integers(0, 2**32 - 1), picks=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+       n=st.integers(1, 12), kind=st.sampled_from(["gaussian", "nig", "bank", "chain"]))
+# one-row blocks (numpy's vector product), and a generator listed twice under NIG
+@example(seed=0, picks=[0, 1, 2, 3, 4], n=1, kind="gaussian")
+@example(seed=0, picks=[0, 0], n=3, kind="nig")
+def test_k_generator_draw_joins_the_per_generator_draws(seed, picks, n, kind):
+    # draw(K * n, gens) draws block k as draw(n, gens[k]) draws it, called in
+    # list order, and leaves each generator where those calls leave it, also
+    # when the list names one generator more than once.
     backend = _backends(np.random.default_rng(seed))[kind]
-    seeds = np.random.default_rng(seed + 1).integers(0, 2**32, K)
-    gens = [np.random.default_rng(s) for s in seeds]
+    seeds = np.random.default_rng(seed + 1).integers(0, 2**32, 5)
+    pool = [np.random.default_rng(s) for s in seeds]
     alone = [np.random.default_rng(s) for s in seeds]
-    together = backend.draw(K * n, gens)
-    joined = DrawBatch.concat([backend.draw(n, g) for g in alone])
+    together = backend.draw(len(picks) * n, [pool[i] for i in picks])
+    joined = DrawBatch.concat([backend.draw(n, alone[i]) for i in picks])
     assert np.array_equal(together.beta, joined.beta)
     assert np.array_equal(together.phi, joined.phi)
-    assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in alone]
+    assert [g.bit_generator.state for g in pool] == [g.bit_generator.state for g in alone]
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "nig", "bank", "chain"])

@@ -822,7 +822,7 @@ def test_sweep_records_are_complete_and_seeded_per_task():
 
 
 def test_sweep_survives_a_failing_strategy():
-    # the deterministic KL benchmark needs a known-variance posterior, so under
+    # the closed-form KL benchmark needs a known-variance posterior, so under
     # nig_linear the ppd analytic strategy fails per-task with a warning while
     # the sweep completes
     cfg = dataclasses.replace(point_config(type="ppd", repeats=1, mlmc=MlmcSpec(T=3)),
@@ -840,7 +840,7 @@ def test_sweep_survives_a_failing_strategy():
 @pytest.mark.parametrize("attack", ["point", "ppd"])
 def test_the_only_missing_sweep_cells_are_ppd_analytic_under_nig(attack, model, norm):
     # Every strategy has a solution on every ball, the point analytic one
-    # through the dual norm; only the deterministic KL benchmark needs a
+    # through the dual norm; only the closed-form KL benchmark needs a
     # known-variance posterior.  No other cell may turn into a warning.
     cfg = ExperimentConfig(
         seed=5, dataset=DatasetSpec(n=200), model=ModelSpec(kind=model),
@@ -855,7 +855,7 @@ def test_the_only_missing_sweep_cells_are_ppd_analytic_under_nig(attack, model, 
     missing = {(0.3, "analytic")} if (attack, model) == ("ppd", "nig_linear") else set()
     assert every - cells == missing
     assert [str(w.message) for w in caught] == [
-        "strategy 'analytic' failed at eps=0.3 rep=0: deterministic KL benchmark needs a "
+        "strategy 'analytic' failed at eps=0.3 rep=0: the closed-form KL benchmark needs a "
         "known-variance posterior"] * len(missing)
 
 
@@ -916,11 +916,31 @@ _weights = st.one_of(st.just(0.0), st.just(5e-324), st.floats(1e-310, 1e-300),
 
 
 @settings(max_examples=300, deadline=None)
-@given(w=st.lists(_weights, min_size=2, max_size=10).filter(lambda w: sum(w) > 0.0))
-def test_entropy_of_equals_scipy_xlogy_bit_for_bit(w):
-    p = np.array(w) / sum(w)
-    want = float(-scipy.special.xlogy(p, p).sum())
-    assert np.float64(entropy_of(p)).view(np.int64) == np.float64(want).view(np.int64)
+@given(rows=st.integers(2, 10).flatmap(lambda k: st.lists(
+    st.lists(_weights, min_size=k, max_size=k).filter(lambda w: sum(w) > 0.0),
+    min_size=1, max_size=5)))
+def test_entropy_of_agrees_with_scipy_xlogy(rows):
+    # One call over the rows gives each row's entropy, and one vector gives a
+    # float, each within 4 * 2**-52 * max(1, h) of -xlogy(p, p).sum().
+    P = np.array([np.array(w) / sum(w) for w in rows])
+    want = -scipy.special.xlogy(P, P).sum(axis=-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = entropy_of(P)
+        first = entropy_of(P[0])
+    assert got.shape == (len(rows),) and type(first) is float
+    assert np.all(np.abs(got - want) <= 4 * 2.0**-52 * np.maximum(1.0, want))
+    assert abs(first - want[0]) <= 4 * 2.0**-52 * max(1.0, want[0])
+
+
+def test_entropy_of_is_nan_for_a_negative_or_nan_entry():
+    P = np.array([[0.5, 0.5, 0.0], [1.5, -0.5, 0.0], [np.nan, 0.5, 0.5], [0.0, 0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = entropy_of(P)
+    assert np.array_equal(np.isnan(h), np.isnan(-scipy.special.xlogy(P, P).sum(axis=-1)))
+    assert np.array_equal(np.isnan(h), [False, True, True, False])
+    assert h[0] == pytest.approx(np.log(2.0), abs=1e-15) and h[3] == 0.0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

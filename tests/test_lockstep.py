@@ -196,3 +196,29 @@ def test_one_shared_target_is_every_instance_target():
             for p in (shared, rows))
     assert np.array_equal(a.iterates, b.iterates)
     assert np.array_equal(a.final_residual, b.final_residual)
+
+
+def _k3_trace():
+    r = np.random.default_rng(2)
+    g, model, backend, targets, grad_mu = _softmax_setup(r, 3, 2, 3)
+    prob = PointAttackProblem(g=g, g_star=targets, model=model,
+                              feasible=FeasibleSet(center=r.standard_normal((3, 2)), epsilon=0.5),
+                              T=3, N=8, M=8)
+    return run_point_attack(prob, backend, [np.random.default_rng(s) for s in (1, 2, 3)])
+
+
+def test_lockstep_trace_is_written_one_instance_at_a_time(tmp_path):
+    trace = _k3_trace()
+    with pytest.raises(ValueError, match=r"3 instances; write one with "
+                                         r"trace\.instance\(k\)\.write_csv\(path\)"):
+        trace.write_csv(tmp_path / "all.csv")
+    assert not (tmp_path / "all.csv").exists()
+    trace.instance(1).write_csv(tmp_path / "one.csv")
+    rows = (tmp_path / "one.csv").read_text().splitlines()
+    assert rows[0] == "iteration,objective,x_0,x_1" and len(rows) == 1 + 4
+
+
+def test_one_instance_trace_has_no_instance_to_cut():
+    one = _k3_trace().instance(0)
+    with pytest.raises(ValueError, match=r"one-instance trace.*trace\.write_csv\(path\)"):
+        one.instance(0)

@@ -2,10 +2,11 @@
 conjugate Gaussian testbed.
 
 A ``SampleBank`` is a finite posterior, so the cross-entropy gradient that
-``mlmc_grad`` estimates on it has an exact value by enumerating the bank.  A
-``MixtureBackend`` of conjugate Gaussian members has a predictive mean that is
-the weighted mean of the members' means, which gives ``grad_J`` on the
-gray-box views an exact value too.  Each test replicates its estimator 1e4
+``mlmc_grad`` estimates on it, and the one-hot point-attack gradient that
+``grad_J`` estimates on a softmax bank, have exact values by enumerating the
+bank.  A ``MixtureBackend`` of conjugate Gaussian members has a predictive
+mean that is the weighted mean of the members' means, which gives ``grad_J``
+on the gray-box views an exact value too.  Each test replicates its estimator 1e4
 times and z-tests every coordinate of the replicate mean at |z| <= 4.
 """
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from ppdattack.attacks.feasible import FeasibleSet
-from ppdattack.attacks.functionals import response_functional
+from ppdattack.attacks.functionals import onehot_functional, response_functional
 from ppdattack.attacks.graybox import (
     EnsembleMember,
     MixtureBackend,
@@ -37,14 +38,19 @@ def z_scores(samples, oracle):
     return (samples.mean(axis=0) - oracle) / se
 
 
-def bank_cross_entropy_grad(bank, n_classes, x, target):
-    """-sum_y pi_A(y) grad mu_y(x) / mu_y(x), mu_y the bank mean of softmax(W x)_y."""
+def bank_softmax(bank, n_classes, x):
+    """Per bank row, s = softmax(W x) and its x-Jacobian (diag s - s s^T) W."""
     W = bank.batch.beta.reshape(len(bank), n_classes, x.size)
     logits = W @ x
     s = np.exp(logits - logits.max(axis=1, keepdims=True))
     s /= s.sum(axis=1, keepdims=True)
-    # d softmax_y / dx = s_y (W_y - sum_c s_c W_c), per bank row
-    grad_s = s[:, :, None] * (W - np.einsum("bc,bcp->bp", s, W)[:, None, :])
+    # d softmax_y / dx = s_y (W_y - sum_c s_c W_c)
+    return s, s[:, :, None] * (W - np.einsum("bc,bcp->bp", s, W)[:, None, :])
+
+
+def bank_cross_entropy_grad(bank, n_classes, x, target):
+    """-sum_y pi_A(y) grad mu_y(x) / mu_y(x), mu_y the bank mean of softmax(W x)_y."""
+    s, grad_s = bank_softmax(bank, n_classes, x)
     return -(target.probs / s.mean(axis=0)) @ grad_s.mean(axis=0)
 
 
@@ -59,6 +65,24 @@ def test_mlmc_on_a_softmax_bank_matches_the_enumerated_gradient(untruncated):
     grads, _, _ = mlmc_grad(model, X0, target, config, bank,
                             np.random.default_rng(np.random.SeedSequence((12, 2))), REPLICATES)
     z = z_scores(grads, bank_cross_entropy_grad(bank, 3, X0, target))
+    assert np.all(np.abs(z) <= Z_MAX), z
+
+
+def bank_point_grad(bank, n_classes, x, g_star):
+    """2 (mu - g*)^T mean_r[(diag p_r - p_r p_r^T) W_r], mu the bank mean of p_r."""
+    p, jac = bank_softmax(bank, n_classes, x)
+    return 2.0 * (p.mean(axis=0) - g_star) @ jac.mean(axis=0)
+
+
+def test_point_gradient_on_a_softmax_bank_matches_the_enumerated_gradient():
+    rng = np.random.default_rng(np.random.SeedSequence((12, 5)))
+    bank = SampleBank(DrawBatch(1.5 * rng.standard_normal((40, 6)), 1.0))
+    g_star = np.array([0.2, 0.5, 0.3])
+    prob = PointAttackProblem(onehot_functional(3), g_star, CategoricalSoftmax(2, 3),
+                              FeasibleSet(X0, 1.0, "l2"), N=8, M=8)
+    grads = grad_J(prob, X0, bank, np.random.default_rng(np.random.SeedSequence((12, 6))),
+                   REPLICATES)
+    z = z_scores(grads, bank_point_grad(bank, 3, X0, g_star))
     assert np.all(np.abs(z) <= Z_MAX), z
 
 

