@@ -20,8 +20,11 @@ call, and all of their posterior draws in one ``backend.draw`` call, iid rows
 cut into M0 * 2^level per pair in pair order.  The arithmetic runs in one
 pass over those draws: :func:`delta_level` scores the batch with one
 ``loglik`` and one ``score_x`` call, each row carrying its pair's outcome,
-and :func:`ratio_grad` forms every full-batch and half-batch ratio by
-segment reductions.  A call for K replicate gradients draws the same three
+and one :func:`ratio_grad` call forms, by segment reductions, the ratio and
+log normaliser of every level-0 batch and of both halves of every other
+batch.  A split batch's level difference is then a closed form in its two
+half ratios and log normalisers (see :func:`delta_level`); the full-batch
+ratio is never formed.  A call for K replicate gradients draws the same three
 blocks once for all K replicates, on any backend and likelihood: K * B
 outcomes, then K * B * R levels, then the rows of every pair, which one
 :func:`delta_level` pass scores.  The replicates are iid, so their law does
@@ -160,7 +163,9 @@ def ratio_grad(loglik, scores, starts):
     computed with the likelihoods factored by the segment's maximum log scale:
     the largest weight is then exactly 1, so the denominator is at least 1.
     Each estimate carries an O(1/M) bias at batch size M; the multilevel
-    combination removes it.  Returns shape ``(len(starts), dim)``.
+    combination removes it.  Returns ``(ratios, lognorm)``: the estimates,
+    shape ``(len(starts), dim)``, and each segment's log normaliser
+    ``log sum_m pi(y | x, gamma_m)``, shape ``(len(starts),)``.
     """
     lmax = np.maximum.reduceat(loglik, starts)
     if not np.all(np.isfinite(lmax)):
@@ -168,7 +173,8 @@ def ratio_grad(loglik, scores, starts):
             "all likelihood values are zero (or non-finite) for this outcome"
         )
     w = np.exp(loglik - np.repeat(lmax, np.diff(starts, append=loglik.size)))
-    return -np.add.reduceat(w[:, None] * scores, starts) / np.add.reduceat(w, starts)[:, None]
+    total = np.add.reduceat(w, starts)
+    return -np.add.reduceat(w[:, None] * scores, starts) / total[:, None], lmax + np.log(total)
 
 
 def delta_level(model, x, ys, levels, draws, config):
@@ -178,8 +184,15 @@ def delta_level(model, x, ys, levels, draws, config):
     of ``draws``, pairs in order.  Level 0 gives the plain ratio on its rows.
     Level l >= 1 gives the full-batch ratio minus the average of the two
     half-batch ratios (first half / second half), whose expectation telescopes
-    to the bias removed between consecutive batch sizes.  All pairs are scored
-    by one ``loglik`` and one ``score_x`` call on ``draws``.
+    to the bias removed between consecutive batch sizes.  The full-batch
+    ratio is the normaliser-weighted mean of the half ratios r1, r2, so with
+    half log normalisers L1, L2 that difference is
+
+        (r2 - r1) / 2 * tanh((L2 - L1) / 2),
+
+    which one :func:`ratio_grad` pass over the halves gives, without the
+    cancellation of subtracting two nearly equal ratios.  All pairs are
+    scored by one ``loglik`` and one ``score_x`` call on ``draws``.
     """
     levels = np.asarray(levels, dtype=int)
     if np.any(levels < 0):
@@ -190,16 +203,18 @@ def delta_level(model, x, ys, levels, draws, config):
     y_rows = np.repeat(ys, sizes)
     ll = model.loglik(x, y_rows, draws)
     scores = model.score_x(x, y_rows, draws)
-    starts = np.cumsum(sizes) - sizes
-    # Level-0 pairs stay one segment, the others split at their midpoint, so
-    # pair i's first half is segment i + (number of split pairs before i).
-    # Each pass checks its own segments, so a degenerate half whose full batch
-    # is finite raises here too.
+    # Level-0 pairs stay one segment and the others split at their midpoint.
+    # The pass checks every segment, so a degenerate half raises even when
+    # its full batch is finite.
     split = levels > 0
-    halves = ratio_grad(ll, scores, np.sort(np.concatenate([starts, (starts + sizes // 2)[split]])))
-    first = (np.arange(levels.size) + np.cumsum(split) - split)[split]
-    delta = ratio_grad(ll, scores, starts)
-    delta[split] -= 0.5 * (halves[first] + halves[first + 1])
+    parts = 1 + split
+    segments = np.repeat(sizes // parts, parts)
+    ratios, lognorm = ratio_grad(ll, scores, np.cumsum(segments) - segments)
+    first = np.cumsum(parts) - parts
+    delta = ratios[first]
+    h = first[split]
+    delta[split] = (0.5 * (ratios[h + 1] - ratios[h])
+                    * np.tanh(0.5 * (lognorm[h + 1] - lognorm[h]))[:, None])
     return delta
 
 

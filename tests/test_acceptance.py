@@ -215,7 +215,7 @@ def test_criterion_07_level_differences_telescope():
     direct = []
     for _ in range(reps):
         draws = backend.draw(32, rng)
-        direct.append(ratio_grad(model.loglik(x, y, draws), model.score_x(x, y, draws), [0])[0])
+        direct.append(ratio_grad(model.loglik(x, y, draws), model.score_x(x, y, draws), [0])[0][0])
     direct = np.array(direct)
     joint_se = np.sqrt(lhs_var + direct.var(axis=0, ddof=1) / reps)
     z = (lhs - direct.mean(axis=0)) / joint_se

@@ -63,7 +63,7 @@ def config(x0, eps=1.0, **kw):
 
 def plug_in(model, x, y, gammas):
     # The plug-in ratio on one batch at one outcome: a single segment.
-    return ratio_grad(model.loglik(x, y, gammas), model.score_x(x, y, gammas), [0])[0]
+    return ratio_grad(model.loglik(x, y, gammas), model.score_x(x, y, gammas), [0])[0][0]
 
 
 def one_level(model, x, y, level, cfg, backend, rng):

@@ -71,11 +71,13 @@ def test_gradcheck_draws_and_scores_per_chunk(tmp_path, monkeypatch):
     # Per chunk there is one backend draw and one sample_y for the joint
     # sample the score and reparameterised estimators share, and one of each
     # for the control.  An MLMC chunk draws all its replicates' levels in one
-    # call and all their pairs' rows in one backend draw.
+    # call and all their pairs' rows in one backend draw, and forms every
+    # pair's ratios in one pass.
     assert spec.replicates == 100
     chunks = 4  # 100 replicates in chunks of 30
     assert calls["bayes.backends.ExactConjugate.draw"] == 3 * chunks
     assert calls["attacks.ppd.level_sample"] == chunks
+    assert calls["attacks.ppd.ratio_grad"] == chunks
     assert calls["bayes.likelihoods.GaussianLinear.sample_y"] == 2 * chunks
     assert calls["bayes.likelihoods.GaussianLinear.loglik"] == chunks  # MLMC only
     assert calls["bayes.likelihoods.GaussianLinear.score_x"] == 3 * chunks  # score, control, MLMC
@@ -91,10 +93,12 @@ def test_ppd_sweep_draws_once_per_iteration(tmp_path):
         workload.run(cfg)
     calls = Counter(s.name for s in t.spans)
     # One attacked cell (eps = 2; the eps = 0 cell returns x0 undrawn); each
-    # iteration draws all B * R levels in one call and their rows in another.
+    # iteration draws all B * R levels in one call and their rows in another,
+    # and forms every pair's level difference from one ratio pass.
     T = cfg.attack.mlmc.T
     assert calls["attacks.ppd.level_sample"] == T
     assert calls["bayes.backends.ExactConjugate.draw"] == T
+    assert calls["attacks.ppd.ratio_grad"] == calls["attacks.ppd.delta_level"] == T
 
 
 def test_graybox_draws_and_scores_once_per_iteration(tmp_path):
@@ -223,11 +227,12 @@ def test_graybox_records_match_their_digest(size, seed, tmp_path):
 
 
 # SHA-256 of the gradcheck summary and samples CSVs, the reparameterised rows
-# read from the score estimator's joint samples.  The score, MLMC and control
+# read from the score estimator's joint samples and the MLMC rows from the
+# closed-form level difference.  The score, MLMC and control
 # sample arrays are also pinned on their own (tests/test_harness.py).
 GRADCHECK_DIGESTS = {
-    ("tiny", 0): "79845a8f2f05d152c8d02e022d090475333581c8fa9dadd8b13ab9d85d1ac5e7",
-    ("bench", 0): "bfc4df13e0e8cf756ea0d69faaf234ebb3b92d7ea1b0e67084ff6767b0b74a9d",
+    ("tiny", 0): "0909e89b195c1a0fe3c91bd11fcfd4aedd353f9787ab9a1a4a3627793e8efae9",
+    ("bench", 0): "4059e52933b571fdd082e2d136e82f01239693e2d93fee2046f05ea227a4e11a",
 }
 
 
@@ -236,10 +241,11 @@ def test_gradcheck_records_match_their_digest(size, seed, tmp_path):
     assert _digest("gradcheck", size, seed, tmp_path) == GRADCHECK_DIGESTS[size, seed]
 
 
-# SHA-256 of the ppd-sweep records: the MLMC distribution attack's numbers.
+# SHA-256 of the ppd-sweep records: the MLMC distribution attack's numbers,
+# each split pair's level difference in closed form from its half ratios.
 PPD_SWEEP_DIGESTS = {
-    ("tiny", 0): "cb8a56d8c797caaa209ecc6b6e97b2c4979cf4f0628466a12c28d849ed171da4",
-    ("bench", 0): "24c44050193106de491e7cf65b35ea2919705133c2eae411a4f5ba8e7f0cdd28",
+    ("tiny", 0): "ca0b0f05e115f23eba7ec0d91365cb532534a0e3c87271687874d4a7c0ff4ba0",
+    ("bench", 0): "885582fc3df75b46359bcda9c3e3a91ff9ef12ebfb4a084d287556af283d1928",
 }
 
 
