@@ -55,7 +55,8 @@ def small_data_attack():
 
 def collinearity_contrast():
     print()
-    print("covariate geometry at n=1000, eps=2 (deterministic benchmark attack):")
+    print("covariate geometry at n=1000, eps=2"
+          " (multistart KL benchmark: random starts, may stop short):")
     for mode in ("independent", "correlated"):
         cfg = ExperimentConfig(
             seed=41,

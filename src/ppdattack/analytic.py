@@ -50,7 +50,7 @@ def analytic_point(mu_n, x, y_star, eps, norm) -> AnalyticPointSolution:
     boundary step ``r = sign(alpha) * eps * d / ||d||`` with residual
     ``|alpha| - eps * dual``.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     mu_n = np.asarray(mu_n, dtype=float)
     x = np.asarray(x, dtype=float)

@@ -7,6 +7,8 @@ from typing import Literal, get_args
 
 import numpy as np
 
+from .._fields import Checked, NonNegative
+
 Norm = Literal["l1", "l2", "linf"]
 NORMS = get_args(Norm)
 
@@ -20,7 +22,7 @@ def project_l1_ball(v, radius):
     its own 1-D projection is.
     """
     v = np.asarray(v, dtype=float)
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be nonnegative")
     a = np.abs(v)
     inside = np.add.reduce(a, axis=-1, keepdims=True) <= radius
@@ -41,7 +43,7 @@ def project_l1_ball(v, radius):
 
 
 @dataclass(frozen=True)
-class FeasibleSet:
+class FeasibleSet(Checked):
     """Ball ``{x : ||x - center||_norm <= epsilon}`` with a projection operator.
 
     ``center`` is one point (p,), or K points (K, p): K balls of one radius
@@ -49,19 +51,15 @@ class FeasibleSet:
     """
 
     center: np.ndarray
-    epsilon: float
+    epsilon: NonNegative
     norm: Norm = "l2"
 
-    def __post_init__(self):
+    def validate(self):
         center = np.asarray(self.center, dtype=float)
         if center.ndim not in (1, 2) or (center.ndim == 2 and not len(center)):
             raise ValueError("center must be a vector, or a (K, p) array of K >= 1 centres")
         if not np.all(np.isfinite(center)):
             raise ValueError("center must be finite")
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.norm not in NORMS:
-            raise ValueError("norm must be one of %s" % (NORMS,))
         object.__setattr__(self, "center", center)
 
     @property

@@ -63,6 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._fields import Checked, Count, Positive
 from ..exceptions import NonFiniteGradientError, UnsupportedModelError
 from ..bayes.draws import DrawBatch
 from ..bayes.likelihoods import require_gaussian_linear
@@ -73,7 +74,7 @@ from .trace import AttackTrace
 
 
 @dataclass
-class PointAttackProblem:
+class PointAttackProblem(Checked):
     """Attack specification: functional, target, likelihood model, ball, optimiser.
 
     Parameters
@@ -96,13 +97,13 @@ class PointAttackProblem:
     g_star: np.ndarray
     model: object
     feasible: FeasibleSet
-    eta: float = 0.05
-    T: int = 500
-    N: int = 64
-    M: int = 64
+    eta: Positive = 0.05
+    T: Count = 500
+    N: Count = 64
+    M: Count = 64
     eta_decay: bool = False
 
-    def __post_init__(self):
+    def validate(self):
         self.g_star = np.atleast_1d(np.asarray(self.g_star, dtype=float))
         q = (self.g.out_dim,)
         if self.g_star.shape not in (q, self.feasible.center.shape[:-1] + q):
@@ -110,8 +111,6 @@ class PointAttackProblem:
                 "g_star must have shape (%d,), or one row per ball centre, got %s"
                 % (self.g.out_dim, self.g_star.shape)
             )
-        if not self.eta > 0 or self.T < 1 or self.N < 1 or self.M < 1:
-            raise ValueError("need eta > 0 and T, N, M >= 1")
 
 
 def _one_point_only(model):

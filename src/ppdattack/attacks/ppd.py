@@ -35,9 +35,11 @@ one-replicate calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
+from .._fields import Checked, Count, Positive, Size, _Bound
 from ..bayes.likelihoods import _sample_categorical, logsumexp, normal_logpdf, normal_sample
 from ..exceptions import DegenerateLikelihoodError, NonFiniteGradientError
 from .feasible import FeasibleSet
@@ -45,15 +47,11 @@ from .trace import AttackTrace
 
 
 @dataclass(frozen=True)
-class NormalAppd:
+class NormalAppd(Checked):
     """Gaussian adversarial predictive target N(mean, var)."""
 
     mean: float
-    var: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.mean) and 0 < self.var < np.inf):
-            raise ValueError("mean must be finite and var positive and finite")
+    var: Positive
 
     def sample(self, size, rng):
         return normal_sample(self.mean, self.var, size, rng)
@@ -84,7 +82,7 @@ class CategoricalAppd:
 
 
 @dataclass(frozen=True)
-class MlmcConfig:
+class MlmcConfig(Checked):
     """Settings for the multilevel gradient and its attack loop.
 
     ``M0`` is the base batch size, level ``l`` uses ``M0 * 2^l`` draws, the
@@ -98,31 +96,22 @@ class MlmcConfig:
     """
 
     feasible: FeasibleSet
-    eta: float = 0.05
-    T: int = 300
-    M0: int = 8
-    tau: float = 1.5
-    R: int = 2
-    Lmax: int = 6
-    B: int = 1
+    eta: Positive = 0.05
+    T: Count = 300
+    M0: Count = 8
+    tau: Annotated[float, _Bound(">", 1)] = 1.5
+    R: Count = 2
+    Lmax: Size = 6
+    B: Count = 1
     untruncated: bool = False
     eta_decay: bool = False
     record_objective: bool = True
-    obj_draws: int = 64
-    max_level_draws: int = 1 << 22
+    obj_draws: Count = 64
+    max_level_draws: Count = 1 << 22
 
-    def __post_init__(self):
-        if not 1.0 < self.tau < np.inf:
-            raise ValueError(
-                "tau must exceed 1 and be finite: the randomised-level estimator "
-                "has divergent expected cost for tau <= 1"
-            )
-        if min(self.M0, self.R, self.B, self.T) < 1 or self.Lmax < 0:
-            raise ValueError("M0, R, B, T must be >= 1 and Lmax >= 0")
+    def validate(self):
         if self.M0 % 2 != 0:
             raise ValueError("M0 must be even so batches can be halved antithetically")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
         w = 2.0 ** (-self.tau * np.arange(self.Lmax + 1))
         w /= w.sum()
         # Normalised as Generator.choice(p=w) normalises it: searching it with

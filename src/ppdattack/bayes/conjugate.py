@@ -27,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .._fields import Checked, Positive
 from ..exceptions import SingularPrecisionError
 
 
@@ -58,7 +59,7 @@ def spd_inverse(a, what="precision matrix"):
 
 
 @dataclass(frozen=True)
-class NigPrior:
+class NigPrior(Checked):
     """Normal--inverse-gamma prior (mu0, Lambda0, a0, b0).
 
     ``Lambda0`` is a precision matrix (inverse covariance scale); ``a0, b0``
@@ -67,18 +68,16 @@ class NigPrior:
 
     mu0: np.ndarray
     lambda0: np.ndarray
-    a0: float
-    b0: float
+    a0: Positive
+    b0: Positive
 
-    def __post_init__(self):
+    def validate(self):
         mu0 = np.asarray(self.mu0, dtype=float)
         lam = np.asarray(self.lambda0, dtype=float)
         if mu0.ndim != 1 or lam.shape != (mu0.size, mu0.size):
             raise ValueError("mu0 must be (p,) and lambda0 (p, p)")
         if not np.allclose(lam, lam.T):
             raise ValueError("lambda0 must be symmetric")
-        if not (self.a0 > 0 and self.b0 > 0):
-            raise ValueError("a0 and b0 must be positive")
         object.__setattr__(self, "mu0", mu0)
         object.__setattr__(self, "lambda0", lam)
 
@@ -143,14 +142,10 @@ class NigPosterior(_LinearPosterior):
 
 
 @dataclass(frozen=True)
-class GaussianPosterior(_LinearPosterior):
+class GaussianPosterior(_LinearPosterior, Checked):
     """Known-variance Gaussian posterior: beta ~ N(mu_n, inv(Lambda_n)), noise sigma2."""
 
-    sigma2: float
-
-    def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+    sigma2: Positive
 
     def predictive_moments(self, x):
         """The normal predictive's ``(x^T mu_n, x^T inv(Lambda_n) x + sigma2)``, at one
@@ -160,18 +155,14 @@ class GaussianPosterior(_LinearPosterior):
 
 
 @dataclass(frozen=True)
-class TPredictive:
+class TPredictive(Checked):
     """Student-t predictive: ``df`` degrees of freedom, location ``loc``, and
     squared scale ``scale`` (so the density is that of loc + sqrt(scale) * T
     with T standard t).  Also serves as a Student-t adversarial target."""
 
-    df: float
+    df: Positive
     loc: float
-    scale: float
-
-    def __post_init__(self):
-        if self.df <= 0 or self.scale <= 0:
-            raise ValueError("df and scale must be positive")
+    scale: Positive
 
     def sample(self, size, rng):
         return self.loc + np.sqrt(self.scale) * rng.standard_t(self.df, size=size)
@@ -265,7 +256,7 @@ def gaussian_update(mu0, lambda0, sigma2, X, y) -> GaussianPosterior:
     p = mu0.size
     if lambda0.shape != (p, p):
         raise ValueError("lambda0 must be (p, p)")
-    if sigma2 <= 0:
+    if not sigma2 > 0:
         raise ValueError("sigma2 must be positive")
     X, y = _design(p, X, y)
 

@@ -127,9 +127,10 @@ def _sample_categorical(probs, rng):
 
     The cumulative sum runs down the leading axis of ``probs.T``: the same
     left-to-right sums as along each row, without a k-long inner loop per row.
+    Only k - 1 sums count, so a row summing to just under 1 draws below k.
     """
     u = _by_instance(rng, Generator.random, probs.shape[0])
-    return (np.cumsum(probs.T, axis=0) < u).sum(axis=0).astype(float)
+    return (np.cumsum(probs.T[:-1], axis=0) < u).sum(axis=0).astype(float)
 
 
 def normal_logpdf(y, mean, var):

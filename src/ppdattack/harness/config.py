@@ -5,48 +5,25 @@ line overrides the ``seed`` field.  Unknown keys are rejected so typos fail
 loudly instead of silently running defaults.
 
 A spec checks itself when it is built, from JSON through ``from_dict`` or in
-Python: every field is checked against its annotation, then ``validate``
-checks the rules that tie fields together.  An ``int`` field takes an
-integer, a ``float`` field a finite number (not NaN, not +-Infinity, not an
-integer too large for a float), neither a bool; a ``bool`` field takes only
-true or false, a ``str`` field a string and a ``Literal`` field one of its
-strings.  A ``tuple`` field takes an array whose entries are each what its
-annotation names, and a section field a spec of its class.  A field whose
-default is None also takes None.  A number's bounds are ``Annotated``
-metadata on its type: ``Count`` (an integer >= 1), ``Size`` (an integer
->= 0), ``Positive`` (a number > 0) and ``NonNegative`` (a number >= 0), the
-rest written inline.  A fault names its field, bare from the constructor and
-by its dotted path from ``from_dict``: ``config field 'attack.optimizer.T'
-must be an integer >= 1, got 0``.  Specs are frozen, so a checked spec stays
-valid; ``dataclasses.replace`` makes a changed copy and checks it.  Arrays
-are kept as (nested) tuples, so a spec hashes.
+Python, by the rule of :mod:`ppdattack._fields`: every field is checked
+against its annotation (a number's bounds are ``Annotated`` metadata such as
+``Count`` or ``Positive``), then ``validate`` checks the rules that tie
+fields together.  A section field takes a spec of its class.  A fault names
+its field, bare from the constructor and by its dotted path from
+``from_dict``: ``config field 'attack.optimizer.T' must be an integer >= 1,
+got 0``.  Specs are frozen, so a checked spec stays valid;
+``dataclasses.replace`` makes a changed copy and checks it.  Arrays are kept
+as (nested) tuples, so a spec hashes.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import json
-import operator
-import sys
 from dataclasses import dataclass, field
-from typing import Annotated, Literal, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Annotated, Literal
 
+from .._fields import Checked, Count, NonNegative, Positive, Size, _Bound, _FieldError, _fields
 from ..attacks.feasible import Norm
-
-
-class _Bound(NamedTuple):
-    """``value <op> limit``: a bound written on a number field's annotation."""
-
-    op: str
-    limit: int
-
-
-_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
-Count = Annotated[int, _Bound(">=", 1)]
-Size = Annotated[int, _Bound(">=", 0)]
-Positive = Annotated[float, _Bound(">", 0)]
-NonNegative = Annotated[float, _Bound(">=", 0)]
 
 
 def _nondecreasing(grid):
@@ -54,83 +31,14 @@ def _nondecreasing(grid):
     return all(a <= b for a, b in zip(grid, grid[1:]))
 
 
-# The values a field of the key's type takes, and their name; a bool never
-# counts as a number, although Python makes it an int.
-_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a finite number"),
-            bool: ((bool,), "true or false"), str: ((str,), "a string")}
-_FLOAT_MAX = sys.float_info.max  # NaN, +-inf and 10**400 all fail -_FLOAT_MAX <= v <= _FLOAT_MAX
-
-
-def _fits(value, kind):
-    """True when ``value`` is what a field of type ``kind`` takes."""
-    if get_origin(kind) is Annotated:  # a number and its bounds
-        number, *bounds = get_args(kind)
-        return _fits(value, number) and all(_COMPARE[op](value, limit) for op, limit in bounds)
-    if get_origin(kind) is Literal:
-        return isinstance(value, str) and value in get_args(kind)
-    if get_origin(kind) is tuple:  # every entry of an array field is of one kind
-        return isinstance(value, (list, tuple)) and all(_fits(v, get_args(kind)[0]) for v in value)
-    if issubclass(kind, _Spec):
-        return isinstance(value, kind)
-    if not isinstance(value, _SCALARS[kind][0]) or isinstance(value, bool) and kind is not bool:
-        return False
-    return kind is not float or -_FLOAT_MAX <= value <= _FLOAT_MAX
-
-
-def _describe(kind):
-    """What a field of type ``kind`` takes, for an error message."""
-    if get_origin(kind) is Annotated:
-        number, *bounds = get_args(kind)
-        return "%s %s" % (_describe(number), " and ".join("%s %s" % b for b in bounds))
-    if get_origin(kind) is Literal:
-        return "one of %s" % ", ".join(map(repr, get_args(kind)))
-    if get_origin(kind) is tuple:
-        return "an array, each entry %s" % _describe(get_args(kind)[0])
-    if issubclass(kind, _Spec):
-        return "a %s" % kind.__name__
-    return _SCALARS[kind][1]
-
-
-@functools.cache
-def _fields(cls):
-    """(name, annotation with its bounds, default) of each field of a spec class."""
-    kinds = get_type_hints(cls, include_extras=True)
-    return tuple((f.name, kinds[f.name], f.default) for f in dataclasses.fields(cls))
-
-
 def _dotted(path, name):
     return "%s.%s" % (path, name) if path else name
 
 
-def _tuples(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(_tuples(v) for v in value)
-    return value
+class _Spec(Checked):
+    """A config section, built from JSON by ``from_dict``."""
 
-
-class _FieldError(ValueError):
-    """A field whose value its annotation refuses."""
-
-    def __init__(self, name, kind, value):
-        super().__init__("config field '%s' must be %s, got %r" % (name, _describe(kind), value))
-        self.name, self.kind = name, kind
-
-
-class _Spec:
-    """A config section: checked field by field when built, then validated."""
-
-    def __post_init__(self):
-        for name, kind, default in _fields(type(self)):
-            value = getattr(self, name)
-            if not (value is None and default is None or _fits(value, kind)):
-                raise _FieldError(name, kind, value)
-            if get_origin(kind) is tuple:
-                # JSON has no tuples, and a list leaves a frozen spec unhashable.
-                object.__setattr__(self, name, _tuples(value))
-        self.validate()
-
-    def validate(self):
-        """Check the rules that tie fields together."""
+    _owner = "config"
 
     @classmethod
     def from_dict(cls, data, path=""):
@@ -150,7 +58,7 @@ class _Spec:
         try:
             return cls(**kwargs)
         except _FieldError as e:  # its sections are built, so one of its own fields
-            raise _FieldError(_dotted(path, e.name), e.kind, data[e.name]) from None
+            raise _FieldError(cls._owner, _dotted(path, e.name), e.kind, data[e.name]) from None
 
     @classmethod
     def from_json(cls, path):

@@ -157,6 +157,13 @@ def test_unknown_norm_rejected():
         analytic_point(MU, X_CLEAN, 3.0, 1.0, "l3")
 
 
+@pytest.mark.parametrize("eps", [-0.5, np.nan])
+def test_negative_or_nan_radius_rejected(eps):
+    # A NaN radius passed an `eps < 0` test and gave an all-NaN step.
+    with pytest.raises(ValueError, match="eps must be nonnegative"):
+        analytic_point(MU, X_CLEAN, 3.0, eps, "l2")
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6),
        norm=st.sampled_from(["l1", "l2", "linf"]), eps=st.sampled_from([0.0, 0.1, 0.5, 2.0]))

@@ -220,9 +220,9 @@ def test_conjugate_backend_rejects_non_finite_posterior():
     post = GaussianPosterior(mu_n=np.array([0.0, np.nan]), lambda_n=np.eye(2), sigma2=1.0)
     with pytest.raises(ValueError, match="non-finite coefficient draws"):
         ExactConjugate(post)
-    post = GaussianPosterior(mu_n=np.zeros(2), lambda_n=np.eye(2), sigma2=np.inf)
-    with pytest.raises(ValueError, match="noise variances must be finite and positive"):
-        ExactConjugate(post)
+    # An infinite noise variance is refused when the posterior is built.
+    with pytest.raises(ValueError, match="GaussianPosterior field 'sigma2' must be a finite"):
+        GaussianPosterior(mu_n=np.zeros(2), lambda_n=np.eye(2), sigma2=np.inf)
 
 
 def _backends(r, dim=3):

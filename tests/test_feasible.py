@@ -94,8 +94,9 @@ def test_validation_errors():
         FeasibleSet(np.array([[[1.0]]]), 1.0, "l2")
     with pytest.raises(ValueError):
         FeasibleSet(np.zeros((0, 2)), 1.0, "l2")
-    with pytest.raises(ValueError):
-        project_l1_ball(np.ones(2), -0.5)
+    for radius in (-0.5, np.nan):  # a NaN radius gave an all-NaN projection
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            project_l1_ball(np.ones(2), radius)
 
 
 def test_zero_epsilon_collapses_to_center():

@@ -26,11 +26,19 @@ from hypothesis.extra import numpy as hnp
 import scipy.special
 from scipy import stats
 
+from ppdattack._fields import Checked, _describe, _fits
 from ppdattack.attacks.feasible import FeasibleSet
-from ppdattack.attacks.point import grad_J, reparam_grad_mu
-from ppdattack.attacks.ppd import MlmcConfig, _objective_estimate
-from ppdattack.bayes.conjugate import GaussianPosterior, NigPosterior, ppd_t_params
-from ppdattack.bayes.likelihoods import logsumexp
+from ppdattack.attacks.functionals import response_functional
+from ppdattack.attacks.point import PointAttackProblem, grad_J, reparam_grad_mu
+from ppdattack.attacks.ppd import MlmcConfig, NormalAppd, _objective_estimate
+from ppdattack.bayes.conjugate import (
+    GaussianPosterior,
+    NigPosterior,
+    NigPrior,
+    TPredictive,
+    ppd_t_params,
+)
+from ppdattack.bayes.likelihoods import GaussianLinear, logsumexp
 from ppdattack.harness import gradcheck, sep
 from ppdattack.harness.config import (
     AttackSpec,
@@ -235,14 +243,17 @@ def _leaf_fields(cls, path=()):
 
 def _refused(kind):
     """JSON values a field of type ``kind`` refuses: an unlisted string for a
-    Literal; NaN, +-Infinity and an integer too large for a float for a float;
-    and each of those as the entry of an array."""
+    Literal; NaN, +-Infinity, an integer too large for a float and a bool for
+    a float; NaN, +-Infinity, a bool and a fraction for an int; and each of
+    those as the entry of an array."""
     if get_origin(kind) is Annotated:
         return _refused(get_args(kind)[0])
     if get_origin(kind) is Literal:
         return ["bogus"]
     if kind is float:
-        return [math.nan, math.inf, -math.inf, 10**400]
+        return [math.nan, math.inf, -math.inf, 10**400, True]
+    if kind is int:
+        return [math.nan, math.inf, -math.inf, True, 2.5]
     if get_origin(kind) is tuple:
         return [[v] for v in _refused(get_args(kind)[0])]
     return []
@@ -269,12 +280,52 @@ def test_every_choice_and_float_field_refuses_what_its_annotation_excludes(cls, 
 
 
 def test_every_spec_field_has_an_annotation_the_loader_checks():
-    from ppdattack.harness.config import _describe, _fits
-
     assert {ExperimentConfig, GradCheckSpec, EntropySpec, AttackSpec, MlmcSpec} <= set(SPECS)
     for cls, path, _, _, kind, default in LEAVES:
         assert _describe(kind), path
         assert default is None or _fits(default, kind), path
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# The library's checked dataclasses, and a valid setting of each, which a
+# test changes one field of.
+LIBRARY = sorted({c for c in _subclasses(Checked) if not issubclass(c, _Spec)},
+                 key=lambda c: c.__name__)
+VALID = {
+    FeasibleSet: lambda: dict(center=np.zeros(2), epsilon=1.0),
+    GaussianPosterior: lambda: dict(mu_n=np.zeros(2), lambda_n=np.eye(2), sigma2=1.0),
+    MlmcConfig: lambda: dict(feasible=FeasibleSet(np.zeros(2), 1.0)),
+    NigPrior: lambda: dict(mu0=np.zeros(2), lambda0=np.eye(2), a0=1.0, b0=1.0),
+    NormalAppd: lambda: dict(mean=0.0, var=1.0),
+    PointAttackProblem: lambda: dict(g=response_functional(), g_star=[0.0],
+                                     model=GaussianLinear(2),
+                                     feasible=FeasibleSet(np.zeros(2), 1.0)),
+    TPredictive: lambda: dict(df=3.0, loc=0.0, scale=1.0),
+}
+LIBRARY_LEAVES = [(cls, name, kind, default) for cls in LIBRARY
+                  for _, _, name, kind, default in _leaf_fields(cls)]
+
+
+def test_every_library_dataclass_is_walked_and_its_defaults_fit():
+    assert set(LIBRARY) == set(VALID)
+    for cls, name, kind, default in LIBRARY_LEAVES:
+        assert default is dataclasses.MISSING or _fits(default, kind), (cls, name)
+        assert _fits(VALID[cls]().get(name, default), kind), (cls, name)
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    pytest.param(cls, name, value, id="%s:%s:%d" % (cls.__name__, name, i))
+    for cls, name, kind, _ in LIBRARY_LEAVES for i, value in enumerate(_refused(kind))])
+def test_every_library_field_refuses_what_its_annotation_excludes(cls, name, value):
+    # Unchecked, TPredictive(df=nan), NigPrior(a0=inf) and MlmcConfig(T=2.5)
+    # built, and gaussian_update(sigma2=nan) gave a NaN posterior mean.
+    with pytest.raises(ValueError, match="^%s field '%s' must be " % (cls.__name__, name)):
+        cls(**{**VALID[cls](), name: value})
 
 
 def _edges(kind):
@@ -299,7 +350,7 @@ def _as_python(value):
 
 
 # The one bound value a rule tying fields together refuses (M0 = 1 is odd).
-CROSS_FIELD = {(MlmcSpec, "M0"): "mlmc.M0 must be even"}
+CROSS_FIELD = {(MlmcSpec, "M0"): "mlmc.M0 must be even", (MlmcConfig, "M0"): "M0 must be even"}
 
 EDGES = [(cls, path, owner, name, past, at) for cls, path, owner, name, kind, _ in LEAVES
          for past, at in _edges(kind)]
@@ -329,6 +380,35 @@ def test_every_bound_refuses_a_value_just_past_it_and_takes_one_at_it(cls, path,
         return
     assert functools.reduce(getattr, path.split("."), cls.from_dict(doc)) == _as_python(at)
     assert getattr(owner(**{name: _as_python(at)}), name) == _as_python(at)
+
+
+LIBRARY_EDGES = [(cls, name, past, at) for cls, name, kind, _ in LIBRARY_LEAVES
+                 for past, at in _edges(kind)]
+
+
+def test_every_library_bound_is_walked():
+    assert {(cls.__name__, name) for cls, name, _, _ in LIBRARY_EDGES} == {
+        ("NormalAppd", "var"), ("FeasibleSet", "epsilon"), ("NigPrior", "a0"), ("NigPrior", "b0"),
+        ("GaussianPosterior", "sigma2"), ("TPredictive", "df"), ("TPredictive", "scale"),
+        *(("PointAttackProblem", name) for name in ("eta", "T", "N", "M")),
+        *(("MlmcConfig", name) for name in ("eta", "T", "M0", "tau", "R", "Lmax", "B",
+                                            "obj_draws", "max_level_draws"))}
+
+
+@pytest.mark.parametrize("cls, name, past, at", [
+    pytest.param(*edge, id="%s:%s:%r" % (edge[0].__name__, edge[1], edge[2]))
+    for edge in LIBRARY_EDGES])
+def test_every_library_bound_refuses_a_value_just_past_it_and_takes_one_at_it(cls, name, past,
+                                                                               at):
+    with pytest.raises(ValueError, match="^%s field '%s' must be " % (cls.__name__, name)):
+        cls(**{**VALID[cls](), name: past})
+    if at is None:
+        return
+    if (cls, name) in CROSS_FIELD:
+        with pytest.raises(ValueError, match=CROSS_FIELD[cls, name]):
+            cls(**{**VALID[cls](), name: at})
+        return
+    assert getattr(cls(**{**VALID[cls](), name: at}), name) == at
 
 
 @pytest.mark.parametrize("build, name", [

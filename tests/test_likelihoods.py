@@ -20,6 +20,7 @@ from ppdattack.bayes.likelihoods import (
     GaussianLinear,
     SmallBnn,
     UnsupportedModelError,
+    _sample_categorical,
     logsumexp,
     require_gaussian_linear,
 )
@@ -129,6 +130,15 @@ def test_dominant_logit_wins():
     batch = DrawBatch(np.repeat([W.ravel()], n, axis=0))
     ys = model.sample_y(np.array([1.0, 0.0]), batch, np.random.default_rng(4))
     assert np.mean(ys == 0.0) > 0.999
+
+
+def test_a_row_summing_below_one_draws_a_class_in_range():
+    # Counting all k cumulative sums gave class k, out of range, whenever a
+    # row's sum fell below its uniform: here about half of the draws.
+    labels = _sample_categorical(np.array([[0.25, 0.25]] * 1000), np.random.default_rng(0))
+    assert set(labels) <= {0.0, 1.0}
+    assert set(CategoricalAppd([0.5, 0.5 - 5e-10]).sample(1000, np.random.default_rng(1))) <= {
+        0.0, 1.0}
 
 
 def test_softmax_probs_sum_to_one():

@@ -286,7 +286,7 @@ def test_problem_validation(testbed):
         PointAttackProblem(response_functional(), [1.0, 2.0], GaussianLinear(2),
                            FeasibleSet(x0, 1.0, "l2"))
     for eta in (0.0, np.nan):
-        with pytest.raises(ValueError, match="eta > 0"):
+        with pytest.raises(ValueError, match="PointAttackProblem field 'eta' must be"):
             problem(x0, eta=eta)
 
 

@@ -6,6 +6,8 @@ checked against a two-line linear-algebra derivation.  Monte-Carlo checks
 compare chunked empirical moments against the closed-form posterior moments.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,16 @@ def test_gaussian_update_hand_values():
     post = gaussian_update(np.zeros(2), np.eye(2), 1.0, np.array([[1.0, 0.0]]), np.array([1.0]))
     assert np.allclose(post.lambda_n, np.diag([2.0, 1.0]))
     assert np.allclose(post.mu_n, [0.5, 0.0])
+
+
+@pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan])
+def test_gaussian_update_refuses_a_non_positive_noise_variance(sigma2):
+    # Refused before any arithmetic: no RuntimeWarning, no SingularPrecisionError
+    # (NaN used to give mu_n = [nan, nan]).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            gaussian_update(np.zeros(2), np.eye(2), sigma2, np.ones((3, 2)), np.ones(3))
 
 
 def test_predictive_variance_at_origin_is_noise_variance():

@@ -342,8 +342,8 @@ def test_config_validation(testbed):
         config(x, eta=0.0)
 
 
-@pytest.mark.parametrize("field, message", [("tau", "tau must exceed 1"),
-                                            ("eta", "eta must be positive")])
+@pytest.mark.parametrize("field, message", [("tau", "MlmcConfig field 'tau' must be"),
+                                            ("eta", "MlmcConfig field 'eta' must be")])
 def test_config_rejects_nan(testbed, field, message):
     # NaN passes a `tau <= 1` or `eta <= 0` test; a NaN tau makes every level
     # weight NaN, and a NaN eta every step.
