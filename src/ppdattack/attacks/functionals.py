@@ -58,7 +58,6 @@ def response_functional():
     return Functional(
         value_fn=lambda x, ys: np.asarray(ys, dtype=float).reshape(-1, 1),
         out_dim=1,
-        grad_x_fn=lambda x, ys: np.zeros((1, np.shape(x)[-1])),
         grad_y_fn=lambda x, ys: np.ones((np.asarray(ys).size, 1)),
     )
 
@@ -76,7 +75,6 @@ def onehot_functional(n_classes):
     return Functional(
         value_fn=value,
         out_dim=int(n_classes),
-        grad_x_fn=lambda x, ys: np.zeros((int(n_classes), np.shape(x)[-1])),
     )
 
 

@@ -7,7 +7,8 @@ parameter draws and predictive outcomes, the objective is
 
     J(x') = || mu(x') - g_star ||^2
 
-minimised by projected stochastic gradient descent.  Because the gradient of
+minimised by projected stochastic gradient descent in the loop both attacks
+share, :func:`~ppdattack.attacks.trace.projected_descent`.  Because the gradient of
 ``J`` is a product of two expectations, an unbiased estimate needs two
 *independent* Monte-Carlo batches: one of size N for ``mu`` and one of size M
 for its gradient (which combines the functional's own covariate gradient with
@@ -64,13 +65,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._fields import Checked, Count, Positive
-from ..exceptions import NonFiniteGradientError, UnsupportedModelError
+from ..exceptions import UnsupportedModelError
 from ..bayes.draws import DrawBatch
 from ..bayes.likelihoods import require_gaussian_linear
 from .feasible import FeasibleSet
 from .functionals import Functional
 from .graybox import MixtureLikelihood
-from .trace import AttackTrace
+from .trace import AttackTrace, projected_descent
 
 
 @dataclass
@@ -242,37 +243,22 @@ def run_point_attack(prob, backend, rng, grad_mu=None) -> AttackTrace:
     instance's gradient is not finite, the whole call raises
     ``NonFiniteGradientError`` with that instance's iterate.
     """
-    ball = prob.feasible
-    single = ball.center.ndim == 1
-    gens = [rng] if single else list(rng)
-    x = np.array(ball.center, dtype=float, ndmin=2)  # (K, p), a copy
-    K = len(x)
+    gens = [rng] if prob.feasible.center.ndim == 1 else list(rng)
+    K = len(np.atleast_2d(prob.feasible.center))
     if len(gens) != K:
         raise ValueError("need one generator per instance: %d instances, %d generators"
                          % (K, len(gens)))
     if K > 1:
         _one_point_only(prob.model)
     g_star = np.broadcast_to(prob.g_star, (K, prob.g.out_dim))
-    # One instance steps as a one-point attack: one point (p,), a view of x,
-    # and one generator.
-    at, r = (x[0], gens[0]) if K == 1 else (x, gens)
-    iterates = np.empty((prob.T + 1,) + x.shape)
-    iterates[0] = x
-    objectives = np.empty((prob.T, K))
-    for t in range(1, prob.T + 1):
-        resid, gJ = _gradient(prob, at, _joint_sample(prob, at, backend, r, K), g_star, grad_mu)
-        if not np.isfinite(gJ).all():
-            bad = np.argmin(np.isfinite(gJ).all(axis=1))
-            raise NonFiniteGradientError(
-                "non-finite gradient estimate at iteration %d" % t
-                + ("" if single else " of instance %d" % bad), iteration=t, x=x[bad].copy()
-            )
-        objectives[t - 1] = np.vecdot(resid, resid)
-        step = prob.eta / np.sqrt(t) if prob.eta_decay else prob.eta
-        x[:] = ball.project(at - step * gJ.reshape(at.shape))
-        iterates[t] = x
-    resid = estimate_mu(prob, at, _joint_sample(prob, at, backend, r, K, shared=True)[0]) - g_star
-    residual = np.sqrt(np.vecdot(resid, resid))
-    one = 0 if single else slice(None)  # a one-instance trace has no instance axis
-    return AttackTrace(iterates=iterates[:, one], objectives=objectives[:, one],
-                       final_x=x[one], final_residual=float(residual[0]) if single else residual)
+    r = gens[0] if K == 1 else gens  # one instance draws as a one-point attack
+
+    def gradient(x):
+        resid, gJ = _gradient(prob, x, _joint_sample(prob, x, backend, r, K), g_star, grad_mu)
+        return gJ, np.vecdot(resid, resid)
+
+    def residual(x):
+        resid = estimate_mu(prob, x, _joint_sample(prob, x, backend, r, K, shared=True)[0]) - g_star
+        return np.sqrt(np.vecdot(resid, resid))
+
+    return projected_descent(prob, gradient, residual)

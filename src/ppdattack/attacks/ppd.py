@@ -30,6 +30,9 @@ outcomes, then K * B * R levels, then the rows of every pair, which one
 :func:`delta_level` pass scores.  The replicates are iid, so their law does
 not depend on K; but their numbers are not those of K successive
 one-replicate calls.
+
+:func:`run_ppd_attack` runs :func:`~ppdattack.attacks.trace.projected_descent`,
+the point attack's loop, along one multilevel gradient per iteration.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ import numpy as np
 
 from .._fields import Checked, Count, Positive, Size, _Bound
 from ..bayes.likelihoods import _sample_categorical, logsumexp, normal_logpdf, normal_sample
-from ..exceptions import DegenerateLikelihoodError, NonFiniteGradientError
+from ..exceptions import DegenerateLikelihoodError
 from .feasible import FeasibleSet
-from .trace import AttackTrace
+from .trace import AttackTrace, projected_descent
 
 
 @dataclass(frozen=True)
@@ -270,37 +273,25 @@ def run_ppd_attack(model, appd, config, backend, rng) -> AttackTrace:
     ``-E_{pi_A}[log predictive density]`` at the point the step starts from,
     the levels drawn, and the posterior draws consumed by the gradient.
     ``final_residual`` is one more estimate, at ``final_x``, drawn after the
-    last step.  With ``record_objective`` off, every estimate is NaN.
+    last step.  They draw from ``rng.spawn(1)[0]``, so recording them leaves
+    the attack's path as it is; with ``record_objective`` off, they are NaN.
     """
-    def objective(x):
-        if not config.record_objective:
-            return np.nan
-        ys = np.atleast_1d(appd.sample(max(config.B, 8), rng))
-        return _objective_estimate(model, x, ys, config, backend, rng)
+    if config.feasible.center.ndim != 1:
+        raise ValueError("the distribution attack takes one ball centre; run K attacks one by one")
+    obj_rng = rng.spawn(1)[0] if config.record_objective else None
+    levels_used, sample_cost = [], []
 
-    x = config.feasible.center.astype(float).copy()
-    iterates = [x.copy()]
-    objectives = np.empty(config.T)
-    levels_used = []
-    sample_cost = []
-    for t in range(1, config.T + 1):
+    def objective(x):
+        if obj_rng is None:
+            return np.nan
+        ys = np.atleast_1d(appd.sample(max(config.B, 8), obj_rng))
+        return _objective_estimate(model, x, ys, config, backend, obj_rng)
+
+    def gradient(x):
         grads, levels, cost = mlmc_grad(model, x, appd, config, backend, rng)
-        grad = grads[0]
-        if not np.all(np.isfinite(grad)):
-            raise NonFiniteGradientError(
-                "non-finite multilevel gradient at iteration %d" % t, iteration=t, x=x.copy()
-            )
-        objectives[t - 1] = objective(x)
         levels_used.append(levels)
         sample_cost.append(cost)
-        step = config.eta / np.sqrt(t) if config.eta_decay else config.eta
-        x = config.feasible.project(x - step * grad)
-        iterates.append(x.copy())
-    return AttackTrace(
-        iterates=np.asarray(iterates),
-        objectives=objectives,
-        final_x=x,
-        final_residual=objective(x),
-        levels_used=levels_used,
-        sample_cost=sample_cost,
-    )
+        return grads, objective(x)
+
+    return projected_descent(config, gradient, objective, levels_used=levels_used,
+                             sample_cost=sample_cost)

@@ -1,4 +1,5 @@
-"""Attack trace records, and the CSV writer for the output files.
+"""Attack trace records, the projected descent both attacks run, and the CSV
+writer for the output files.
 
 Every output file goes through :func:`write_csv` except the gradient check's
 samples CSV, which ``harness.gradcheck.write_gradcheck_samples_csv`` builds
@@ -11,6 +12,8 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ..exceptions import NonFiniteGradientError
 
 
 def format_float(v):
@@ -84,3 +87,33 @@ class AttackTrace:
             for row, levels, cost in zip(rows[1:], self.levels_used, self.sample_cost):
                 row += ["|".join(map(str, levels)), int(cost)]
         write_csv(path, header, rows)
+
+
+def projected_descent(spec, gradient, residual, **records) -> AttackTrace:
+    """``spec.T`` projected steps of ``spec.eta``, or eta/sqrt(t) with ``eta_decay``, in
+    the ball ``spec.feasible`` from its centre(s); a non-finite gradient raises.
+
+    At the iterate, (p,) for one centre and (K, p) for K, ``gradient`` gives the
+    gradients (K, p) and objectives (K,), ``residual`` the final residuals (K,).
+    ``records`` go to the trace, which for one centre has no instance axis.
+    """
+    single = spec.feasible.center.ndim == 1
+    x = np.array(spec.feasible.center, dtype=float, ndmin=2)  # (K, p), a copy
+    at = x[0] if len(x) == 1 else x  # one instance steps as one point, a view of x
+    iterates = np.empty((spec.T + 1,) + x.shape)
+    iterates[0] = x
+    objectives = np.empty((spec.T, len(x)))
+    for t in range(1, spec.T + 1):
+        grad, objectives[t - 1] = gradient(at)
+        if not np.isfinite(grad).all():
+            bad = np.argmin(np.isfinite(grad).all(axis=1))
+            raise NonFiniteGradientError(
+                "non-finite gradient estimate at iteration %d" % t
+                + ("" if single else " of instance %d" % bad), iteration=t, x=x[bad].copy())
+        eta = spec.eta / np.sqrt(t) if spec.eta_decay else spec.eta
+        x[:] = spec.feasible.project(at - eta * grad.reshape(at.shape))
+        iterates[t] = x
+    final = residual(at)
+    one = 0 if single else slice(None)
+    return AttackTrace(iterates=iterates[:, one], objectives=objectives[:, one], final_x=x[one],
+                       final_residual=float(np.ravel(final)[0]) if single else final, **records)

@@ -37,10 +37,10 @@ class ExactConjugate:
         self._nig = isinstance(posterior, NigPosterior)
         # Transposed lower factor of inv(Lambda_n), so a draw is mu_n + z @ chol_t.
         self._chol_t = posterior.cov_chol().T
-        # A finite mean and factor and a positive noise scale make every
-        # known-variance draw valid, so that branch of ``draw`` checks nothing.
-        _check_draws(np.vstack([posterior.mu_n, self._chol_t]),
-                     posterior.b_n if self._nig else posterior.sigma2)
+        # The posterior checks its noise scale, so a finite mean and factor make
+        # every known-variance draw valid: that branch of ``draw`` checks nothing.
+        if not np.isfinite(np.vstack([posterior.mu_n, self._chol_t])).all():
+            raise ValueError("non-finite coefficient draws")
 
     def _block(self, rng, size):
         """One generator's ``size`` rows: its scaled normals, and for NIG its

@@ -125,11 +125,11 @@ class _LinearPosterior:
 
 
 @dataclass(frozen=True)
-class NigPosterior(_LinearPosterior):
+class NigPosterior(_LinearPosterior, Checked):
     """Normal--inverse-gamma posterior (mu_n, Lambda_n, a_n, b_n)."""
 
-    a_n: float
-    b_n: float
+    a_n: Positive
+    b_n: Positive
 
     def predictive_moments(self, x):
         """The Student-t predictive's ``(loc, scale * df / (df - 2))``, as :func:`ppd_t_params`

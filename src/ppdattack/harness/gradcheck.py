@@ -125,20 +125,10 @@ def _checks_for(estimator, role, draws, oracle, threshold):
 
 
 def _replicated(estimate, reps):
-    """``reps`` replicate gradients from ``estimate(k)`` calls of at most CHUNK each."""
-    return np.concatenate([estimate(min(CHUNK, reps - i)) for i in range(0, reps, CHUNK)])
-
-
-def _point_replicated(prob, x0, backend, rng, reps):
-    """Score and reparameterised gradients, ``reps`` each, from one joint sample
-    per chunk: common random numbers, each estimator's replicates still iid."""
-    def both(k):
-        # A chunk's sample is freed before the next chunk draws its own.
-        sample = _joint_sample(prob, x0, backend, rng, k)
-        return _gradient(prob, x0, sample, prob.g_star, None, reparam_grad_mu)[1:]
-
-    score, reparam = zip(*(both(min(CHUNK, reps - i)) for i in range(0, reps, CHUNK)))
-    return np.concatenate(score), np.concatenate(reparam)
+    """``reps`` replicate gradients (reps, p) from ``estimate(k)`` calls of at most CHUNK
+    each; an estimate of several gradients, (n, k, p) or a tuple of n, gives (n, reps, p)."""
+    chunks = [estimate(min(CHUNK, reps - i)) for i in range(0, reps, CHUNK)]
+    return np.concatenate(chunks, axis=-2)
 
 
 def validate_gradients(spec: GradCheckSpec) -> GradCheckReport:
@@ -167,7 +157,10 @@ def validate_gradients(spec: GradCheckSpec) -> GradCheckReport:
     cfg_m = mlmc_config(spec.mlmc, feasible)
 
     reps = spec.replicates
-    score, reparam = _point_replicated(prob, x0, backend, rng_score, reps)
+    # Both from one joint sample per chunk: common random numbers, each iid.
+    score, reparam = _replicated(
+        lambda k: _gradient(prob, x0, _joint_sample(prob, x0, backend, rng_score, k),
+                            prob.g_star, None, reparam_grad_mu)[1:], reps)
     samples = {
         "score": score,
         "reparam": reparam,

@@ -16,7 +16,7 @@ from ppdattack.bayes.backends import (
     SampleBank,
     adaptive_rwm,
 )
-from ppdattack.bayes.conjugate import GaussianPosterior, NigPrior, nig_update
+from ppdattack.bayes.conjugate import GaussianPosterior, NigPosterior, NigPrior, nig_update
 from ppdattack.bayes.draws import DrawBatch
 from rwm_reference import sequential_rwm
 
@@ -220,9 +220,14 @@ def test_conjugate_backend_rejects_non_finite_posterior():
     post = GaussianPosterior(mu_n=np.array([0.0, np.nan]), lambda_n=np.eye(2), sigma2=1.0)
     with pytest.raises(ValueError, match="non-finite coefficient draws"):
         ExactConjugate(post)
-    # An infinite noise variance is refused when the posterior is built.
+    nig = NigPosterior(mu_n=np.array([np.inf, 0.0]), lambda_n=np.eye(2), a_n=2.0, b_n=1.0)
+    with pytest.raises(ValueError, match="non-finite coefficient draws"):
+        ExactConjugate(nig)
+    # An infinite noise variance or scale is refused when the posterior is built.
     with pytest.raises(ValueError, match="GaussianPosterior field 'sigma2' must be a finite"):
         GaussianPosterior(mu_n=np.zeros(2), lambda_n=np.eye(2), sigma2=np.inf)
+    with pytest.raises(ValueError, match="NigPosterior field 'b_n' must be a finite"):
+        NigPosterior(mu_n=np.zeros(2), lambda_n=np.eye(2), a_n=2.0, b_n=np.inf)
 
 
 def _backends(r, dim=3):

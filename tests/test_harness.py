@@ -301,6 +301,7 @@ VALID = {
     GaussianPosterior: lambda: dict(mu_n=np.zeros(2), lambda_n=np.eye(2), sigma2=1.0),
     MlmcConfig: lambda: dict(feasible=FeasibleSet(np.zeros(2), 1.0)),
     NigPrior: lambda: dict(mu0=np.zeros(2), lambda0=np.eye(2), a0=1.0, b0=1.0),
+    NigPosterior: lambda: dict(mu_n=np.zeros(2), lambda_n=np.eye(2), a_n=1.0, b_n=1.0),
     NormalAppd: lambda: dict(mean=0.0, var=1.0),
     PointAttackProblem: lambda: dict(g=response_functional(), g_star=[0.0],
                                      model=GaussianLinear(2),
@@ -389,6 +390,7 @@ LIBRARY_EDGES = [(cls, name, past, at) for cls, name, kind, _ in LIBRARY_LEAVES
 def test_every_library_bound_is_walked():
     assert {(cls.__name__, name) for cls, name, _, _ in LIBRARY_EDGES} == {
         ("NormalAppd", "var"), ("FeasibleSet", "epsilon"), ("NigPrior", "a0"), ("NigPrior", "b0"),
+        ("NigPosterior", "a_n"), ("NigPosterior", "b_n"),
         ("GaussianPosterior", "sigma2"), ("TPredictive", "df"), ("TPredictive", "scale"),
         *(("PointAttackProblem", name) for name in ("eta", "T", "N", "M")),
         *(("MlmcConfig", name) for name in ("eta", "T", "M0", "tau", "R", "Lmax", "B",

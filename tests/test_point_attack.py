@@ -22,7 +22,6 @@ from ppdattack.attacks.functionals import (
     response_functional,
 )
 from ppdattack.attacks.point import (
-    NonFiniteGradientError,
     PointAttackProblem,
     estimate_grad_mu,
     estimate_mu,
@@ -34,6 +33,7 @@ from ppdattack.bayes.backends import ExactConjugate, SampleBank
 from ppdattack.bayes.conjugate import gaussian_update
 from ppdattack.bayes.draws import DrawBatch
 from ppdattack.bayes.likelihoods import BernoulliLogit, GaussianLinear, UnsupportedModelError
+from ppdattack.exceptions import NonFiniteGradientError
 from ppdattack.harness.data import gen_synthetic
 from test_replicates import X0, mixture_case, softmax_case
 

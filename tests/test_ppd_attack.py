@@ -425,6 +425,39 @@ def test_objective_recording_optional(small_posterior):
     assert np.isnan(trace.final_residual)
 
 
+def test_recording_the_objective_leaves_the_attack_unchanged(small_posterior):
+    # The estimates draw from a child generator, so the attack's own stream,
+    # and with it every step, is the same with recording on and off.
+    post, backend, model = small_posterior
+    x0 = clean_point(post)
+    m0, v0 = post.predictive_moments(x0)
+    on, off = (run_ppd_attack(model, NormalAppd(m0, 2.0 * v0),
+                              config(x0, eps=0.5, T=8, B=2, record_objective=record), backend,
+                              np.random.default_rng(35)) for record in (True, False))
+    assert np.all(np.isfinite(on.objectives)) and np.isfinite(on.final_residual)
+    assert np.array_equal(on.iterates, off.iterates)
+    assert on.levels_used == off.levels_used and on.sample_cost == off.sample_cost
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_each_step_is_one_projected_mlmc_grad_step(small_posterior, record):
+    # The shared descent loop steps along mlmc_grad's one-replicate gradient
+    # from the same generator state, bit for bit: by eta, then eta / sqrt(2).
+    post, backend, model = small_posterior
+    x0 = clean_point(post)
+    m0, v0 = post.predictive_moments(x0)
+    appd = NormalAppd(m0, 2.0 * v0)
+    cfg = config(x0, eps=0.5, eta=0.3, T=2, B=2, eta_decay=True, record_objective=record)
+    for seed in range(3):
+        trace = run_ppd_attack(model, appd, cfg, backend, np.random.default_rng(seed))
+        rng, x = np.random.default_rng(seed), x0
+        for t in (1, 2):
+            grad = mlmc_grad(model, x, appd, cfg, backend, rng)[0][0]
+            x = cfg.feasible.project(x - cfg.eta / np.sqrt(t) * grad)
+            assert not np.array_equal(x, trace.iterates[t - 1])
+            assert np.array_equal(trace.iterates[t], x)
+
+
 def test_final_residual_is_estimated_at_final_x(small_posterior, monkeypatch):
     # objectives[t - 1] is estimated at the point step t starts from; the
     # headline final_residual is one more estimate, at final_x itself, and
@@ -468,3 +501,13 @@ def test_nonfinite_multilevel_gradient_raises(small_posterior):
                        np.random.default_rng(33))
     assert err.value.iteration == 1
     assert np.array_equal(err.value.x, x0)
+
+
+def test_distribution_attack_refuses_several_ball_centres(small_posterior):
+    # Its gradient takes one point, so K centres are refused before any draw.
+    post, backend, model = small_posterior
+    x0 = clean_point(post)
+    m0, v0 = post.predictive_moments(x0)
+    with pytest.raises(ValueError, match="takes one ball centre"):
+        run_ppd_attack(model, NormalAppd(m0, v0), config(np.stack([x0, x0]), T=2), backend,
+                       np.random.default_rng(36))
