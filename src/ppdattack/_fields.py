@@ -95,6 +95,13 @@ class _FieldError(ValueError):
         self.name, self.kind = name, kind
 
 
+def _setting(obj, name, kind, value):
+    """``value``, or for a hand-built class the refusal a checked field of type ``kind`` gives."""
+    if not _fits(value, kind):
+        raise _FieldError(type(obj).__name__, name, kind, value)
+    return value
+
+
 class Checked:
     """A dataclass checked field by field when built, then validated."""
 

@@ -91,7 +91,7 @@ def gaussian_kl(mean1, var1, mean2, var2):
     does; an array's ``**2`` multiplies, and the two round apart about once
     in a thousand.  So K points round as K one-point calls on floats do.
     """
-    if np.any(var1 <= 0) or np.any(var2 <= 0):
+    if not (np.all(var1 > 0) and np.all(var2 > 0)):  # NaN fails ``> 0``
         raise ValueError("variances must be positive")
     return 0.5 * (np.log(var2 / var1) + (var1 + np.float_power(mean1 - mean2, 2)) / var2 - 1.0)
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._fields import Count, _setting
+
 
 class Functional:
     """User-defined functional from vectorised callables.
@@ -33,7 +35,7 @@ class Functional:
 
     def __init__(self, value_fn, out_dim, grad_x_fn=None, grad_y_fn=None):
         self._value = value_fn
-        self.out_dim = int(out_dim)
+        self.out_dim = _setting(self, "out_dim", Count, out_dim)
         self._grad_x = grad_x_fn
         self._grad_y = grad_y_fn
 

@@ -9,7 +9,7 @@ algorithms themselves are reused unchanged: the gray-box attack is
 ``run_point_attack`` or ``run_ppd_attack`` with ``MixtureLikelihood(ensemble)``
 as the model and ``MixtureBackend(ensemble)`` as the backend, whose draws carry
 member tags.  Its trace reflects the attacker's beliefs; evaluate the final
-point against the defender separately.  A gray-box attack takes one point.
+point against the defender separately.  The mixture refuses K points and generator lists.
 
 A batch holding one member's rows only, as every batch of a one-member
 ensemble does, goes straight to that member: the mixture likelihood passes
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bayes.draws import DrawBatch
+from ..exceptions import UnsupportedModelError
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,9 @@ class MixtureBackend:
     def draw(self, count, rng):
         if count < 1:
             raise ValueError("count must be >= 1")
+        if isinstance(rng, list):
+            raise UnsupportedModelError("a mixture draws from one generator;"
+                                        " run gray-box attacks one at a time")
         u = rng.random(count)
         if len(self.ensemble) == 1:  # every row is member 0's; u only keeps the stream
             return TaggedBatch(np.zeros(count, dtype=int),
@@ -147,6 +151,9 @@ class MixtureLikelihood:
         A batch holding one member's rows goes to that member as it is, with
         no scatter: its result is already in row order.
         """
+        if np.ndim(x) != 1:
+            raise UnsupportedModelError("a mixture takes one point;"
+                                        " run gray-box attacks one at a time")
         m = len(tagged)
         if y is not None:
             y = np.asarray(y, dtype=float)

@@ -54,8 +54,7 @@ for one point), mu as ``sum / N``, the gradient as a batched ``matmul`` of
 ``sqrt(vecdot(d, d))``.  An ``einsum`` forward pass or an axis norm
 (``np.linalg.norm(d, axis=1)``) rounds some rows differently in the last
 place, and the attacks drift apart.  Every likelihood family takes one point
-or K points; a gray-box ``MixtureLikelihood`` takes one, and raises
-``UnsupportedModelError`` for K points before it draws.
+or K points; a gray-box mixture takes one, and refuses K before it draws.
 """
 
 from __future__ import annotations
@@ -65,12 +64,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._fields import Checked, Count, Positive
-from ..exceptions import UnsupportedModelError
 from ..bayes.draws import DrawBatch
 from ..bayes.likelihoods import require_gaussian_linear
 from .feasible import FeasibleSet
 from .functionals import Functional
-from .graybox import MixtureLikelihood
 from .trace import AttackTrace, projected_descent
 
 
@@ -112,13 +109,6 @@ class PointAttackProblem(Checked):
                 "g_star must have shape (%d,), or one row per ball centre, got %s"
                 % (self.g.out_dim, self.g_star.shape)
             )
-
-
-def _one_point_only(model):
-    # The K-point sampler cuts each instance's Jacobian rows out of one
-    # DrawBatch by a reshape, which a mixture's tagged batches do not take.
-    if isinstance(model, MixtureLikelihood):
-        raise UnsupportedModelError("a mixture takes one point; run gray-box attacks one at a time")
 
 
 def _joint_sample(prob, x, backend, rng, k, shared=False):
@@ -219,8 +209,6 @@ def grad_J(prob, x, backend, rng, replicates=1, grad_mu=None, shared_batch=False
     ``shared_batch=True`` one batch of size N feeds both factors -- a biased
     negative control for gradient validation.  Returns shape (replicates, p).
     """
-    if x.ndim != 1:
-        _one_point_only(prob.model)
     sample = _joint_sample(prob, x, backend, rng, replicates, shared_batch)
     return _gradient(prob, x, sample, prob.g_star, grad_mu)[1]
 
@@ -248,8 +236,6 @@ def run_point_attack(prob, backend, rng, grad_mu=None) -> AttackTrace:
     if len(gens) != K:
         raise ValueError("need one generator per instance: %d instances, %d generators"
                          % (K, len(gens)))
-    if K > 1:
-        _one_point_only(prob.model)
     g_star = np.broadcast_to(prob.g_star, (K, prob.g.out_dim))
     r = gens[0] if K == 1 else gens  # one instance draws as a one-point attack
 

@@ -169,6 +169,11 @@ def ratio_grad(loglik, scores, starts):
     return -np.add.reduceat(w[:, None] * scores, starts) / total[:, None], lmax + np.log(total)
 
 
+def _one_centre(x):
+    if np.ndim(x) != 1:
+        raise ValueError("the multilevel gradient takes one ball centre, got %s" % (np.shape(x),))
+
+
 def delta_level(model, x, ys, levels, draws, config):
     """Antithetic level differences of the ratio estimator, one row per pair.
 
@@ -184,8 +189,9 @@ def delta_level(model, x, ys, levels, draws, config):
 
     which one :func:`ratio_grad` pass over the halves gives, without the
     cancellation of subtracting two nearly equal ratios.  All pairs are
-    scored by one ``loglik`` and one ``score_x`` call on ``draws``.
+    scored by one ``loglik`` and one ``score_x`` call on ``draws``, at one point.
     """
+    _one_centre(x)
     levels = np.asarray(levels, dtype=int)
     if np.any(levels < 0):
         raise ValueError("level must be nonnegative")
@@ -221,8 +227,9 @@ def mlmc_grad(model, x, appd, config, backend, rng, replicates=1):
     all pairs; one :func:`delta_level` call then scores them all.  Returns
     ``(grads, levels, draws)``: the gradients, shape ``(replicates, dim)``,
     the level of each (outcome, repeat) pair in draw order, and the number of
-    posterior draws consumed.
+    posterior draws consumed.  K points ``x`` raise before any draw.
     """
+    _one_centre(x)
     ys = np.atleast_1d(appd.sample(replicates * config.B, rng))
     levels, probs = _sample_level(config, rng, replicates * config.B * config.R)
     draws = backend.draw(int((config.M0 << levels).sum()), rng)
@@ -276,8 +283,6 @@ def run_ppd_attack(model, appd, config, backend, rng) -> AttackTrace:
     last step.  They draw from ``rng.spawn(1)[0]``, so recording them leaves
     the attack's path as it is; with ``record_objective`` off, they are NaN.
     """
-    if config.feasible.center.ndim != 1:
-        raise ValueError("the distribution attack takes one ball centre; run K attacks one by one")
     obj_rng = rng.spawn(1)[0] if config.record_objective else None
     levels_used, sample_cost = [], []
 

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 from numpy.random import Generator
 
+from .._fields import Count, Positive, Size, _fits, _setting
 from .conjugate import GaussianPosterior, NigPosterior
 from .draws import DrawBatch, _by_instance, _check_draws
 
@@ -126,7 +127,8 @@ def adaptive_rwm(log_post, x0, n_keep, rng, step=0.5, burn_in=1000, thin=5,
     proposal is formed by the same operations as in a one-at-a-time loop,
     and the values feed only ``log(u) < lp' - lp``, so the states,
     acceptance rate and final generator state are those of that loop with a
-    log posterior that gives each row's value.
+    log posterior that gives each row's value.  The kept states and the
+    acceptance rate are read off a log of the chain's moves after the walk.
 
     Returns
     -------
@@ -134,9 +136,9 @@ def adaptive_rwm(log_post, x0, n_keep, rng, step=0.5, burn_in=1000, thin=5,
     accept_rate : float
         Post-burn-in acceptance rate.
     """
-    if burn_in < 0 or thin < 1 or n_keep < 1:
-        raise ValueError("need burn_in >= 0, thin >= 1, n_keep >= 1")
-    if not (np.isfinite(step) and step > 0):
+    if not (_fits(burn_in, Size) and _fits(thin, Count) and _fits(n_keep, Count)):
+        raise ValueError("need integers burn_in >= 0, thin >= 1, n_keep >= 1")
+    if not _fits(step, Positive):
         raise ValueError("step must be finite and positive")
     if not 0.0 < target_accept < 1.0:
         raise ValueError("target_accept must lie in (0, 1)")
@@ -146,11 +148,9 @@ def adaptive_rwm(log_post, x0, n_keep, rng, step=0.5, burn_in=1000, thin=5,
     if not np.isfinite(lp):
         raise ValueError("log posterior is not finite at the initial state")
     scale = float(step)
-    states = np.empty((n_keep, dim))
-    kept = 0
-    accepted_post = 0
-    keep_at = burn_in + thin - 1  # the next step whose state is kept
     total = burn_in + n_keep * thin
+    moved = np.zeros(total, dtype=bool)  # the log of moves, one flag a step
+    slots = np.full((n_keep, dim), x)  # a move's state, at the next kept step's slot
     for start in range(0, total, _BLOCK):
         z = np.empty((min(_BLOCK, total - start), dim))
         u = np.empty(len(z))
@@ -181,21 +181,16 @@ def adaptive_rwm(log_post, x0, n_keep, rng, step=0.5, burn_in=1000, thin=5,
                     scale = scales[j]
                 if a < burn_in:
                     scale *= np.exp((a + 1.0) ** -0.6 * (1.0 - target_accept))
-                else:
-                    accepted_post += 1
-                while keep_at < a:
-                    states[kept] = x
-                    kept += 1
-                    keep_at += thin
                 x, lp = props[j], float(lps[j])
+                moved[a] = True
+                slots[max(a - burn_in, 0) // thin] = x
                 i += j + 1
             else:
                 i += k
-            while keep_at < start + i:
-                states[kept] = x
-                kept += 1
-                keep_at += thin
-    rate = accepted_post / (n_keep * thin)
+    # A kept step takes the last slot up to its own that a move wrote, or slot 0.
+    written = np.logical_or.reduceat(moved, np.r_[0, burn_in + thin * np.arange(1, n_keep)])
+    states = slots[np.maximum.accumulate(np.where(written, np.arange(n_keep), 0))]
+    rate = int(np.count_nonzero(moved[burn_in:])) / (n_keep * thin)
     if not 0.05 <= rate <= 0.95:
         warnings.warn(
             "MCMC acceptance rate %.3f outside [0.05, 0.95] after adaptation; "
@@ -229,9 +224,9 @@ class McmcChain:
                  target_accept=0.3):
         self.log_post = log_post
         self.initial = np.asarray(initial, dtype=float)
-        self.step = float(step)
-        self.burn_in = int(burn_in)
-        self.thin = int(thin)
+        self.step = _setting(self, "step", Positive, step)
+        self.burn_in = _setting(self, "burn_in", Size, burn_in)
+        self.thin = _setting(self, "thin", Count, thin)
         self.target_accept = float(target_accept)
         self.last_accept_rate = None
 

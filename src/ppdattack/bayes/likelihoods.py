@@ -14,7 +14,7 @@ one value per draw.  Every family takes one point x (dim,) or K points
 (K, dim) for K equal blocks of draws, block k at x[k], and then draws block
 k's outcomes from the k-th of a list of K generators: K attack instances in
 one call, each rounded and drawn as its one-point call.  A gray-box mixture
-(``attacks.graybox.MixtureLikelihood``) takes one point.
+(``attacks.graybox.MixtureLikelihood``) refuses K points itself.
 
 ``SmallBnn``, ``BernoulliLogit`` and ``FeatureSubsetModel`` are library-only:
 no harness path, CLI config kind, benchmark workload or demo reaches them, and
@@ -45,9 +45,12 @@ the stacked ``(m, k, dim) @ x`` bit for bit at dim 2-7; from dim 8 the BLAS
 
 from __future__ import annotations
 
+from typing import Annotated, Literal
+
 import numpy as np
 from numpy.random import Generator
 
+from .._fields import Count, _Bound, _setting
 from ..exceptions import UnsupportedModelError
 from .draws import _by_instance
 
@@ -170,7 +173,7 @@ class GaussianLinear:
     """Gaussian linear regression likelihood: y | x, gamma ~ N(beta^T x, phi)."""
 
     def __init__(self, dim):
-        self.dim = int(dim)
+        self.dim = _setting(self, "dim", Count, dim)
 
     def loglik(self, x, y, gamma):
         x = _check_points(x, self.dim, len(gamma))
@@ -194,7 +197,7 @@ class BernoulliLogit:
     """
 
     def __init__(self, dim):
-        self.dim = int(dim)
+        self.dim = _setting(self, "dim", Count, dim)
 
     def _check_y(self, y, m):
         y = np.broadcast_to(np.asarray(y, dtype=float), (m,))
@@ -229,10 +232,8 @@ class CategoricalSoftmax:
     """
 
     def __init__(self, dim, n_classes):
-        self.dim = int(dim)
-        self.n_classes = int(n_classes)
-        if self.n_classes < 2:
-            raise ValueError("need at least two classes")
+        self.dim = _setting(self, "dim", Count, dim)
+        self.n_classes = _setting(self, "n_classes", Annotated[int, _Bound(">=", 2)], n_classes)
 
     @property
     def n_params(self):
@@ -277,17 +278,12 @@ class SmallBnn:
     """
 
     def __init__(self, dim, hidden, likelihood="gaussian", n_out=None):
-        self.dim = int(dim)
-        self.hidden = int(hidden)
-        if likelihood not in ("gaussian", "categorical"):
-            raise ValueError("likelihood must be 'gaussian' or 'categorical'")
-        self.likelihood = likelihood
-        if likelihood == "gaussian":
-            self.n_out = 1
-        else:
-            if n_out is None or n_out < 2:
-                raise ValueError("categorical SmallBnn needs n_out >= 2")
-            self.n_out = int(n_out)
+        self.dim = _setting(self, "dim", Count, dim)
+        self.hidden = _setting(self, "hidden", Count, hidden)
+        self.likelihood = _setting(self, "likelihood", Literal["gaussian", "categorical"],
+                                   likelihood)
+        self.n_out = 1 if likelihood == "gaussian" else _setting(
+            self, "n_out", Annotated[int, _Bound(">=", 2)], n_out)
 
     @property
     def n_params(self):
@@ -361,7 +357,7 @@ class FeatureSubsetModel:
     def __init__(self, inner, indices, dim):
         self.inner = inner
         self.indices = np.asarray(indices, dtype=int)
-        self.dim = int(dim)
+        self.dim = _setting(self, "dim", Count, dim)
         if self.indices.size != inner.dim:
             raise ValueError("indices must match the inner model dimension")
         if np.any(self.indices < 0) or np.any(self.indices >= dim):

@@ -211,6 +211,13 @@ def test_kl_scalar_substitution():
     assert gaussian_kl(0.0, 1.0, 0.0, 4.0) == pytest.approx(val, abs=1e-12)
 
 
+@pytest.mark.parametrize("var1, var2", [(np.nan, 1.0), (1.0, np.nan), (0.0, 1.0),
+                                        (1.0, -2.0), ([1.0, np.nan], 1.0)])
+def test_gaussian_kl_refuses_a_variance_that_is_not_positive(var1, var2):
+    with pytest.raises(ValueError, match="variances must be positive"):
+        gaussian_kl(0.0, np.asarray(var1), 0.0, var2)
+
+
 def test_kl_gradient_matches_finite_differences():
     rng = np.random.default_rng(45)
     ds = gen_synthetic(50, (-1.0, 2.0, 0.5), 1.0, rng)

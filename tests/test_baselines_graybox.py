@@ -403,7 +403,7 @@ def test_graybox_attacks_take_one_point(defender):
     with pytest.raises(UnsupportedModelError, match="run gray-box attacks one at a time"):
         run_point_attack(problem(centres), backend, gens)
     with pytest.raises(UnsupportedModelError, match="run gray-box attacks one at a time"):
-        grad_J(problem(X0), centres, backend, gens)
+        grad_J(problem(X0), centres, backend, gens, replicates=2)
     assert all(g.bit_generator.state == np.random.default_rng(s).bit_generator.state
                for g, s in zip(gens, seeds))
 
@@ -411,6 +411,27 @@ def test_graybox_attacks_take_one_point(defender):
     row = run_point_attack(problem(X0[None]), backend, [np.random.default_rng(3)])
     assert np.array_equal(row.iterates[:, 0], plain.iterates)
     assert np.isfinite(plain.final_residual)
+
+
+def test_the_mixture_refuses_several_points_and_generators(defender):
+    # Its tagged batches do not join into the one DrawBatch a lockstep call
+    # cuts, so it refuses before drawing, not with an error from inside.
+    ens = ModelEnsemble([EnsembleMember(GaussianLinear(2), defender[2])] * 2)
+    gens = [np.random.default_rng(s) for s in (1, 2)]
+    with pytest.raises(UnsupportedModelError, match="run gray-box attacks one at a time"):
+        MixtureBackend(ens).draw(4, gens)
+    assert all(g.bit_generator.state == np.random.default_rng(s).bit_generator.state
+               for g, s in zip(gens, (1, 2)))
+    rng = np.random.default_rng(3)
+    batch = MixtureBackend(ens).draw(8, rng)
+    drawn = rng.bit_generator.state
+    model, points = MixtureLikelihood(ens), np.stack([X0, -X0])
+    for call in (lambda: model.loglik(points, 0.0, batch),
+                 lambda: model.score_x(points, 0.0, batch),
+                 lambda: model.sample_y(points, batch, rng)):
+        with pytest.raises(UnsupportedModelError, match="run gray-box attacks one at a time"):
+            call()
+    assert rng.bit_generator.state == drawn
 
 
 # (member likelihood, width of its coefficient draws)

@@ -6,12 +6,16 @@ family.  Sampling is checked against the score identity (mean score is zero
 under the model) and simple moment/frequency oracles.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppdattack.attacks.functionals import Functional
 from ppdattack.attacks.ppd import CategoricalAppd, NormalAppd
+from ppdattack.bayes.backends import McmcChain, adaptive_rwm
 from ppdattack.bayes.draws import DrawBatch
 from ppdattack.bayes.likelihoods import (
     BernoulliLogit,
@@ -196,6 +200,44 @@ def test_valid_labels_pass_in_any_integer_form():
         assert np.array_equal(model.loglik(np.ones(2), labels, gamma), want)
     with pytest.raises(ValueError):
         BernoulliLogit(2).loglik(np.zeros(2), 0.5, DrawBatch(np.zeros((1, 2))))
+
+
+def _flat(w):
+    return np.zeros(len(w))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GaussianLinear(2.7), "GaussianLinear field 'dim' must be an integer >= 1, got 2.7"),
+    (lambda: GaussianLinear(True), "GaussianLinear field 'dim' must be an integer >= 1, got True"),
+    (lambda: GaussianLinear(-3), "GaussianLinear field 'dim' must be an integer >= 1, got -3"),
+    (lambda: BernoulliLogit(0), "BernoulliLogit field 'dim' must be an integer >= 1, got 0"),
+    (lambda: CategoricalSoftmax(2.9, 3), "CategoricalSoftmax field 'dim' must be an integer >= 1"),
+    (lambda: CategoricalSoftmax(2, 3.99),
+     "CategoricalSoftmax field 'n_classes' must be an integer >= 2, got 3.99"),
+    (lambda: CategoricalSoftmax(2, 1), "CategoricalSoftmax field 'n_classes' must be an integer >= 2"),
+    (lambda: SmallBnn(2, 3.5), "SmallBnn field 'hidden' must be an integer >= 1, got 3.5"),
+    (lambda: SmallBnn(2, 3, "categorical", n_out=2.5),
+     "SmallBnn field 'n_out' must be an integer >= 2, got 2.5"),
+    (lambda: SmallBnn(2, 3, "categorical"), "SmallBnn field 'n_out' must be an integer >= 2, got None"),
+    (lambda: SmallBnn(2, 3, "poisson"), "SmallBnn field 'likelihood' must be one of 'gaussian'"),
+    (lambda: FeatureSubsetModel(GaussianLinear(1), [0], 2.9),
+     "FeatureSubsetModel field 'dim' must be an integer >= 1, got 2.9"),
+    (lambda: Functional(_flat, 2.5), "Functional field 'out_dim' must be an integer >= 1, got 2.5"),
+    (lambda: McmcChain(_flat, np.zeros(1), thin=2.5),
+     "McmcChain field 'thin' must be an integer >= 1, got 2.5"),
+    (lambda: McmcChain(_flat, np.zeros(1), burn_in=10.9),
+     "McmcChain field 'burn_in' must be an integer >= 0, got 10.9"),
+    (lambda: McmcChain(_flat, np.zeros(1), step="0.3"),
+     "McmcChain field 'step' must be a finite number > 0, got '0.3'"),
+    (lambda: adaptive_rwm(_flat, np.zeros(1), 10, np.random.default_rng(0), burn_in=True),
+     "need integers burn_in >= 0"),
+    (lambda: adaptive_rwm(_flat, np.zeros(1), 10, np.random.default_rng(0), thin=2.5),
+     "need integers burn_in >= 0"),
+])
+def test_hand_built_classes_refuse_settings_as_the_dataclasses_do(build, message):
+    # Not truncated, and not taken: the message of a checked dataclass field.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_require_gaussian_linear():

@@ -511,3 +511,17 @@ def test_distribution_attack_refuses_several_ball_centres(small_posterior):
     with pytest.raises(ValueError, match="takes one ball centre"):
         run_ppd_attack(model, NormalAppd(m0, v0), config(np.stack([x0, x0]), T=2), backend,
                        np.random.default_rng(36))
+
+
+def test_multilevel_gradient_refuses_several_points(small_posterior):
+    # delta_level scores every row at one point; with K points it would split
+    # the rows between them.  Both refuse before drawing anything.
+    post, backend, model = small_posterior
+    x = np.stack([clean_point(post)] * 2)
+    cfg = config(np.zeros(2), B=2)
+    rng = np.random.default_rng(37)
+    with pytest.raises(ValueError, match="takes one ball centre"):
+        mlmc_grad(model, x, NormalAppd(0.0, 4.0), cfg, backend, rng)
+    assert rng.bit_generator.state == np.random.default_rng(37).bit_generator.state
+    with pytest.raises(ValueError, match="takes one ball centre"):
+        delta_level(model, x, [0.0], [0], backend.draw(cfg.M0, rng), cfg)
